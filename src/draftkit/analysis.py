@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Container, Iterable, Mapping, Sequence
 
 from .corpus import DraftPair, Sentence
-from .lm import NGramModel, perplexity
+from .lm import NGramModel
 from .metrics import extract_edits, fre, levenshtein_char, passive_voice, word_repetition
 
 
@@ -82,7 +82,7 @@ def _side_profile(sentences: Iterable[Sentence], lm: NGramModel) -> SideProfile:
             skipped += 1
             continue
         fre_values.append(fre_value)
-        ppl_values.append(perplexity(lm, s))
+        ppl_values.append(lm.perplexity(s.tokens))
         passive_hits += passive_voice(s)
         repetition_hits += word_repetition(s)
     if not fre_values:

@@ -12,6 +12,7 @@ and line where one exists).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -36,7 +37,7 @@ from .corpus import (
 )
 from .lm import SMOOTHINGS, ArpaFormatError, load_arpa, save_arpa, train
 from .metrics import evaluate
-from .noising import NoiseConfig, ReplacementVocab, noise_sentence
+from .noising import NoiseConfig, ReplacementVocab, noise_corpus, noise_sentence
 from .quality import FilterConfig, filter_pairs, load_submissions, score_worker, spell_check
 
 SCHEMA_VERSION = 1
@@ -142,16 +143,17 @@ def _cmd_lm_ppl(args) -> tuple[list, list]:
             continue
         s = Sentence.from_text(text)
         logprob = model.sentence_logprob(s.tokens)
+        events = len(s.tokens) + 1
         rows.append(
             {
                 "line": line_no,
                 "tokens": len(s.tokens),
                 "logprob10": logprob,
-                "ppl": model.perplexity(s.tokens),
+                "ppl": 10.0 ** (-logprob / events),
             }
         )
         logprob_total += logprob
-        event_total += len(s.tokens) + 1
+        event_total += events
     report = {
         "schema_version": SCHEMA_VERSION,
         "model": str(args.model),
@@ -163,22 +165,12 @@ def _cmd_lm_ppl(args) -> tuple[list, list]:
     return [args.model, args.input], [args.report]
 
 
-# Noising workers receive their shared state through the pool initializer
-# so per-record payloads stay small and picklable.
-_NOISE_STATE: dict = {}
-
-
-def _init_noise_worker(cfg: NoiseConfig, vocab: ReplacementVocab | None) -> None:
-    _NOISE_STATE["cfg"] = cfg
-    _NOISE_STATE["vocab"] = vocab
-
-
-def _noise_record(item: tuple[int, str]) -> tuple[str, str]:
-    index, text = item
-    pair = noise_sentence(
-        Sentence.from_text(text), _NOISE_STATE["cfg"], _NOISE_STATE["vocab"], index=index
-    )
-    return pair.draft.text, pair.reference.text
+def _noise_one(
+    cfg: NoiseConfig, vocab: ReplacementVocab | None, s: Sentence, index: int
+) -> DraftPair:
+    # Pool workers get this private function by reference: the public
+    # noise_sentence may be replaced by a wrapper that cannot be pickled.
+    return noise_sentence(s, cfg, vocab, index=index)
 
 
 def _load_vocab_counts(path: Path | str) -> dict[str, int]:
@@ -218,17 +210,22 @@ def _cmd_noise_run(args) -> tuple[list, list]:
         vocab = ReplacementVocab.from_wordlist(
             min_count=cfg.replace_vocab_min_count, weighted=args.weighted_vocab
         )
-    items = list(enumerate(_read_text_lines(args.input, keep_blank=False)))
-    if args.jobs > 1 and items:
-        chunksize = max(1, math.ceil(len(items) / (args.jobs * 4)))
-        with ProcessPoolExecutor(
-            max_workers=args.jobs, initializer=_init_noise_worker, initargs=(cfg, vocab)
-        ) as pool:
-            results = list(pool.map(_noise_record, items, chunksize=chunksize))
+    sentences = []
+    for line_no, text in iter_checked_lines(args.input):
+        if text.strip():
+            s = Sentence.from_text(text)
+            if s.has_mask:
+                raise RecordError(
+                    args.input, line_no, "reference sentence contains the mask token"
+                )
+            sentences.append(s)
+    if args.jobs > 1 and sentences:
+        chunksize = max(1, math.ceil(len(sentences) / (args.jobs * 4)))
+        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+            noise = functools.partial(_noise_one, cfg, vocab)
+            pairs = list(pool.map(noise, sentences, range(len(sentences)), chunksize=chunksize))
     else:
-        _init_noise_worker(cfg, vocab)
-        results = [_noise_record(item) for item in items]
-    pairs = (DraftPair.from_texts(draft, reference) for draft, reference in results)
+        pairs = list(noise_corpus(sentences, cfg, vocab))
     write_pairs(args.out, pairs, fmt="tsv")
     return inputs, [args.out]
 
@@ -523,10 +520,7 @@ def dispatch(argv: Sequence[str] | None = None) -> int:
     start = time.perf_counter()
     try:
         inputs, outputs = args._run(args)
-    except (RecordError, ArpaFormatError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except OSError as err:
+    except (RecordError, ArpaFormatError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except ValueError as err:

@@ -185,23 +185,15 @@ class RecordError(ValueError):
         self.reason = reason
 
 
-def iter_checked_lines(
-    path: Path | str, issues: list[RecordError] | None = None
-) -> Iterator[tuple[int, str]]:
-    """Yield ``(line_no, text)`` for each decodable line.
-
-    Undecodable lines are appended to *issues* (or raised if *issues* is
-    None) so large corpus scans can continue past damage.
-    """
+def iter_checked_lines(path: Path | str) -> Iterator[tuple[int, str]]:
+    """Yield ``(line_no, text)`` for each line; an undecodable line raises
+    :class:`RecordError`."""
     with open(path, "rb") as handle:
         for line_no, raw in enumerate(handle, start=1):
             try:
                 yield line_no, raw.decode("utf-8").rstrip("\r\n")
             except UnicodeDecodeError as exc:
-                err = RecordError(path, line_no, f"not valid UTF-8 ({exc.reason})")
-                if issues is None:
-                    raise err from exc
-                issues.append(err)
+                raise RecordError(path, line_no, f"not valid UTF-8 ({exc.reason})") from exc
 
 
 def _pair_from_tsv(path: Path | str, line_no: int, line: str) -> DraftPair:

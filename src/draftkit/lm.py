@@ -74,15 +74,7 @@ class NGramModel:
             context = tuple(self._as_known(t) for t in tuple(history)[-(self.order - 1) :])
         else:
             context = ()
-        acc = 0.0
-        while True:
-            stored = self._logprob.get(context + (word,))
-            if stored is not None:
-                return acc + stored
-            if not context:
-                raise ValueError(f"model has no unigram entry for {word!r}")
-            acc += self._backoff.get(context, 0.0)
-            context = context[1:]
+        return _backoff_logprob(self._logprob, self._backoff, context, word)
 
     def sentence_logprob(self, tokens: Sequence[str]) -> float:
         """Log10 probability of the token sequence plus its end event."""
@@ -100,12 +92,24 @@ class NGramModel:
         return 10.0 ** (-self.sentence_logprob(tokens) / events)
 
 
-def sentence_logprob(model: NGramModel, s: Sentence) -> float:
-    return model.sentence_logprob(s.tokens)
-
-
-def perplexity(model: NGramModel, s: Sentence) -> float:
-    return model.perplexity(s.tokens)
+def _backoff_logprob(
+    logp: dict[tuple[str, ...], float],
+    bows: dict[tuple[str, ...], float],
+    context: tuple[str, ...],
+    word: str,
+) -> float:
+    """Log10 P(word | context) from the longest stored n-gram plus the
+    backoff weights of the contexts dropped to reach it.  Training runs
+    it over partially built tables."""
+    acc = 0.0
+    while True:
+        stored = logp.get(context + (word,))
+        if stored is not None:
+            return acc + stored
+        if not context:
+            raise ValueError(f"model has no unigram entry for {word!r}")
+        acc += bows.get(context, 0.0)
+        context = context[1:]
 
 
 def train(
@@ -150,24 +154,6 @@ def train(
     else:
         logp, bows = _build_kneser_ney(raw, words, vpred, order, unk_floor)
     return NGramModel(order, logp, bows)
-
-
-def _chain_prob(
-    logp: dict[tuple[str, ...], float],
-    bows: dict[tuple[str, ...], float],
-    history: tuple[str, ...],
-    word: str,
-) -> float:
-    """Linear conditional probability over partially built tables."""
-    acc = 0.0
-    while True:
-        stored = logp.get(history + (word,))
-        if stored is not None:
-            return 10.0 ** (acc + stored)
-        if not history:
-            raise KeyError(word)
-        acc += bows.get(history, 0.0)
-        history = history[1:]
 
 
 def _discount(counts: Iterable[int]) -> float:
@@ -226,7 +212,7 @@ def _build_add_k(
             # Sorted accumulation keeps float sums independent of corpus order.
             for word in sorted(seen):
                 logp[history + (word,)] = math.log10((seen[word] + k) / denominator)
-                covered += _chain_prob(logp, bows, history[1:], word)
+                covered += 10.0 ** _backoff_logprob(logp, bows, history[1:], word)
             leftover = k * (v_size - len(seen)) / denominator
             if leftover > 0.0:
                 bows[history] = math.log10(leftover / (1.0 - covered))
@@ -278,7 +264,7 @@ def _build_kneser_ney(
             total = sum(seen.values())
             interp = discount * len(seen) / total
             for word, count in seen.items():
-                lower = _chain_prob(logp, bows, history[1:], word)
+                lower = 10.0 ** _backoff_logprob(logp, bows, history[1:], word)
                 p = max(count - discount, 0.0) / total + interp * lower
                 logp[history + (word,)] = math.log10(p)
             bows[history] = math.log10(interp)

@@ -371,6 +371,19 @@ def _prf_from_counts(matched: int, proposed: int, gold: int) -> tuple[float, flo
     return precision, recall, f05
 
 
+def _edit_counts(
+    source: Sentence, hypothesis: Sentence, reference: Sentence, dictionary: Container[str]
+) -> tuple[int, int, int]:
+    """(matched, proposed, gold) counts of hypothesis against reference edits."""
+    proposed = {
+        (sp.start, sp.end, sp.replacement) for sp in extract_edits(source, hypothesis, dictionary)
+    }
+    gold = {
+        (sp.start, sp.end, sp.replacement) for sp in extract_edits(source, reference, dictionary)
+    }
+    return len(proposed & gold), len(proposed), len(gold)
+
+
 def edit_prf(
     source: Sentence,
     hypothesis: Sentence,
@@ -384,13 +397,7 @@ def edit_prf(
     """
     if dictionary is None:
         dictionary = load_wordlist()
-    proposed = {
-        (sp.start, sp.end, sp.replacement) for sp in extract_edits(source, hypothesis, dictionary)
-    }
-    gold = {
-        (sp.start, sp.end, sp.replacement) for sp in extract_edits(source, reference, dictionary)
-    }
-    return _prf_from_counts(len(proposed & gold), len(proposed), len(gold))
+    return _prf_from_counts(*_edit_counts(source, hypothesis, reference, dictionary))
 
 
 _BRACKET_PAIRS = (("(", ")"), ("[", "]"), ("{", "}"))
@@ -662,12 +669,7 @@ def evaluate(
         dictionary = load_wordlist()
     records = []
     for src, hyp, ref in zip(sources, hypotheses, references):
-        proposed = {
-            (sp.start, sp.end, sp.replacement) for sp in extract_edits(src, hyp, dictionary)
-        }
-        gold = {
-            (sp.start, sp.end, sp.replacement) for sp in extract_edits(src, ref, dictionary)
-        }
+        matched, proposed, gold = _edit_counts(src, hyp, ref, dictionary)
         try:
             fre_value: float | None = fre(hyp)
         except ValueError:
@@ -682,9 +684,9 @@ def evaluate(
                 ppl=float(lm.perplexity(hyp.tokens)) if lm is not None else None,
                 passive=passive_voice(hyp),
                 repetition=word_repetition(hyp),
-                edit_matches=len(proposed & gold),
-                edit_proposed=len(proposed),
-                edit_gold=len(gold),
+                edit_matches=matched,
+                edit_proposed=proposed,
+                edit_gold=gold,
             )
         )
     n = len(records)

@@ -132,18 +132,17 @@ class FilterConfig:
 
     alpha: float = 0.4
     stopwords: frozenset[str] = field(default_factory=load_stopwords)
-    mask_token: str = MASK_TOKEN
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "stopwords", frozenset(self.stopwords))
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
-        if self.mask_token in self.stopwords:
+        if MASK_TOKEN in self.stopwords:
             raise ValueError("the mask token cannot also be a stopword")
 
 
 def _content_tokens(s: Sentence, cfg: FilterConfig) -> set[str]:
-    return {t.lower() for t in s.tokens} - cfg.stopwords - {cfg.mask_token}
+    return {t.lower() for t in s.tokens} - cfg.stopwords - {MASK_TOKEN}
 
 
 def overlap_coefficient(x: Sentence, y: Sentence, cfg: FilterConfig | None = None) -> float:

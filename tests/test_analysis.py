@@ -80,7 +80,7 @@ class TestLinguisticProfile:
         p = pair("the model was tested on the data .", "we test the model .")
         profile = linguistic_profile([p], tiny_lm)
         assert profile.draft.fre_mean == metrics.fre(p.draft)
-        assert profile.draft.ppl_mean == lm.perplexity(tiny_lm, p.draft)
+        assert profile.draft.ppl_mean == tiny_lm.perplexity(p.draft.tokens)
         assert profile.draft.passive_pct == 100.0 * metrics.passive_voice(p.draft)
         assert profile.draft.repetition_pct == 100.0 * metrics.word_repetition(p.draft)
         assert profile.reference.fre_mean == metrics.fre(p.reference)

@@ -110,9 +110,31 @@ class TestLmCommands:
 
         # Per-sentence values must match the library exactly.
         model = lm.load_arpa(model_path)
-        first = Sentence.from_text(sentences_file.read_text().splitlines()[0])
-        assert report["sentences"][0]["logprob10"] == model.sentence_logprob(first.tokens)
-        assert report["sentences"][0]["ppl"] == model.perplexity(first.tokens)
+        texts = sentences_file.read_text().splitlines()
+        for row, text in zip(report["sentences"], texts, strict=True):
+            tokens = Sentence.from_text(text).tokens
+            assert row["logprob10"] == model.sentence_logprob(tokens)
+            assert row["ppl"] == model.perplexity(tokens)
+
+    def test_ppl_scores_each_sentence_once(self, tmp_path, sentences_file, monkeypatch):
+        model_path = tmp_path / "model.arpa"
+        assert dispatch(
+            ["lm", "train", "--input", str(sentences_file), "--out", str(model_path)]
+        ) == 0
+        scored = []
+        original = lm.NGramModel.sentence_logprob
+
+        def counting(self, tokens):
+            scored.append(tuple(tokens))
+            return original(self, tokens)
+
+        monkeypatch.setattr(lm.NGramModel, "sentence_logprob", counting)
+        assert dispatch(
+            ["lm", "ppl", "--model", str(model_path), "--input", str(sentences_file),
+             "--report", str(tmp_path / "ppl.json")]
+        ) == 0
+        texts = sentences_file.read_text().splitlines()
+        assert scored == [Sentence.from_text(text).tokens for text in texts]
 
     def test_train_is_deterministic(self, tmp_path, sentences_file):
         a, b = tmp_path / "a.arpa", tmp_path / "b.arpa"
@@ -166,6 +188,17 @@ class TestNoiseRun:
         drafts = " ".join(p.draft.text for p in load_pairs(out))
         assert "qqsub" in drafts
         assert "rare" not in drafts
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_mask_token_in_input_is_data_error(self, tmp_path, sentences_file, jobs, capsys):
+        lines = sentences_file.read_text().splitlines()
+        lines[1:1] = ["", "", "a reference sentence with a <*> span in it ."]
+        src = write_lines(tmp_path / "masked.txt", lines)
+        out = tmp_path / "pairs.tsv"
+        assert self.run(src, out, "--jobs", jobs) == 2
+        err = capsys.readouterr().err
+        assert f"{src}:4: reference sentence contains the mask token" in err
+        assert not out.exists()
 
 
 class TestConfigPrecedence:

@@ -15,9 +15,7 @@ from draftkit.lm import (
     ArpaFormatError,
     NGramModel,
     load_arpa,
-    perplexity,
     save_arpa,
-    sentence_logprob,
     train,
 )
 from synth import academic_sentences
@@ -51,15 +49,15 @@ class TestAddK:
     def test_unigram_sentence_logprob_and_ppl(self):
         model = train([sent("a", "b")], order=1, smoothing="add-k", k=1.0)
         # P(a) P(b) P(</s>) = 1/3 * 1/3 * 1/6 = 1/54, three scored events.
-        assert sentence_logprob(model, sent("a", "b")) == pytest.approx(
+        assert model.sentence_logprob(sent("a", "b").tokens) == pytest.approx(
             math.log10(1 / 54), abs=1e-12
         )
-        assert perplexity(model, sent("a", "b")) == pytest.approx(54 ** (1 / 3), rel=1e-12)
+        assert model.perplexity(sent("a", "b").tokens) == pytest.approx(54 ** (1 / 3), rel=1e-12)
 
     def test_unigram_oov_takes_unknown_share(self):
         model = train([sent("a", "b")], order=1, smoothing="add-k", k=1.0)
         # "z" is unseen: scored as <unk>, so 1/3 * 1/6 * 1/6 = 1/108.
-        assert sentence_logprob(model, sent("a", "z")) == pytest.approx(
+        assert model.sentence_logprob(sent("a", "z").tokens) == pytest.approx(
             math.log10(1 / 108), abs=1e-12
         )
 
@@ -75,7 +73,7 @@ class TestAddK:
         assert prob(model, "a", ("b",)) == pytest.approx(0.72 / 3, rel=1e-12)
         # P(b|<s>) = 0.6/(1 - 1/3) * 1/3 = 0.3.
         assert prob(model, "b", ("<s>",)) == pytest.approx(0.3, rel=1e-12)
-        assert perplexity(model, sent("a", "b")) == pytest.approx(2.5, rel=1e-12)
+        assert model.perplexity(sent("a", "b").tokens) == pytest.approx(2.5, rel=1e-12)
 
 
 class TestKneserNey:
@@ -107,7 +105,7 @@ class TestKneserNey:
         # Unseen (b, b) backs off with weight lambda(b) = 2/9.
         assert prob(model, "b", ("b",)) == pytest.approx((2 / 9) * 0.3125, rel=1e-9)
         # "a b" scores 0.625 three times, so PPL = 1/0.625 = 1.6 exactly.
-        assert perplexity(model, sent("a", "b")) == pytest.approx(1.6, rel=1e-9)
+        assert model.perplexity(sent("a", "b").tokens) == pytest.approx(1.6, rel=1e-9)
 
     def test_start_context_keeps_raw_counts(self):
         # Corpus "a b", "a c" at order 3.  (<s>,a) cannot be left-extended,
@@ -205,10 +203,10 @@ class TestDistributionInvariants:
 
     def test_empty_sentence_scores_end_event(self):
         model = _model("interpolated-kneser-ney", 3)
-        assert sentence_logprob(model, sent()) == pytest.approx(
+        assert model.sentence_logprob(sent().tokens) == pytest.approx(
             model.logprob("</s>", ("<s>",)), abs=1e-12
         )
-        assert perplexity(model, sent()) >= 1.0
+        assert model.perplexity(sent().tokens) >= 1.0
 
     def test_history_trimmed_to_model_order(self):
         model = _model("interpolated-kneser-ney", 2)
@@ -216,8 +214,8 @@ class TestDistributionInvariants:
 
     def test_oov_scored_as_unknown(self):
         model = _model("interpolated-kneser-ney", 3)
-        assert sentence_logprob(model, sent("the", "zzzz")) == pytest.approx(
-            sentence_logprob(model, sent("the", "<unk>")), abs=1e-12
+        assert model.sentence_logprob(sent("the", "zzzz").tokens) == pytest.approx(
+            model.sentence_logprob(sent("the", "<unk>").tokens), abs=1e-12
         )
 
     @settings(max_examples=60, deadline=None)
@@ -230,10 +228,9 @@ class TestDistributionInvariants:
     def test_logprob_nonpositive_and_ppl_at_least_one(self, tokens):
         model = _model("interpolated-kneser-ney", 3)
         s = sent(*tokens)
-        lp = sentence_logprob(model, s)
+        lp = model.sentence_logprob(s.tokens)
         assert math.isfinite(lp) and lp <= 0.0
-        assert perplexity(model, s) >= 1.0
-        assert model.perplexity(s.tokens) == perplexity(model, s)
+        assert model.perplexity(s.tokens) >= 1.0
 
 
 class TestUnknownFloor:
@@ -307,7 +304,7 @@ class TestArpaFixtures:
         path.write_text(text, encoding="utf-8")
         model = load_arpa(path)
         assert model.order == 1
-        assert sentence_logprob(model, sent("a", "b")) == pytest.approx(
+        assert model.sentence_logprob(sent("a", "b").tokens) == pytest.approx(
             math.log10(0.03125), abs=1e-9
         )
 
@@ -320,8 +317,8 @@ class TestArpaFixtures:
         path.write_text("\n".join(lines), encoding="utf-8")
         model = load_arpa(path)
         # Four events, each 1/8: perplexity is exactly the spread size.
-        assert perplexity(model, sent("a", "b", "c")) == pytest.approx(8.0, rel=1e-12)
-        assert perplexity(model, sent("g", "g", "g", "g", "g")) == pytest.approx(
+        assert model.perplexity(sent("a", "b", "c").tokens) == pytest.approx(8.0, rel=1e-12)
+        assert model.perplexity(sent("g", "g", "g", "g", "g").tokens) == pytest.approx(
             8.0, rel=1e-12
         )
 
@@ -340,7 +337,7 @@ class TestArpaRoundTrip:
             probes.append(sent(*tokens))
         probes.append(sent())
         worst = max(
-            abs(sentence_logprob(model, s) - sentence_logprob(reloaded, s))
+            abs(model.sentence_logprob(s.tokens) - reloaded.sentence_logprob(s.tokens))
             for s in probes
         )
         assert worst < 1e-9

@@ -192,7 +192,6 @@ class TestFilterConfig:
     def test_defaults(self):
         cfg = FilterConfig()
         assert cfg.alpha == 0.4
-        assert cfg.mask_token == "<*>"
         assert "the" in cfg.stopwords
 
     def test_alpha_bounds(self):
