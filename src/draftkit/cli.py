@@ -119,9 +119,10 @@ def _cmd_corpus_extract(args) -> tuple[list, list]:
 
 
 def _cmd_lm_train(args) -> tuple[list, list]:
-    sentences = [
-        Sentence.from_text(text) for text in _read_text_lines(args.input, keep_blank=False)
-    ]
+    lines = _read_text_lines(args.input, keep_blank=True)
+    sentences = [Sentence.from_text(text) for text in lines if text.strip()]
+    if not sentences:
+        raise RecordError(args.input, len(lines) + 1, "no non-blank lines to train on")
     model = train(
         sentences,
         order=args.order,
@@ -265,6 +266,8 @@ def _cmd_eval_run(args) -> tuple[list, list]:
     for name, path in (("src", args.src), ("hyp", args.hyp), ("ref", args.ref)):
         if len(texts[name]) != shortest:
             raise RecordError(path, shortest + 1, "line counts differ across src/hyp/ref")
+    if not shortest:
+        raise RecordError(args.src, 1, "no lines to evaluate")
     sources = [Sentence.from_text(t) for t in texts["src"]]
     hypotheses = [Sentence.from_text(t) for t in texts["hyp"]]
     references = [Sentence.from_text(t) for t in texts["ref"]]

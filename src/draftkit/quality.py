@@ -10,6 +10,16 @@ Three layers, applied in pipeline order:
 3. :func:`filter_pairs` drops draft/reference pairs whose content-word
    overlap falls below a threshold after spell checking the draft.
 
+Spell check finds candidates with a symmetric-delete index (SymSpell,
+Garbe 2012): every string made by deleting at most two characters of a
+dictionary entry is a key, so an out-of-dictionary word looks up its own
+deletes and gets every entry within distance two, plus the odd hash
+collision, and each candidate is verified exactly.  The keys are the
+crc32 of the delete packed with the entry id into one sorted
+``array('q')``, searched with :mod:`bisect`.  The index is built on
+first use; the bundled word list's is kept, any other dictionary's lives
+for one :func:`spell_check` call.
+
 Criterion identifiers are stable strings (``worker.time`` and friends) so
 downstream reports can key on them.
 """
@@ -17,9 +27,14 @@ downstream reports can key on them.
 from __future__ import annotations
 
 import json
+import re
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Mapping
+from zlib import crc32
 
 from .corpus import MASK_TOKEN, DraftPair, RecordError, Sentence, iter_checked_lines, tokenize
 from .metrics import levenshtein_char
@@ -49,6 +64,13 @@ _MIN_SECONDS = 120
 
 # Hiragana, katakana, and the unified CJK ideographs.
 _JAPANESE_RANGES = ((0x3040, 0x309F), (0x30A0, 0x30FF), (0x4E00, 0x9FFF))
+# One character class over those ranges.  It is compiled on first use, by
+# the re module's cache: compiling it takes about 3 ms, which an import
+# would add to the start of every command.
+_JAPANESE = "[" + "".join(f"{chr(lo)}-{chr(hi)}" for lo, hi in _JAPANESE_RANGES) + "]"
+
+#: Largest edit distance at which spell check still proposes a correction.
+_MAX_EDITS = 2
 
 
 class UndefinedOverlapError(ValueError):
@@ -63,20 +85,98 @@ class SpellCheckResult:
     corrections: tuple[tuple[str, str], ...]
 
 
-def _best_correction(word: str, dictionary: Mapping[str, int]) -> str | None:
+def _deletes(word: str) -> set[str]:
+    """Every string made by deleting at most ``_MAX_EDITS`` characters of
+    ``word``, ``word`` itself included."""
+    found = frontier = {word}
+    for _ in range(_MAX_EDITS):
+        frontier = {w[:i] + w[i + 1 :] for w in frontier for i in range(len(w))}
+        found = found | frontier
+    return found
+
+
+def _key(delete: str) -> int:
+    return crc32(delete.encode("utf-8", "surrogatepass"))
+
+
+class _DeleteIndex:
+    """Symmetric-delete candidate index over the entries of a dictionary.
+
+    Two strings within edit distance ``_MAX_EDITS`` share a string that
+    each reaches by at most ``_MAX_EDITS`` deletes (delete a substituted
+    character from both, an inserted one from the string that has it), so
+    the entries sharing a delete with a word are a superset of those
+    within reach.  Each entry id is packed below the crc32 of each of its
+    deletes, in a field as wide as the entry count needs (a signed 64-bit
+    key leaves room for 2**31 entries); a crc32 collision only adds a
+    candidate, and the candidates of a word depend on nothing but the
+    word and the dictionary.
+    """
+
+    __slots__ = ("entries", "keys", "shift", "min_len", "max_len")
+
+    def __init__(self, dictionary: Mapping[str, int]) -> None:
+        self.entries = list(dictionary)
+        self.shift = len(self.entries).bit_length()
+        # Sorting one sixteenth of the 32-bit crc range at a time keeps the
+        # list of Python ints that sorting needs (32 bytes per key) small.
+        parts = [array("q") for _ in range(16)]
+        for entry_id, entry in enumerate(self.entries):
+            for delete in _deletes(entry):
+                key = _key(delete)
+                parts[key >> 28].append(key << self.shift | entry_id)
+        self.keys = array("q")
+        for part in parts:
+            self.keys.extend(sorted(part))
+        self.min_len = min(map(len, self.entries))
+        self.max_len = max(map(len, self.entries))
+
+    def candidates(self, word: str) -> set[int]:
+        """Ids of the entries that share a delete (or its crc32) with ``word``."""
+        keys, shift = self.keys, self.shift
+        mask = (1 << shift) - 1
+        found = set()
+        for delete in _deletes(word):
+            key = _key(delete)
+            i = bisect_left(keys, key << shift)
+            while i < len(keys) and keys[i] >> shift == key:
+                found.add(keys[i] & mask)
+                i += 1
+        return found
+
+
+@lru_cache(maxsize=None)
+def _bundled_index() -> _DeleteIndex:
+    return _DeleteIndex(load_wordlist())
+
+
+def _index_for(dictionary: Mapping[str, int]) -> _DeleteIndex:
+    # The bundled word list is read-only, so its index is kept; a caller's
+    # dictionary may change between calls and gets a fresh one.
+    if dictionary is load_wordlist():
+        return _bundled_index()
+    return _DeleteIndex(dictionary)
+
+
+def _best_correction(word: str, dictionary: Mapping[str, int], index: _DeleteIndex) -> str | None:
     """Nearest dictionary entry: smallest edit distance up to two, then
     highest frequency, then lexicographic order."""
-    pools: dict[int, list[tuple[int, str]]] = {1: [], 2: []}
-    for entry, frequency in dictionary.items():
-        if abs(len(entry) - len(word)) > 2:
-            continue
+    # A word this much longer or shorter than every entry is out of reach;
+    # rejecting it here also keeps a very long token from generating its
+    # quadratic number of deletes.
+    if not index.min_len - _MAX_EDITS <= len(word) <= index.max_len + _MAX_EDITS:
+        return None
+    best = None
+    for entry_id in index.candidates(word):
+        entry = index.entries[entry_id]
+        if abs(len(entry) - len(word)) > _MAX_EDITS:
+            continue  # a crc32 collision
         distance = levenshtein_char(word, entry)
-        if distance in pools:
-            pools[distance].append((frequency, entry))
-    for distance in (1, 2):
-        if pools[distance]:
-            return min(pools[distance], key=lambda fc: (-fc[0], fc[1]))[1]
-    return None
+        if 0 < distance <= _MAX_EDITS:
+            key = (distance, -dictionary[entry], entry)
+            if best is None or key < best:
+                best = key
+    return None if best is None else best[2]
 
 
 def spell_check(s: Sentence, dictionary: Mapping[str, int] | None = None) -> SpellCheckResult:
@@ -85,11 +185,17 @@ def spell_check(s: Sentence, dictionary: Mapping[str, int] | None = None) -> Spe
     Only purely alphabetic tokens are eligible; numbers, punctuation, the
     mask token, and all-uppercase tokens (acronyms) pass through.  Title
     case is restored on the replacement.  The token count never changes.
+
+    The candidate index of the bundled word list is built once per
+    process.  Any other ``dictionary`` gets a fresh index on each call
+    that meets an out-of-dictionary token, which at the bundled list's
+    size (835 entries) costs about 40 ms.
     """
     if dictionary is None:
         dictionary = load_wordlist()
     if not dictionary:
         raise ValueError("spell check needs a non-empty dictionary")
+    index = None
     corrected = []
     corrections = []
     for token in s.tokens:
@@ -97,7 +203,9 @@ def spell_check(s: Sentence, dictionary: Mapping[str, int] | None = None) -> Spe
         if token.isalpha() and not token.isupper() and token != MASK_TOKEN:
             lowered = token.lower()
             if lowered not in dictionary:
-                found = _best_correction(lowered, dictionary)
+                if index is None:
+                    index = _index_for(dictionary)
+                found = _best_correction(lowered, dictionary, index)
                 if found is not None:
                     replacement = found.capitalize() if token.istitle() else found
         if replacement != token:
@@ -107,7 +215,7 @@ def spell_check(s: Sentence, dictionary: Mapping[str, int] | None = None) -> Spe
 
 
 def contains_japanese(text: str) -> bool:
-    return any(lo <= ord(ch) <= hi for ch in text for lo, hi in _JAPANESE_RANGES)
+    return re.search(_JAPANESE, text) is not None
 
 
 def is_english(

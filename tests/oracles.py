@@ -7,7 +7,7 @@ package code, so agreement between the two is meaningful evidence.
 from __future__ import annotations
 
 import functools
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 H = TypeVar("H")
 
@@ -92,6 +92,23 @@ def lcs_length_recursive(a: Sequence[str], b: Sequence[str]) -> int:
         return max(go(i + 1, j), go(i, j + 1))
 
     return go(0, 0)
+
+
+def nearest_entry_scan(word: str, dictionary: Mapping[str, int]) -> str | None:
+    """Spell-check pick by scanning every entry: edit distance 1 or 2,
+    then higher frequency, then lexicographic order; None if no entry is
+    that close."""
+    pools: dict[int, list[tuple[int, str]]] = {1: [], 2: []}
+    for entry, frequency in dictionary.items():
+        if abs(len(entry) - len(word)) > 2:
+            continue
+        distance = levenshtein_recursive(word, entry)
+        if distance in pools:
+            pools[distance].append((frequency, entry))
+    for distance in (1, 2):
+        if pools[distance]:
+            return min(pools[distance], key=lambda fc: (-fc[0], fc[1]))[1]
+    return None
 
 
 def reference_beam_search(

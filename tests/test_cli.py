@@ -4,9 +4,15 @@ precedence, and byte-level determinism of the file-producing commands."""
 from __future__ import annotations
 
 import json
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import draftkit
 from draftkit import lm
 from draftkit.cli import dispatch
 from draftkit.corpus import Sentence, load_pairs
@@ -141,6 +147,13 @@ class TestLmCommands:
         for out in (a, b):
             assert dispatch(["lm", "train", "--input", str(sentences_file), "--out", str(out)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_train_on_blank_input_is_data_error(self, tmp_path, capsys):
+        blank = write_lines(tmp_path / "blank.txt", ["", "   "])
+        out = tmp_path / "model.arpa"
+        assert dispatch(["lm", "train", "--input", str(blank), "--out", str(out)]) == 2
+        assert f"{blank}:3:" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [blank]
 
     def test_bad_arpa_is_data_error(self, tmp_path, sentences_file, capsys):
         fake = write_lines(tmp_path / "fake.arpa", ["not an arpa file"])
@@ -320,6 +333,50 @@ class TestQualityCommands:
         assert reason
 
 
+_FILTER_PROBE = """
+import sys
+from draftkit import cli, quality
+calls = []
+distance = quality.levenshtein_char
+quality.levenshtein_char = lambda a, b: calls.append(1) or distance(a, b)
+code = cli.dispatch(["quality", "filter-pairs", "--input", sys.argv[1],
+                     "--kept", sys.argv[2], "--removed", sys.argv[3]])
+print(code, len(calls))
+"""
+
+
+def test_filter_pairs_independent_of_hash_seed(tmp_path):
+    # Spell-check candidates, and so the distances computed, must not
+    # depend on the interpreter's string-hash salt.
+    rng = random.Random(11)
+    lines = []
+    for s in academic_sentences(40, seed=4):
+        tokens = list(s.tokens)
+        for _ in range(2):
+            i = rng.randrange(len(tokens))
+            if tokens[i].isalpha() and len(tokens[i]) > 2:
+                j = rng.randrange(len(tokens[i]))
+                tokens[i] = tokens[i][:j] + rng.choice("aeiouxyz") + tokens[i][j + 1 :]
+        lines.append(" ".join(tokens) + "\t" + s.text)
+    pairs = write_lines(tmp_path / "pairs.tsv", lines)
+    src = Path(draftkit.__file__).resolve().parent.parent
+    runs = []
+    for seed in ("0", "1"):
+        kept, removed = tmp_path / f"kept{seed}.tsv", tmp_path / f"removed{seed}.tsv"
+        proc = subprocess.run(
+            [sys.executable, "-c", _FILTER_PROBE, str(pairs), str(kept), str(removed)],
+            env={**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": seed},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        runs.append((proc.stdout, kept.read_bytes(), removed.read_bytes()))
+    assert runs[0] == runs[1]
+    code, calls = runs[0][0].split()
+    assert code == "0" and int(calls) > 0
+
+
 class TestEvalRun:
     def files(self, tmp_path, src, hyp, ref):
         return (
@@ -380,6 +437,16 @@ class TestEvalRun:
                          "--ref", str(ref), "--report", str(tmp_path / "r.json")])
         assert code == 2
         assert ":2:" in capsys.readouterr().err
+
+    def test_empty_inputs_are_data_error(self, tmp_path, capsys):
+        src, hyp, ref = (tmp_path / name for name in ("src.txt", "hyp.txt", "ref.txt"))
+        for path in (src, hyp, ref):
+            path.write_bytes(b"")
+        code = dispatch(["eval", "run", "--src", str(src), "--hyp", str(hyp),
+                         "--ref", str(ref), "--report", str(tmp_path / "r.json")])
+        assert code == 2
+        assert f"{src}:1:" in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == sorted([src, hyp, ref])
 
     def test_deterministic_report(self, tmp_path):
         src, hyp, ref = self.files(

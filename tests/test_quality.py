@@ -3,11 +3,17 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import draftkit
+from draftkit import quality
 from draftkit.corpus import DraftPair, RecordError, Sentence
 from draftkit.quality import (
     CRITERION_ALL_SHORT,
@@ -36,6 +42,8 @@ from draftkit.quality import (
     score_worker,
     spell_check,
 )
+from draftkit.resources import load_wordlist
+from oracles import nearest_entry_scan
 
 
 def sent(*tokens: str) -> Sentence:
@@ -110,6 +118,136 @@ class TestSpellCheck:
             spell_check(sent("a"), {})
 
 
+def edited(word: str, edits: list[tuple[int, int, str]]) -> str:
+    """Apply (kind, position, letter) edits: 0 inserts, 1 deletes, 2 substitutes."""
+    chars = list(word)
+    for kind, position, letter in edits:
+        if kind == 0:
+            chars.insert(position % (len(chars) + 1), letter)
+        elif chars:
+            position %= len(chars)
+            if kind == 1:
+                del chars[position]
+            else:
+                chars[position] = letter
+    return "".join(chars)
+
+
+def expected_pick(word: str, dictionary) -> str:
+    if word in dictionary:
+        return word
+    return nearest_entry_scan(word, dictionary) or word
+
+
+class TestSpellCheckIndex:
+    """The candidate index must pick exactly what a scan of every entry picks."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        dictionary=st.dictionaries(
+            st.text(alphabet="abcéß", min_size=1, max_size=6),
+            st.integers(min_value=1, max_value=3),
+            min_size=1,
+            max_size=25,
+        ),
+        words=st.lists(st.text(alphabet="abcdéß", min_size=1, max_size=8), min_size=1, max_size=4),
+    )
+    def test_matches_scan_on_random_dictionaries(self, dictionary, words):
+        result = spell_check(sent(*words), dictionary)
+        assert result.corrected_text.split(" ") == [expected_pick(w, dictionary) for w in words]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        entry=st.sampled_from(sorted(load_wordlist())),
+        edits=st.lists(
+            st.tuples(
+                st.integers(0, 2), st.integers(0, 20), st.sampled_from("abcdefghijklmnopqrstuvwxyzé")
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+    )
+    def test_matches_scan_on_mutated_wordlist_entries(self, entry, edits):
+        word = edited(entry, edits)
+        if not word:
+            return
+        result = spell_check(sent(word))
+        assert result.corrected_text == expected_pick(word, load_wordlist())
+
+    @pytest.mark.parametrize("size", [1, 2, 255, 256, 257, 1025])
+    def test_entry_ids_at_every_field_width(self, size):
+        # The id field is as wide as the entry count needs; the last entry
+        # holds the largest id at each width.
+        letters = "vwxyz"
+        entries = [
+            "q" + "".join(letters[i // 5**k % 5] for k in range(5)) for i in range(size)
+        ]
+        dictionary = dict.fromkeys(entries, 1)
+        word = entries[-1] + "a"
+        assert spell_check(sent(word), dictionary).corrected_text == entries[-1]
+        assert nearest_entry_scan(word, dictionary) == entries[-1]
+
+    def test_caller_dictionary_changes_between_calls(self):
+        dictionary = {"cart": 10, "dog": 3}
+        picks = []
+        for change in (
+            None,
+            lambda d: d.update(bat=50),
+            lambda d: d.pop("bat"),
+            lambda d: d.pop("cart"),
+        ):
+            if change is not None:
+                change(dictionary)
+            picks.append(spell_check(sent("cat"), dictionary).corrected_text)
+            assert picks[-1] == expected_pick("cat", dictionary)
+        assert picks == ["cart", "bat", "cart", "cat"]
+
+    def test_overlong_token_rejected_before_any_lookup(self, monkeypatch):
+        lookups, distances = [], []
+        candidates = quality._DeleteIndex.candidates
+        deletes = quality._deletes
+        longest = max(map(len, load_wordlist()))
+
+        def bounded_deletes(word):
+            # Fail fast: the deletes of the long token would not fit in memory.
+            if len(word) > longest:
+                raise AssertionError(f"deletes of a {len(word)}-letter word")
+            return deletes(word)
+
+        monkeypatch.setattr(
+            quality._DeleteIndex, "candidates", lambda self, w: lookups.append(w) or candidates(self, w)
+        )
+        monkeypatch.setattr(quality, "levenshtein_char", lambda a, b: distances.append(a) or 0)
+        monkeypatch.setattr(quality, "_deletes", bounded_deletes)
+        word = "a" * 5_000
+        for dictionary in ({"the": 100, "cat": 5}, None):
+            result = spell_check(sent("the", word), dictionary)
+            assert result.corrections == ()
+        assert lookups == [] and distances == []
+
+    def test_import_and_wordlist_load_build_no_index(self):
+        probe = """
+import draftkit.cli
+from draftkit import quality
+from draftkit.corpus import Sentence
+from draftkit.resources import load_wordlist
+load_wordlist()
+before = quality._bundled_index.cache_info().currsize
+quality.spell_check(Sentence.from_text("the modle"))
+print(before, quality._bundled_index.cache_info().currsize)
+"""
+        src = Path(draftkit.__file__).resolve().parent.parent
+        proc = subprocess.run(
+            [sys.executable, "-c", probe],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0", "1"]
+
+
 class TestLanguageHeuristics:
     @pytest.mark.parametrize(
         "text,expected",
@@ -124,6 +262,15 @@ class TestLanguageHeuristics:
     )
     def test_contains_japanese(self, text, expected):
         assert contains_japanese(text) is expected
+
+    def test_contains_japanese_matches_ranges(self):
+        def in_ranges(ch: str) -> bool:
+            return any(lo <= ord(ch) <= hi for lo, hi in quality._JAPANESE_RANGES)
+
+        non_bmp = ["\U0001B000", "\U0001F600", "\U00020000", "\U0002F800"]
+        for ch in [chr(cp) for cp in range(0x3000, 0xA100)] + non_bmp:
+            assert contains_japanese(ch) is in_ranges(ch), hex(ord(ch))
+            assert contains_japanese(f"ab {ch} c") is in_ranges(ch), hex(ord(ch))
 
     def test_common_english_recognized(self):
         assert is_english("the cat sat on the mat .") is True
