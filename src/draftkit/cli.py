@@ -25,6 +25,7 @@ from typing import Callable, Iterable, NoReturn, Sequence
 from . import DEFAULT_SEED, __version__
 from .analysis import characteristic_terms, dataset_stats, linguistic_profile
 from .corpus import (
+    MASK_TOKEN,
     CorpusFilterConfig,
     DraftPair,
     RecordError,
@@ -35,7 +36,7 @@ from .corpus import (
     load_pairs,
     write_pairs,
 )
-from .lm import SMOOTHINGS, ArpaFormatError, load_arpa, save_arpa, train
+from .lm import SMOOTHINGS, load_arpa, save_arpa, train
 from .metrics import evaluate
 from .noising import NoiseConfig, ReplacementVocab, noise_corpus, noise_sentence
 from .quality import FilterConfig, filter_pairs, load_submissions, score_worker, spell_check
@@ -73,8 +74,10 @@ def _read_text_lines(path: Path | str, *, keep_blank: bool) -> list[str]:
 
 def _read_word_set(path: Path | str) -> frozenset[str]:
     words = set()
-    for _, line in iter_checked_lines(path):
+    for line_no, line in iter_checked_lines(path):
         line = line.strip()
+        if line == MASK_TOKEN:
+            raise RecordError(path, line_no, "the mask token cannot also be a stopword")
         if line and not line.startswith("#"):
             words.add(line)
     return frozenset(words)
@@ -293,6 +296,8 @@ def _cmd_eval_run(args) -> tuple[list, list]:
 
 def _cmd_stats_dataset(args) -> tuple[list, list]:
     pairs = load_pairs(args.input, fmt="tsv")
+    if not pairs:
+        raise RecordError(args.input, 1, "need at least one pair")
     stats = dataset_stats(pairs)
     payload = {"schema_version": SCHEMA_VERSION, **asdict(stats)}
     inputs = [args.input]
@@ -307,6 +312,8 @@ def _cmd_stats_dataset(args) -> tuple[list, list]:
 
 def _cmd_analysis_terms(args) -> tuple[list, list]:
     pairs = load_pairs(args.input, fmt="tsv")
+    if not pairs:
+        raise RecordError(args.input, 1, "need at least one pair")
     terms = characteristic_terms(pairs, top_k=args.top_k, epsilon=args.epsilon)
     lines = ["term\tdraft_per10k\tref_per10k\tlog_ratio"]
     lines.extend(
@@ -326,7 +333,8 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
         "--seed", type=int, default=DEFAULT_SEED, help="global random seed (default %(default)s)"
     )
     common.add_argument(
-        "--jobs", type=int, default=1, help="worker processes; output is independent of this"
+        "--jobs", type=int, default=1,
+        help="worker processes (only noise run starts any); output is independent of this",
     )
     common.add_argument(
         "--config", type=Path, default=None, help="key = value file; explicit flags win"
@@ -442,37 +450,37 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
 _CONFIG_SKIP = {"help", "config", "dump_config", "_run", "_leaf"}
 
 
-def _config_types(sub: _Parser) -> dict[str, Callable[[str], object]]:
-    types: dict[str, Callable[[str], object]] = {}
-    # argparse keeps the registered actions on the parser; their dest and
-    # type are exactly the mapping a config file key needs.
-    for action in sub._actions:
-        if action.dest in _CONFIG_SKIP or action.dest == argparse.SUPPRESS:
-            continue
-        if isinstance(action.const, bool):
-            types[action.dest] = _parse_bool
-        else:
-            types[action.dest] = action.type or str
-    return types
-
-
 def _read_config(path: Path, sub: _Parser) -> dict[str, object]:
-    types = _config_types(sub)
+    # argparse keeps the registered actions on the parser; their dest, type
+    # and choices are exactly what a config file key needs.
+    actions = {
+        action.dest: action
+        for action in sub._actions
+        if action.dest not in _CONFIG_SKIP and action.dest != argparse.SUPPRESS
+    }
     overrides: dict[str, object] = {}
     for line_no, raw in iter_checked_lines(path):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        key, sep, value = line.partition("=")
+        key, sep, text = line.partition("=")
         if not sep:
             raise RecordError(path, line_no, "expected key = value")
         key = key.strip().replace("-", "_")
-        if key not in types:
+        if key not in actions:
             raise RecordError(path, line_no, f"unknown configuration key {key!r}")
+        action = actions[key]
+        parse = _parse_bool if isinstance(action.const, bool) else action.type or str
         try:
-            overrides[key] = types[key](value.strip())
+            value = parse(text.strip())
         except (TypeError, ValueError) as err:
             raise RecordError(path, line_no, f"bad value for {key}: {err}") from err
+        # argparse checks only command line values against choices, never defaults.
+        if action.choices is not None and value not in action.choices:
+            choices = ", ".join(map(repr, action.choices))
+            reason = f"bad value for {key}: {value!r} (choose from {choices})"
+            raise RecordError(path, line_no, reason)
+        overrides[key] = value
     return overrides
 
 
@@ -523,7 +531,7 @@ def dispatch(argv: Sequence[str] | None = None) -> int:
     start = time.perf_counter()
     try:
         inputs, outputs = args._run(args)
-    except (RecordError, ArpaFormatError, OSError) as err:
+    except (RecordError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except ValueError as err:

@@ -16,7 +16,7 @@ from collections import Counter, defaultdict
 from collections.abc import Iterable, Sequence
 from pathlib import Path
 
-from .corpus import Sentence
+from .corpus import RecordError, Sentence, iter_checked_lines
 
 BOS = "<s>"
 EOS = "</s>"
@@ -31,10 +31,11 @@ _BOS_PLACEHOLDER = -99.0
 
 _COUNT_LINE = re.compile(r"ngram\s+(\d+)=(\d+)")
 _SECTION_LINE = re.compile(r"\\(\d+)-grams:")
+_NO_COUNTS = "no n-gram counts declared in \\data\\ section"
 
 
-class ArpaFormatError(ValueError):
-    """Raised when an ARPA file cannot be parsed."""
+class ArpaFormatError(RecordError):
+    """Raised when an ARPA file cannot be parsed; names the file and line."""
 
 
 class NGramModel:
@@ -69,21 +70,17 @@ class NGramModel:
 
     def logprob(self, word: str, history: Sequence[str] = ()) -> float:
         """Log10 P(word | history), history trimmed to the model order."""
-        word = self._as_known(word)
-        if self.order > 1:
-            context = tuple(self._as_known(t) for t in tuple(history)[-(self.order - 1) :])
-        else:
-            context = ()
-        return _backoff_logprob(self._logprob, self._backoff, context, word)
+        keep = max(0, len(history) - self.order + 1)
+        context = tuple(self._as_known(t) for t in tuple(history)[keep:])
+        return _backoff_logprob(self._logprob, self._backoff, context, self._as_known(word))
 
     def sentence_logprob(self, tokens: Sequence[str]) -> float:
         """Log10 probability of the token sequence plus its end event."""
-        keep = max(self.order - 1, 1)
-        history: tuple[str, ...] = (BOS,)
+        known = tuple(self._as_known(t) for t in (BOS, *tokens, EOS))
+        logp, bows, width = self._logprob, self._backoff, self.order - 1
         total = 0.0
-        for token in (*tokens, EOS):
-            total += self.logprob(token, history)
-            history = (*history, token)[-keep:]
+        for i in range(1, len(known)):
+            total += _backoff_logprob(logp, bows, known[max(0, i - width) : i], known[i])
         return total
 
     def perplexity(self, tokens: Sequence[str]) -> float:
@@ -295,76 +292,82 @@ def save_arpa(model: NGramModel, path: str | Path) -> None:
 
 
 def load_arpa(path: str | Path) -> NGramModel:
-    """Parse an ARPA file, validating section structure and entry counts."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    n_lines = len(lines)
+    """Parse an ARPA file in one pass, validating section structure and
+    entry counts.
 
-    def skip_blanks(i: int) -> int:
-        while i < n_lines and not lines[i].strip():
-            i += 1
-        return i
-
-    i = skip_blanks(0)
-    if i >= n_lines or lines[i].strip() != "\\data\\":
-        raise ArpaFormatError("expected \\data\\ header")
-    i += 1
-    declared: dict[int, int] = {}
-    while i < n_lines and lines[i].strip():
-        match = _COUNT_LINE.fullmatch(lines[i].strip())
-        if match is None:
-            raise ArpaFormatError(f"bad count line in \\data\\ section: {lines[i]!r}")
-        declared[int(match[1])] = int(match[2])
-        i += 1
-    if not declared:
-        raise ArpaFormatError("no n-gram counts declared in \\data\\ section")
-
+    A fault raises :class:`ArpaFormatError` naming the line where it is
+    found; one found at the end of the file names the line after the last.
+    """
+    declared: dict[int, int] | None = None  # None until the \data\ header
+    counting = False  # reading the count lines under \data\
+    n: int | None = None  # order of the section whose entries are being read
+    where = ""
+    entries = end_line = line_no = 0
+    seen_sections: set[int] = set()
     logp: dict[tuple[str, ...], float] = {}
     bows: dict[tuple[str, ...], float] = {}
-    seen_sections: set[int] = set()
-    ended = False
-    i = skip_blanks(i)
-    while i < n_lines:
-        header = lines[i].strip()
-        if header == "\\end\\":
-            ended = True
-            break
-        match = _SECTION_LINE.fullmatch(header)
-        if match is None:
-            raise ArpaFormatError(f"unexpected line {header!r}")
-        n = int(match[1])
-        if n not in declared:
-            raise ArpaFormatError(f"section {n}-grams not declared in header")
-        i += 1
-        count = 0
-        while i < n_lines and lines[i].strip() and not lines[i].startswith("\\"):
-            entry = lines[i]
-            fields = entry.split("\t")
+    for line_no, line in iter_checked_lines(path):
+        if end_line:
+            continue  # ignored, but still decoded: a byte that is not UTF-8 is a fault
+        text = line.strip()
+        if n is not None and text and not line.startswith("\\"):
+            fields = line.split("\t")
             if len(fields) not in (2, 3):
-                raise ArpaFormatError(f"malformed entry in {n}-grams section: {entry!r}")
-            try:
-                value = float(fields[0])
-                bow = float(fields[2]) if len(fields) == 3 else None
-            except ValueError:
-                raise ArpaFormatError(
-                    f"malformed entry in {n}-grams section: {entry!r}"
-                ) from None
+                raise ArpaFormatError(path, line_no, f"malformed entry in {where}: {line!r}")
             gram = tuple(fields[1].split(" "))
             if len(gram) != n or not all(gram):
-                raise ArpaFormatError(f"entry arity mismatch in {n}-grams section: {entry!r}")
-            logp[gram] = value
-            if bow is not None:
-                bows[gram] = bow
-            count += 1
-            i += 1
-        if count != declared[n]:
-            raise ArpaFormatError(
-                f"{n}-grams section lists {count} entries, header promises {declared[n]}"
-            )
-        seen_sections.add(n)
-        i = skip_blanks(i)
-    if not ended:
-        raise ArpaFormatError("missing \\end\\ marker")
-    missing = [n for n in sorted(declared) if n not in seen_sections and declared[n] > 0]
+                raise ArpaFormatError(path, line_no, f"entry arity mismatch in {where}: {line!r}")
+            try:
+                logp[gram] = float(fields[0])
+                if len(fields) == 3:
+                    bows[gram] = float(fields[2])
+            except ValueError:
+                raise ArpaFormatError(
+                    path, line_no, f"malformed entry in {where}: {line!r}"
+                ) from None
+            entries += 1
+            continue
+        if n is not None:
+            if entries != declared[n]:
+                reason = f"{where} lists {entries} entries, header promises {declared[n]}"
+                raise ArpaFormatError(path, line_no, reason)
+            seen_sections.add(n)
+            n = None
+        if counting and text:
+            match = _COUNT_LINE.fullmatch(text)
+            if match is None:
+                reason = f"bad count line in \\data\\ section: {line!r}"
+                raise ArpaFormatError(path, line_no, reason)
+            declared[int(match[1])] = int(match[2])
+        elif counting:
+            if not declared:
+                raise ArpaFormatError(path, line_no, _NO_COUNTS)
+            counting = False
+        elif not text:
+            continue
+        elif declared is None:
+            if text != "\\data\\":
+                raise ArpaFormatError(path, line_no, "expected \\data\\ header")
+            declared, counting = {}, True
+        elif text == "\\end\\":
+            end_line = line_no
+        elif (match := _SECTION_LINE.fullmatch(text)) is None:
+            raise ArpaFormatError(path, line_no, f"unexpected line {text!r}")
+        else:
+            n, entries = int(match[1]), 0
+            where = f"{n}-grams section"
+            if n not in declared:
+                raise ArpaFormatError(path, line_no, f"section {n}-grams not declared in header")
+    line_no += 1  # a fault found at the end of the file
+    if declared is None:
+        raise ArpaFormatError(path, line_no, "expected \\data\\ header")
+    if not declared:
+        raise ArpaFormatError(path, line_no, _NO_COUNTS)
+    if not end_line:
+        raise ArpaFormatError(path, line_no, "missing \\end\\ marker")
+    missing = [k for k in sorted(declared) if k not in seen_sections and declared[k] > 0]
     if missing:
-        raise ArpaFormatError(f"missing {missing[0]}-grams section")
+        raise ArpaFormatError(path, end_line, f"missing {missing[0]}-grams section")
+    if max(declared) < 1:
+        raise ArpaFormatError(path, end_line, "no n-gram order of 1 or more declared")
     return NGramModel(max(declared), logp, bows)

@@ -18,7 +18,7 @@ import math
 import re
 import unicodedata
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Callable, Container, Iterable, Sequence
 
 from .corpus import Sentence
@@ -599,22 +599,6 @@ class PairEval:
     edit_gold: int
 
 
-_AGGREGATE_FIELDS = (
-    "corpus_bleu",
-    "mean_rouge_l",
-    "edit_precision",
-    "edit_recall",
-    "edit_f05",
-    "mean_grammaticality",
-    "mean_fre",
-    "mean_ppl",
-    "passive_rate",
-    "repetition_rate",
-    "skipped_fre",
-    "skipped_ppl",
-)
-
-
 @dataclass(frozen=True, slots=True)
 class EvalReport:
     """Per-pair records plus corpus aggregates.
@@ -640,7 +624,9 @@ class EvalReport:
     def to_json_dict(self) -> dict:
         return {
             "pairs": [asdict(record) for record in self.per_pair],
-            "aggregates": {name: getattr(self, name) for name in _AGGREGATE_FIELDS},
+            "aggregates": {
+                f.name: getattr(self, f.name) for f in fields(self) if f.name != "per_pair"
+            },
         }
 
 

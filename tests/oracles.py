@@ -7,6 +7,8 @@ package code, so agreement between the two is meaningful evidence.
 from __future__ import annotations
 
 import functools
+import re
+from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 H = TypeVar("H")
@@ -109,6 +111,86 @@ def nearest_entry_scan(word: str, dictionary: Mapping[str, int]) -> str | None:
         if pools[distance]:
             return min(pools[distance], key=lambda fc: (-fc[0], fc[1]))[1]
     return None
+
+
+def read_arpa_reference(
+    path: str | Path,
+) -> tuple[int, dict[tuple[str, ...], float], dict[tuple[str, ...], float]]:
+    """ARPA reader that decodes the whole file, then walks line indices.
+
+    Returns the order and the log10 probability and backoff tables;
+    raises ValueError on a malformed file, bad UTF-8 included.  Lines
+    split at every line boundary `str.splitlines` knows.
+    """
+    count_line = re.compile(r"ngram\s+(\d+)=(\d+)")
+    section_line = re.compile(r"\\(\d+)-grams:")
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    n_lines = len(lines)
+
+    def skip_blanks(i: int) -> int:
+        while i < n_lines and not lines[i].strip():
+            i += 1
+        return i
+
+    i = skip_blanks(0)
+    if i >= n_lines or lines[i].strip() != "\\data\\":
+        raise ValueError("expected \\data\\ header")
+    i += 1
+    declared: dict[int, int] = {}
+    while i < n_lines and lines[i].strip():
+        match = count_line.fullmatch(lines[i].strip())
+        if match is None:
+            raise ValueError(f"bad count line: {lines[i]!r}")
+        declared[int(match[1])] = int(match[2])
+        i += 1
+    if not declared:
+        raise ValueError("no n-gram counts declared")
+
+    logp: dict[tuple[str, ...], float] = {}
+    bows: dict[tuple[str, ...], float] = {}
+    seen_sections: set[int] = set()
+    ended = False
+    i = skip_blanks(i)
+    while i < n_lines:
+        header = lines[i].strip()
+        if header == "\\end\\":
+            ended = True
+            break
+        match = section_line.fullmatch(header)
+        if match is None:
+            raise ValueError(f"unexpected line {header!r}")
+        n = int(match[1])
+        if n not in declared:
+            raise ValueError(f"section {n}-grams not declared")
+        i += 1
+        count = 0
+        while i < n_lines and lines[i].strip() and not lines[i].startswith("\\"):
+            fields = lines[i].split("\t")
+            if len(fields) not in (2, 3):
+                raise ValueError(f"malformed entry: {lines[i]!r}")
+            value = float(fields[0])
+            bow = float(fields[2]) if len(fields) == 3 else None
+            gram = tuple(fields[1].split(" "))
+            if len(gram) != n or not all(gram):
+                raise ValueError(f"entry arity mismatch: {lines[i]!r}")
+            logp[gram] = value
+            if bow is not None:
+                bows[gram] = bow
+            count += 1
+            i += 1
+        if count != declared[n]:
+            raise ValueError(f"{n}-grams section lists {count} entries, header promises {declared[n]}")
+        seen_sections.add(n)
+        i = skip_blanks(i)
+    if not ended:
+        raise ValueError("missing \\end\\ marker")
+    missing = [n for n in sorted(declared) if n not in seen_sections and declared[n] > 0]
+    if missing:
+        raise ValueError(f"missing {missing[0]}-grams section")
+    order = max(declared)
+    if order < 1:
+        raise ValueError("order must be at least 1")
+    return order, logp, bows
 
 
 def reference_beam_search(

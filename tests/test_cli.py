@@ -6,6 +6,7 @@ from __future__ import annotations
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -18,6 +19,7 @@ from draftkit.cli import dispatch
 from draftkit.corpus import Sentence, load_pairs
 from draftkit.quality import score_worker, load_submissions
 from synth import academic_sentences
+from test_lm import MALFORMED_ARPA
 
 
 def write_lines(path, lines):
@@ -164,6 +166,35 @@ class TestLmCommands:
         assert code == 2
 
 
+BAD_MODELS = {
+    **{name: text.encode("utf-8") for name, text in MALFORMED_ARPA.items()},
+    "not_utf8": b"\\data\\\nngram 1=1\n\n\\1-grams:\n-0.5\t\xff\n\n\\end\\\n",
+    "not_utf8_after_end": b"\\data\\\nngram 1=1\n\n\\1-grams:\n-0.5\ta\n\n\\end\\\n\xc3\n",
+    "order_zero": b"\\data\\\nngram 0=0\n\n\\end\\\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_MODELS))
+@pytest.mark.parametrize("command", ["lm ppl", "eval run", "stats dataset"])
+def test_bad_model_is_data_error(tmp_path, sentences_file, name, command, capsys):
+    model = tmp_path / "bad.arpa"
+    model.write_bytes(BAD_MODELS[name])
+    line = sentences_file.read_text().splitlines()[0]
+    pairs = write_lines(tmp_path / "pairs.tsv", [f"{line}\t{line}"])
+    report = tmp_path / "report.json"
+    argv = {
+        "lm ppl": ["lm", "ppl", "--model", str(model), "--input", str(sentences_file)],
+        "eval run": ["eval", "run", "--src", str(sentences_file), "--hyp", str(sentences_file),
+                     "--ref", str(sentences_file), "--lm", str(model)],
+        "stats dataset": ["stats", "dataset", "--input", str(pairs), "--lm", str(model)],
+    }[command]
+    before = sorted(tmp_path.iterdir())
+    assert dispatch([*argv, "--report", str(report)]) == 2
+    err = capsys.readouterr().err
+    assert re.match(rf"error: {re.escape(str(model))}:[1-9][0-9]*: ", err), err
+    assert sorted(tmp_path.iterdir()) == before
+
+
 class TestNoiseRun:
     def run(self, src, out, *extra):
         return dispatch(["noise", "run", "--input", str(src), "--out", str(out), *extra])
@@ -252,6 +283,22 @@ class TestConfigPrecedence:
         assert resolved["seed"] == 1729
         assert resolved["mask_fraction_max"] == 0.5
 
+    @pytest.mark.parametrize(
+        "argv, setting",
+        [(["corpus", "extract"], "profile = bogus"), (["lm", "train"], "smoothing = bogus")],
+    )
+    def test_config_value_outside_choices_is_data_error(
+        self, tmp_path, sentences_file, argv, setting, capsys
+    ):
+        cfg = write_lines(tmp_path / "bad.cfg", ["# one setting", setting])
+        out = tmp_path / "out.txt"
+        code = dispatch([*argv, "--input", str(sentences_file), "--out", str(out),
+                         "--config", str(cfg)])
+        assert code == 2
+        key = setting.split()[0]
+        assert f"{cfg}:2: bad value for {key}: 'bogus'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_config_key_is_data_error(self, tmp_path, sentences_file, capsys):
         cfg = write_lines(tmp_path / "bad.cfg", ["delte_p = 0.5"])
         code = dispatch(
@@ -331,6 +378,17 @@ class TestQualityCommands:
         draft, reference, reason = removed_line.split("\t")
         assert draft == "qqa qqb qqc"
         assert reason
+
+    def test_mask_token_stopword_is_data_error(self, tmp_path, capsys):
+        pairs = write_lines(tmp_path / "pairs.tsv", ["We propose a model\tWe propose a model"])
+        stopwords = write_lines(tmp_path / "stop.txt", ["the", "# masked spans", "<*>"])
+        kept, removed = tmp_path / "kept.tsv", tmp_path / "removed.tsv"
+        code = dispatch(["quality", "filter-pairs", "--input", str(pairs), "--kept", str(kept),
+                         "--removed", str(removed), "--stopwords", str(stopwords)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{stopwords}:3: the mask token cannot also be a stopword" in err
+        assert sorted(tmp_path.iterdir()) == sorted([pairs, stopwords])
 
 
 _FILTER_PROBE = """
@@ -489,6 +547,15 @@ class TestStatsAndAnalysis:
         report = json.loads(report_path.read_text())
         assert report["draft_profile"] == report["reference_profile"]
         assert report["draft_profile"]["skipped"] == 0
+
+    @pytest.mark.parametrize("argv", [["stats", "dataset", "--report"], ["analysis", "terms", "--out"]])
+    def test_empty_pair_file_is_data_error(self, tmp_path, argv, capsys):
+        pairs = tmp_path / "pairs.tsv"
+        pairs.write_bytes(b"")
+        code = dispatch([*argv[:2], "--input", str(pairs), argv[2], str(tmp_path / "out")])
+        assert code == 2
+        assert f"{pairs}:1: need at least one pair" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [pairs]
 
     def test_analysis_terms(self, tmp_path):
         pairs = write_lines(

@@ -4,13 +4,15 @@ from __future__ import annotations
 
 import math
 import random
+import tempfile
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from draftkit.corpus import Sentence
+from draftkit.corpus import RecordError, Sentence
 from draftkit.lm import (
     ArpaFormatError,
     NGramModel,
@@ -18,6 +20,7 @@ from draftkit.lm import (
     save_arpa,
     train,
 )
+from oracles import read_arpa_reference
 from synth import academic_sentences
 
 
@@ -370,6 +373,67 @@ class TestArpaRoundTrip:
         assert any(line.startswith("-99\t<s>") for line in lines)
 
 
+# One malformed model per fault the reader names; tests/test_cli.py runs
+# each through the commands that load a model.
+MALFORMED_ARPA = {
+    "count_header_mismatch": "\n".join(
+        [
+            "\\data\\",
+            "ngram 1=3",
+            "",
+            "\\1-grams:",
+            "-0.5\ta",
+            "-0.5\tb",
+            "",
+            "\\end\\",
+        ]
+    ),
+    "missing_data_header": "\\1-grams:\n-0.5\ta\n\\end\\\n",
+    "missing_end_marker": "\\data\\\nngram 1=1\n\n\\1-grams:\n-0.5\ta\n",
+    "malformed_entry": "\n".join(
+        [
+            "\\data\\",
+            "ngram 1=1",
+            "",
+            "\\1-grams:",
+            "notafloat\ta",
+            "",
+            "\\end\\",
+        ]
+    ),
+    "wrong_arity_entry": "\n".join(
+        [
+            "\\data\\",
+            "ngram 1=1",
+            "ngram 2=1",
+            "",
+            "\\1-grams:",
+            "-0.5\ta",
+            "",
+            "\\2-grams:",
+            "-0.5\ta",
+            "",
+            "\\end\\",
+        ]
+    ),
+    "missing_section": "\\data\\\nngram 1=1\nngram 2=1\n\n\\1-grams:\n-0.5\ta\n\n\\end\\\n",
+    "undeclared_section": "\n".join(
+        [
+            "\\data\\",
+            "ngram 1=1",
+            "",
+            "\\1-grams:",
+            "-0.5\ta",
+            "",
+            "\\2-grams:",
+            "-0.5\ta b",
+            "",
+            "\\end\\",
+        ]
+    ),
+}
+
+
 class TestArpaErrors:
     def _load(self, tmp_path, text):
         path = tmp_path / "bad.arpa"
@@ -377,81 +441,125 @@ class TestArpaErrors:
         return load_arpa(path)
 
     def test_count_header_mismatch_names_section(self, tmp_path):
-        text = "\n".join(
-            [
-                "\\data\\",
-                "ngram 1=3",
-                "",
-                "\\1-grams:",
-                "-0.5\ta",
-                "-0.5\tb",
-                "",
-                "\\end\\",
-            ]
-        )
         with pytest.raises(ArpaFormatError, match="1-grams"):
-            self._load(tmp_path, text)
+            self._load(tmp_path, MALFORMED_ARPA["count_header_mismatch"])
 
     def test_missing_data_header(self, tmp_path):
         with pytest.raises(ArpaFormatError, match=r"\\data\\"):
-            self._load(tmp_path, "\\1-grams:\n-0.5\ta\n\\end\\\n")
+            self._load(tmp_path, MALFORMED_ARPA["missing_data_header"])
 
     def test_missing_end_marker(self, tmp_path):
-        text = "\\data\\\nngram 1=1\n\n\\1-grams:\n-0.5\ta\n"
         with pytest.raises(ArpaFormatError, match=r"\\end\\"):
-            self._load(tmp_path, text)
+            self._load(tmp_path, MALFORMED_ARPA["missing_end_marker"])
 
     def test_malformed_entry_names_section(self, tmp_path):
-        text = "\n".join(
-            [
-                "\\data\\",
-                "ngram 1=1",
-                "",
-                "\\1-grams:",
-                "notafloat\ta",
-                "",
-                "\\end\\",
-            ]
-        )
         with pytest.raises(ArpaFormatError, match="1-grams"):
-            self._load(tmp_path, text)
+            self._load(tmp_path, MALFORMED_ARPA["malformed_entry"])
 
     def test_wrong_arity_entry_names_section(self, tmp_path):
-        text = "\n".join(
-            [
-                "\\data\\",
-                "ngram 1=1",
-                "ngram 2=1",
-                "",
-                "\\1-grams:",
-                "-0.5\ta",
-                "",
-                "\\2-grams:",
-                "-0.5\ta",
-                "",
-                "\\end\\",
-            ]
-        )
         with pytest.raises(ArpaFormatError, match="2-grams"):
-            self._load(tmp_path, text)
+            self._load(tmp_path, MALFORMED_ARPA["wrong_arity_entry"])
+
+    def test_missing_section(self, tmp_path):
+        with pytest.raises(ArpaFormatError, match=r":8: missing 2-grams section"):
+            self._load(tmp_path, MALFORMED_ARPA["missing_section"])
 
     def test_undeclared_section(self, tmp_path):
-        text = "\n".join(
-            [
-                "\\data\\",
-                "ngram 1=1",
-                "",
-                "\\1-grams:",
-                "-0.5\ta",
-                "",
-                "\\2-grams:",
-                "-0.5\ta b",
-                "",
-                "\\end\\",
-            ]
-        )
         with pytest.raises(ArpaFormatError, match="2-grams"):
-            self._load(tmp_path, text)
+            self._load(tmp_path, MALFORMED_ARPA["undeclared_section"])
+
+
+@lru_cache(maxsize=None)
+def _saved_models() -> tuple[bytes, ...]:
+    """ARPA bytes of small models, orders 1 to 3 and both smoothings."""
+    blobs = []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.arpa"
+        for order, smoothing in ((1, "add-k"), (2, "interpolated-kneser-ney"), (3, "add-k")):
+            save_arpa(train(academic_sentences(3, seed=order), order, smoothing), path)
+            blobs.append(path.read_bytes())
+    return tuple(blobs)
+
+
+_STRAY_LINES = (b"", b"  ", b"\\", b"\\data\\", b"\\end\\", b" \\end\\", b"\\1-grams:",
+                b"\\2-grams:", b"\\4-grams:", b"\\x")
+_NOT_UTF8 = (b"\xff", b"\xc3", b"\x80", b"\xed\xa0\x80")
+_VALUES = (b"-1.5", b" -2 ", b"-inf", b"1e3", b"1_0", b"+0", b"0x1", b"")
+
+
+class TestArpaReaderAgainstReference:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_mutated_models(self, tmp_path_factory, data):
+        # Both readers must accept the same mutants of a saved model and
+        # build the same tables from them.
+        lines = data.draw(st.sampled_from(_saved_models())).split(b"\n")
+        for _ in range(data.draw(st.integers(1, 3))):
+            kind = data.draw(
+                st.sampled_from(["drop", "dup", "insert", "tab", "count", "value", "bytes"])
+            )
+            # Half the edits land on a header, count or blank line or the end.
+            framing = [
+                j for j, line in enumerate(lines)
+                if not line.strip() or line.startswith((b"\\", b"ngram"))
+            ]
+            i = data.draw(st.integers(0, len(lines) - 1) | st.sampled_from(framing + [-1]))
+            if kind == "drop" and len(lines) > 1:
+                del lines[i]
+            elif kind == "dup":
+                lines.insert(i, lines[i])
+            elif kind == "insert":
+                lines.insert(i % len(lines), data.draw(st.sampled_from(_STRAY_LINES)))
+            elif kind == "tab":
+                lines[i] = lines[i].replace(b"\t", b" ", 1)
+            elif kind == "value" and b"\t" in lines[i]:
+                fields = lines[i].split(b"\t")
+                fields[data.draw(st.sampled_from([0, -1]))] = data.draw(st.sampled_from(_VALUES))
+                lines[i] = b"\t".join(fields)
+            elif kind == "bytes":
+                at = data.draw(st.integers(0, len(lines[i])))
+                lines[i] = lines[i][:at] + data.draw(st.sampled_from(_NOT_UTF8)) + lines[i][at:]
+            elif kind == "count":
+                counts = [j for j, line in enumerate(lines) if line.startswith(b"ngram ")]
+                if counts:
+                    j = data.draw(st.sampled_from(counts))
+                    order, count = map(int, lines[j][6:].split(b"="))
+                    if data.draw(st.booleans()):
+                        order = data.draw(st.integers(0, 4))
+                    else:
+                        count = data.draw(st.integers(max(0, count - 2), count + 2))
+                    lines[j] = b"ngram %d=%d" % (order, count)
+        blob = b"\n".join(lines)
+        path = tmp_path_factory.mktemp("arpa") / "mutant.arpa"
+        path.write_bytes(blob)
+        try:
+            expected = read_arpa_reference(path)
+        except ValueError:
+            expected = None
+        try:
+            model = load_arpa(path)
+        except RecordError as err:
+            assert expected is None
+            assert str(err).startswith(f"{path}:{err.line_no}: ")
+            assert 1 <= err.line_no <= blob.count(b"\n") + 2
+        else:
+            assert expected == (model.order, model._logprob, model._backoff)
+
+    def test_saved_models_load_as_reference(self, tmp_path):
+        path = tmp_path / "model.arpa"
+        for blob in _saved_models():
+            path.write_bytes(blob)
+            model = load_arpa(path)
+            assert read_arpa_reference(path) == (model.order, model._logprob, model._backoff)
+
+    def test_order_zero_is_format_error(self, tmp_path):
+        path = tmp_path / "zero.arpa"
+        path.write_text("\\data\\\nngram 0=0\n\n\\end\\\n", encoding="utf-8")
+        with pytest.raises(ValueError):
+            read_arpa_reference(path)
+        with pytest.raises(ArpaFormatError) as excinfo:
+            load_arpa(path)
+        assert (excinfo.value.path, excinfo.value.line_no) == (str(path), 4)
 
 
 class TestModelQuality:
