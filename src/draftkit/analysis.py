@@ -69,7 +69,7 @@ class LinguisticProfile:
     reference: SideProfile
 
 
-def _side_profile(sentences: Iterable[Sentence], lm: NGramModel) -> SideProfile:
+def _side_profile(side: str, sentences: Iterable[Sentence], lm: NGramModel) -> SideProfile:
     fre_values: list[float] = []
     ppl_values: list[float] = []
     passive_hits = 0
@@ -86,7 +86,7 @@ def _side_profile(sentences: Iterable[Sentence], lm: NGramModel) -> SideProfile:
         passive_hits += passive_voice(s)
         repetition_hits += word_repetition(s)
     if not fre_values:
-        raise ValueError("no scoreable sentences on this side")
+        raise ValueError(f"no scoreable sentences on the {side} side")
     n = len(fre_values)
     return SideProfile(
         fre_mean=sum(fre_values) / n,
@@ -104,8 +104,8 @@ def linguistic_profile(pairs: Sequence[DraftPair], lm: NGramModel) -> Linguistic
     if not pairs:
         raise ValueError("need at least one pair")
     return LinguisticProfile(
-        draft=_side_profile((p.draft for p in pairs), lm),
-        reference=_side_profile((p.reference for p in pairs), lm),
+        draft=_side_profile("draft", (p.draft for p in pairs), lm),
+        reference=_side_profile("reference", (p.reference for p in pairs), lm),
     )
 
 

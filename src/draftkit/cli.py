@@ -30,6 +30,7 @@ from .corpus import (
     DraftPair,
     RecordError,
     Sentence,
+    atomic_writer,
     filter_final_sentences,
     filter_training_sentences,
     iter_checked_lines,
@@ -84,15 +85,14 @@ def _read_word_set(path: Path | str) -> frozenset[str]:
 
 
 def _write_json(path: Path | str, payload: dict) -> None:
-    Path(path).write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    with atomic_writer(path) as handle:
+        handle.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _write_lines(path: Path | str, lines: Iterable[str]) -> None:
-    lines = list(lines)
-    text = "\n".join(lines) + ("\n" if lines else "")
-    Path(path).write_text(text, encoding="utf-8")
+    with atomic_writer(path) as handle:
+        for line in lines:
+            handle.write(line + "\n")
 
 
 # --------------------------------------------------------------------------
@@ -302,7 +302,12 @@ def _cmd_stats_dataset(args) -> tuple[list, list]:
     payload = {"schema_version": SCHEMA_VERSION, **asdict(stats)}
     inputs = [args.input]
     if args.lm is not None:
-        profile = linguistic_profile(pairs, load_arpa(args.lm))
+        model = load_arpa(args.lm)
+        try:
+            profile = linguistic_profile(pairs, model)
+        except ValueError as err:
+            # pairs is not empty, so only a side with no scoreable sentence gets here.
+            raise RecordError(args.input, len(pairs) + 1, str(err)) from err
         payload["draft_profile"] = asdict(profile.draft)
         payload["reference_profile"] = asdict(profile.reference)
         inputs.append(args.lm)
@@ -351,7 +356,9 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     def leaf(group, name: str, run: Callable, help_text: str) -> _Parser:
         sub = group.add_parser(name, parents=[common], help=help_text)
         label = f"{group_names[id(group)]} {name}"
-        sub.set_defaults(_run=run, _leaf=label)
+        # The handler is kept by name and looked up when a call runs, so the
+        # shared tree never pins a function that was rebound on the module.
+        sub.set_defaults(_run=run.__name__, _leaf=label)
         registry[label] = sub
         return sub
 
@@ -507,15 +514,33 @@ def _write_manifest(args: argparse.Namespace, inputs: list, outputs: list, durat
     _write_json(Path(f"{outputs[0]}.manifest.json"), manifest)
 
 
+_tree: tuple[_Parser, dict[str, _Parser]] | None = None
+
+
+def _shared_tree() -> tuple[_Parser, dict[str, _Parser]]:
+    # Built on the first call, not at import, and reused by every later
+    # call in the process; nothing a call does may change it.
+    global _tree
+    if _tree is None:
+        _tree = _build_parser()
+    return _tree
+
+
 def dispatch(argv: Sequence[str] | None = None) -> int:
-    parser, registry = _build_parser()
+    """Run one command line in-process and return its exit code.
+
+    Any number of calls may share a process: each writes and prints what
+    a fresh ``python -m draftkit.cli`` process would.
+    """
+    parser, registry = _shared_tree()
     try:
         args = parser.parse_args(argv)
         if args.config is not None:
-            sub = registry[args._leaf]
-            overrides = _read_config(args.config, sub)
-            sub.set_defaults(**overrides)
-            # Re-parse so explicitly passed flags still win over the file.
+            overrides = _read_config(args.config, registry[args._leaf])
+            # The file's values become defaults of a private tree, and the
+            # re-parse lets explicitly passed flags still win over them.
+            parser, registry = _build_parser()
+            registry[args._leaf].set_defaults(**overrides)
             args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
@@ -530,7 +555,7 @@ def dispatch(argv: Sequence[str] | None = None) -> int:
         return 0
     start = time.perf_counter()
     try:
-        inputs, outputs = args._run(args)
+        inputs, outputs = globals()[args._run](args)
     except (RecordError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -14,12 +14,15 @@ a masked span in a draft and is never split by the tokenizer.
 
 from __future__ import annotations
 
+import itertools
 import json
+import os
 import re
 import unicodedata
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence, TextIO
 
 MASK_TOKEN = "<*>"
 
@@ -233,15 +236,44 @@ def load_pairs(path: Path | str, fmt: str = "tsv") -> list[DraftPair]:
     return pairs
 
 
+_TEMP_SERIAL = itertools.count()
+
+
+@contextmanager
+def atomic_writer(path: Path | str) -> Iterator[TextIO]:
+    """Yield a UTF-8 text handle whose content replaces ``path`` only when
+    the block completes.
+
+    The text goes to a temporary file in the same directory, renamed over
+    the target with :func:`os.replace`; if the block raises, the target is
+    left as it was and the temporary file is removed.
+    """
+    path = Path(path)
+    temp = path.with_name(f".{path.name}.{os.getpid()}.{next(_TEMP_SERIAL)}.tmp")
+    try:
+        handle = open(temp, "x", encoding="utf-8")
+    except OSError as err:
+        err.filename = str(path)  # name the output the caller asked for
+        raise
+    try:
+        with handle:
+            yield handle
+        os.replace(temp, path)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
+
+
 _FIELD_BREAKERS = re.compile(r"[\t\r\n]")
 
 
 def write_pairs(path: Path | str, pairs: Iterable[DraftPair], fmt: str = "tsv") -> None:
-    """Write pairs one record per line; tabs/newlines inside sentence text
-    are flattened to spaces so the TSV framing cannot be corrupted."""
+    """Write pairs one record per line, atomically (see :func:`atomic_writer`);
+    tabs/newlines inside sentence text are flattened to spaces so the TSV
+    framing cannot be corrupted."""
     if fmt not in ("tsv", "jsonl"):
         raise ValueError(f"unknown pair format: {fmt!r}")
-    with open(path, "w", encoding="utf-8") as handle:
+    with atomic_writer(path) as handle:
         for pair in pairs:
             if fmt == "tsv":
                 draft = _FIELD_BREAKERS.sub(" ", pair.draft.text)

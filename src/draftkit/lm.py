@@ -16,7 +16,7 @@ from collections import Counter, defaultdict
 from collections.abc import Iterable, Sequence
 from pathlib import Path
 
-from .corpus import RecordError, Sentence, iter_checked_lines
+from .corpus import RecordError, Sentence, atomic_writer, iter_checked_lines
 
 BOS = "<s>"
 EOS = "</s>"
@@ -288,7 +288,8 @@ def save_arpa(model: NGramModel, path: str | Path) -> None:
                 fields.append(_format_value(bow))
             lines.append("\t".join(fields))
     lines.extend(("", "\\end\\", ""))
-    Path(path).write_text("\n".join(lines), encoding="utf-8")
+    with atomic_writer(path) as handle:
+        handle.write("\n".join(lines))
 
 
 def load_arpa(path: str | Path) -> NGramModel:

@@ -3,6 +3,7 @@ precedence, and byte-level determinism of the file-producing commands."""
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import random
@@ -14,12 +15,15 @@ from pathlib import Path
 import pytest
 
 import draftkit
-from draftkit import lm
+from draftkit import cli, lm
 from draftkit.cli import dispatch
 from draftkit.corpus import Sentence, load_pairs
 from draftkit.quality import score_worker, load_submissions
 from synth import academic_sentences
 from test_lm import MALFORMED_ARPA
+
+
+SRC = Path(draftkit.__file__).resolve().parent.parent
 
 
 def write_lines(path, lines):
@@ -417,13 +421,12 @@ def test_filter_pairs_independent_of_hash_seed(tmp_path):
                 tokens[i] = tokens[i][:j] + rng.choice("aeiouxyz") + tokens[i][j + 1 :]
         lines.append(" ".join(tokens) + "\t" + s.text)
     pairs = write_lines(tmp_path / "pairs.tsv", lines)
-    src = Path(draftkit.__file__).resolve().parent.parent
     runs = []
     for seed in ("0", "1"):
         kept, removed = tmp_path / f"kept{seed}.tsv", tmp_path / f"removed{seed}.tsv"
         proc = subprocess.run(
             [sys.executable, "-c", _FILTER_PROBE, str(pairs), str(kept), str(removed)],
-            env={**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": seed},
+            env={**os.environ, "PYTHONPATH": str(SRC), "PYTHONHASHSEED": seed},
             capture_output=True,
             text=True,
             timeout=120,
@@ -557,6 +560,27 @@ class TestStatsAndAnalysis:
         assert f"{pairs}:1: need at least one pair" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [pairs]
 
+    @pytest.mark.parametrize(
+        "line, side",
+        [
+            (". . .\t, , ,", "draft"),
+            (". . .\tthe model works well .", "draft"),
+            ("the model works well .\t, , ,", "reference"),
+        ],
+    )
+    def test_side_with_no_scoreable_sentence_is_data_error(
+        self, tmp_path, sentences_file, line, side, capsys
+    ):
+        model = tmp_path / "model.arpa"
+        assert dispatch(["lm", "train", "--input", str(sentences_file), "--out", str(model)]) == 0
+        pairs = write_lines(tmp_path / "pairs.tsv", [line])
+        before = sorted(tmp_path.iterdir())
+        code = dispatch(["stats", "dataset", "--input", str(pairs), "--lm", str(model),
+                         "--report", str(tmp_path / "stats.json")])
+        assert code == 2
+        assert f"error: {pairs}:2: no scoreable sentences on the {side} side" in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == before
+
     def test_analysis_terms(self, tmp_path):
         pairs = write_lines(
             tmp_path / "pairs.tsv",
@@ -569,3 +593,159 @@ class TestStatsAndAnalysis:
         assert lines[0] == "term\tdraft_per10k\tref_per10k\tlog_ratio"
         assert lines[1].split("\t")[0] == "will"
         assert lines[2].split("\t")[0] == "can"
+
+
+def run_fresh_process(argv):
+    proc = subprocess.run(
+        [sys.executable, "-m", "draftkit.cli", *argv],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    return proc.returncode, proc.stdout
+
+
+def take_outputs(out):
+    """Read and delete ``out`` and its manifest (minus the wall time)."""
+    taken = []
+    for path in (out, Path(f"{out}.manifest.json")):
+        if not path.exists():
+            taken.append(None)
+            continue
+        data = path.read_bytes()
+        path.unlink()
+        if path != out:
+            data = json.loads(data)
+            del data["duration_seconds"]
+        taken.append(data)
+    return taken
+
+
+class TestRepeatedDispatch:
+    """One process may call dispatch any number of times; every call must
+    behave exactly as in a fresh process, whatever the calls before it did."""
+
+    @pytest.fixture()
+    def noise(self, tmp_path, sentences_file):
+        cfg = write_lines(tmp_path / "noise.cfg", ["delete_p = 0.9", "shuffle_k = 0"])
+        out = tmp_path / "pairs.tsv"
+        argv = ["noise", "run", "--input", str(sentences_file), "--out", str(out)]
+        return argv, ["--config", str(cfg)], out
+
+    def same_as_fresh_process(self, argv, out, capsys):
+        code = dispatch(argv)
+        stdout = capsys.readouterr().out
+        outputs = take_outputs(out)
+        assert run_fresh_process(argv) == (code, stdout)
+        assert take_outputs(out) == outputs
+        return code, stdout, outputs
+
+    def test_config_call_then_plain_call(self, noise, capsys):
+        argv, config, out = noise
+        with_config = self.same_as_fresh_process([*argv, *config], out, capsys)
+        plain = self.same_as_fresh_process(argv, out, capsys)
+        assert with_config[0] == plain[0] == 0
+        assert with_config[2][0] != plain[2][0]
+
+    def test_plain_call_then_config_call(self, noise, capsys):
+        argv, config, out = noise
+        plain = self.same_as_fresh_process(argv, out, capsys)
+        with_config = self.same_as_fresh_process([*argv, *config], out, capsys)
+        assert with_config[0] == plain[0] == 0
+        assert with_config[2][0] != plain[2][0]
+
+    def test_usage_error_then_valid_call(self, noise, capsys):
+        argv, config, out = noise
+        failed = self.same_as_fresh_process([*argv, *config, "--delete-p", "lots"], out, capsys)
+        assert failed == (1, "", [None, None])
+        assert self.same_as_fresh_process(argv, out, capsys)[0] == 0
+
+    def test_dump_config_then_run(self, noise, capsys):
+        argv, config, out = noise
+        dumped = self.same_as_fresh_process([*argv, *config, "--dump-config"], out, capsys)
+        assert json.loads(dumped[1])["delete_p"] == 0.9
+        dumped = self.same_as_fresh_process([*argv, "--dump-config"], out, capsys)
+        assert json.loads(dumped[1])["delete_p"] == cli._NOISE_DEFAULTS.delete_p
+        assert self.same_as_fresh_process(argv, out, capsys)[0] == 0
+
+
+class TestSharedParserTree:
+    @pytest.fixture()
+    def extract(self, tmp_path, sentences_file):
+        return ["corpus", "extract", "--input", str(sentences_file),
+                "--out", str(tmp_path / "kept.txt")]
+
+    def test_not_built_at_import(self):
+        probe = "import draftkit.cli as cli; print(cli._tree is None)"
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": str(SRC)},
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.stdout == "True\n", proc.stderr
+
+    def test_built_once_per_process(self, tmp_path, extract, monkeypatch):
+        monkeypatch.setattr(cli, "_tree", None)
+        builds = []
+        build = cli._build_parser
+        monkeypatch.setattr(cli, "_build_parser", lambda: builds.append(1) or build())
+        for _ in range(5):
+            assert dispatch(extract) == 0
+        assert len(builds) == 1
+        # A --config call re-parses on a private tree; the shared one stays.
+        cfg = write_lines(tmp_path / "extract.cfg", ["profile = training"])
+        assert dispatch([*extract, "--config", str(cfg)]) == 0
+        assert dispatch(extract) == 0
+        assert len(builds) == 2
+
+    def test_handler_looked_up_at_each_call(self, extract, monkeypatch):
+        # A profiler or tracer may rebind cli._cmd_* after the tree exists.
+        assert dispatch(extract) == 0
+        calls = []
+        handler = cli._cmd_corpus_extract
+
+        def recording(args):
+            calls.append(args._leaf)
+            return handler(args)
+
+        monkeypatch.setattr(cli, "_cmd_corpus_extract", recording)
+        assert dispatch(extract) == 0
+        assert calls == ["corpus extract"]
+
+    def test_calls_leave_little_cyclic_garbage(self, extract):
+        assert dispatch(extract) == 0
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            gc.collect()
+            for _ in range(50):
+                assert dispatch(extract) == 0
+            garbage = gc.collect()
+        finally:
+            if enabled:
+                gc.enable()
+        assert garbage / 50 < 100
+
+
+class TestAtomicOutputs:
+    def test_failed_json_write_leaves_nothing(self, tmp_path):
+        with pytest.raises(TypeError):
+            cli._write_json(tmp_path / "report.json", {"value": object()})
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_lines_write_leaves_nothing(self, tmp_path):
+        def lines():
+            yield "first"
+            raise RuntimeError("input broke off")
+
+        with pytest.raises(RuntimeError):
+            cli._write_lines(tmp_path / "out.txt", lines())
+        assert list(tmp_path.iterdir()) == []
+
+    def test_output_in_missing_directory_is_data_error(self, tmp_path, sentences_file, capsys):
+        out = tmp_path / "missing" / "kept.txt"
+        code = dispatch(["corpus", "extract", "--input", str(sentences_file), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(out) in err and ".tmp" not in err
+        assert list(tmp_path.iterdir()) == [sentences_file]

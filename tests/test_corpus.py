@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import os
+import stat
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from draftkit.corpus import (
     DraftPair,
     RecordError,
     Sentence,
+    atomic_writer,
     filter_final_sentences,
     filter_training_sentences,
     load_pairs,
@@ -286,3 +289,51 @@ class TestPairIO:
         write_pairs(path, [pair])
         text = path.read_text(encoding="utf-8")
         assert text == "a b\tc d\n"
+
+
+class TestAtomicWrite:
+    PAIRS = [DraftPair(Sentence.from_text("a <*> ."), Sentence.from_text("a b ."))] * 3
+
+    def failing_pairs(self):
+        yield from self.PAIRS
+        raise RuntimeError("input broke off")
+
+    def test_failure_mid_write_leaves_nothing(self, tmp_path):
+        with pytest.raises(RuntimeError):
+            write_pairs(tmp_path / "pairs.tsv", self.failing_pairs())
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failure_mid_write_keeps_the_previous_file(self, tmp_path):
+        path = tmp_path / "pairs.tsv"
+        path.write_bytes(b"old draft\told reference\n")
+        with pytest.raises(RuntimeError):
+            write_pairs(path, self.failing_pairs())
+        assert list(tmp_path.iterdir()) == [path]
+        assert path.read_bytes() == b"old draft\told reference\n"
+
+    def test_target_appears_only_when_complete(self, tmp_path):
+        path = tmp_path / "out.txt"
+        with atomic_writer(path) as handle:
+            handle.write("first\n")
+            handle.flush()
+            assert not path.exists()
+            [temp] = tmp_path.iterdir()
+            assert temp.read_text(encoding="utf-8") == "first\n"
+        assert list(tmp_path.iterdir()) == [path]
+        assert path.read_text(encoding="utf-8") == "first\n"
+
+    def test_mode_follows_umask_like_a_plain_open(self, tmp_path):
+        plain = tmp_path / "plain.txt"
+        with open(plain, "w", encoding="utf-8"):
+            pass
+        with atomic_writer(tmp_path / "atomic.txt"):
+            pass
+        mode = stat.S_IMODE(os.stat(tmp_path / "atomic.txt").st_mode)
+        assert mode == stat.S_IMODE(os.stat(plain).st_mode)
+
+    def test_missing_directory_names_the_target(self, tmp_path):
+        path = tmp_path / "missing" / "pairs.tsv"
+        with pytest.raises(FileNotFoundError) as exc:
+            write_pairs(path, self.PAIRS)
+        assert exc.value.filename == str(path)
+        assert list(tmp_path.iterdir()) == []
