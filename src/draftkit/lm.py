@@ -371,4 +371,7 @@ def load_arpa(path: str | Path) -> NGramModel:
         raise ArpaFormatError(path, end_line, f"missing {missing[0]}-grams section")
     if max(declared) < 1:
         raise ArpaFormatError(path, end_line, "no n-gram order of 1 or more declared")
+    for word in (EOS, UNK):  # scoring needs both to end a sentence and to map OOV tokens
+        if (word,) not in logp:
+            raise ArpaFormatError(path, end_line, f"model has no unigram entry for {word!r}")
     return NGramModel(max(declared), logp, bows)

@@ -5,11 +5,14 @@ edit-level precision/recall, a rule-based grammaticality score, Flesch
 reading ease, and boolean style flags for passive voice and close word
 repetition.  ``evaluate`` runs everything over aligned sentence lists
 and returns one report with per-pair records plus corpus aggregates.
+It scores each pair once, the corpus BLEU from the sums of the pairs'
+n-gram statistics; ``evaluate`` and ``edit_prf`` match untyped edit runs
+and take no dictionary.
 
 Every result depends on the arguments alone.  Character edit distance
-is one bit-parallel kernel; it keeps a small bounded state for its last
-first argument, so comparing one string against many reuses work
-between calls.
+and the LCS behind ROUGE-L are bit-parallel kernels; edit distance keeps
+a small bounded state for its last first argument, so comparing one
+string against many reuses work between calls.
 """
 
 from __future__ import annotations
@@ -27,6 +30,23 @@ from .resources import load_participles, load_stopwords, load_wordlist
 #: Bound on the transitions kept for one first argument, and so on the
 #: columns they lead to.
 _MAX_MOVES = 4096
+
+#: BLEU's highest n-gram order and its stand-in for a zero match count;
+#: ROUGE-L's recall weight (the common summarization setting).
+_BLEU_ORDER = 4
+_BLEU_EPSILON = 1e-4
+_ROUGE_BETA = 1.2
+
+
+def _match_masks(seq: Sequence) -> tuple[dict, int]:
+    """Bit i of ``masks[x]`` is set where ``seq[i] == x``; ``full`` has
+    one bit per item of ``seq``."""
+    masks: dict = {}
+    bit = 1
+    for item in seq:
+        masks[item] = masks.get(item, 0) | bit
+        bit <<= 1
+    return masks, bit - 1
 
 
 def _advance(masks: dict[str, int], full: int, pv: int, mv: int, text: str) -> tuple[int, int]:
@@ -64,16 +84,10 @@ class _Pattern:
     __slots__ = ("text", "masks", "full", "root", "columns", "moves")
 
     def __init__(self, text: str) -> None:
-        masks: dict[str, int] = {}
-        bit = 1
-        for ch in text:
-            masks[ch] = masks.get(ch, 0) | bit
-            bit <<= 1
         self.text = text
-        self.masks = masks
-        self.full = bit - 1
-        self.root = (bit - 1, 0, {}, len(text))
-        self.columns = {(bit - 1, 0): self.root}
+        self.masks, self.full = _match_masks(text)
+        self.root = (self.full, 0, {}, len(text))
+        self.columns = {(self.full, 0): self.root}
         self.moves = 0
 
     def follow(self, col: tuple, ch: str) -> tuple:
@@ -144,74 +158,66 @@ def _ngram_counts(tokens: Sequence[str], order: int) -> Counter:
     return Counter(zip(*(tokens[i:] for i in range(order))))
 
 
-def bleu(
-    hypotheses: Sequence[Sentence],
-    references: Sequence[Sentence],
-    *,
-    max_order: int = 4,
-    epsilon: float = 1e-4,
-) -> float:
-    """Corpus BLEU over n-gram orders 1..max_order with brevity penalty.
+def _bleu_stats(hyp: Sequence[str], ref: Sequence[str]) -> list[int]:
+    """BLEU's sufficient statistics for one pair: both lengths, then the
+    matched (clipped) and total hypothesis n-grams of each order."""
+    stats = [len(hyp), len(ref)]
+    for order in range(1, _BLEU_ORDER + 1):
+        h_counts = _ngram_counts(hyp, order)
+        stats += (sum((h_counts & _ngram_counts(ref, order)).values()), h_counts.total())
+    return stats
+
+
+def _bleu_score(*rows: Sequence[int]) -> float:
+    """BLEU of the column sums of one or more ``_bleu_stats`` rows.
 
     Smoothing: an order with candidate n-grams but zero matches scores
-    epsilon/total; an order with no candidate n-grams at all (every
+    ``_BLEU_EPSILON``/total; an order with no candidate n-grams at all (every
     hypothesis shorter than the order) is dropped from the geometric
     mean, so a perfect match of short sentences still scores 1.0.
     """
+    hyp_len, ref_len, *counts = (sum(column) for column in zip(*rows))
+    if hyp_len == 0:
+        return 0.0
+    log_sum = 0.0
+    orders_used = 0
+    for matched, total in zip(counts[::2], counts[1::2]):
+        if total == 0:
+            continue
+        log_sum += math.log((matched if matched else _BLEU_EPSILON) / total)
+        orders_used += 1
+    brevity = min(1.0, math.exp(1.0 - ref_len / hyp_len))
+    return brevity * math.exp(log_sum / orders_used)
+
+
+def bleu(hypotheses: Sequence[Sentence], references: Sequence[Sentence]) -> float:
+    """Corpus BLEU over n-gram orders 1..4 with brevity penalty, scored
+    from the summed statistics of every pair (see ``_bleu_score``)."""
     if not hypotheses or not references:
         raise ValueError("bleu needs at least one hypothesis/reference pair")
     if len(hypotheses) != len(references):
         raise ValueError(
             f"got {len(hypotheses)} hypotheses for {len(references)} references"
         )
-    matches = [0] * max_order
-    totals = [0] * max_order
-    hyp_len = 0
-    ref_len = 0
-    for hyp, ref in zip(hypotheses, references):
-        hyp_len += len(hyp.tokens)
-        ref_len += len(ref.tokens)
-        for order in range(1, max_order + 1):
-            h_counts = _ngram_counts(hyp.tokens, order)
-            if not h_counts:
-                break
-            r_counts = _ngram_counts(ref.tokens, order)
-            totals[order - 1] += sum(h_counts.values())
-            matches[order - 1] += sum(
-                min(count, r_counts[gram])
-                for gram, count in h_counts.items()
-                if gram in r_counts
-            )
-    if totals[0] == 0:
-        return 0.0
-    log_sum = 0.0
-    orders_used = 0
-    for matched, total in zip(matches, totals):
-        if total == 0:
-            continue
-        log_sum += math.log((matched if matched else epsilon) / total)
-        orders_used += 1
-    brevity = min(1.0, math.exp(1.0 - ref_len / hyp_len))
-    return brevity * math.exp(log_sum / orders_used)
+    return _bleu_score(*(_bleu_stats(h.tokens, r.tokens) for h, r in zip(hypotheses, references)))
 
 
 def _lcs_len(a: Sequence[str], b: Sequence[str]) -> int:
-    if len(b) > len(a):
-        a, b = b, a
-    prev = [0] * (len(b) + 1)
-    for ca in a:
-        cur = [0]
-        for j, cb in enumerate(b, start=1):
-            cur.append(prev[j - 1] + 1 if ca == cb else max(prev[j], cur[j - 1]))
-        prev = cur
-    return prev[-1]
+    """LCS length, bit-parallel over ``a`` (Allison & Dix 1986; Hyyrö
+    2004): after each token of ``b``, the zero bits of ``v`` count the
+    LCS of ``a`` and the prefix of ``b`` read so far."""
+    masks, full = _match_masks(a)
+    v = full
+    for token in b:
+        u = v & masks.get(token, 0)
+        v = ((v + u) | (v - u)) & full
+    return len(a) - v.bit_count()
 
 
-def rouge_l(h: Sentence, r: Sentence, *, beta: float = 1.2) -> float:
-    """Sentence-level ROUGE-L: an LCS F-measure weighted toward recall.
-
-    beta follows the common summarization setting of 1.2.  An empty
-    sentence on either side scores 0.0 by convention.
+def rouge_l(h: Sentence, r: Sentence) -> float:
+    """Sentence-level ROUGE-L: an LCS F-measure weighted toward recall
+    by ``_ROUGE_BETA``.  An empty sentence on either side scores 0.0 by
+    convention.
     """
     if not h.tokens or not r.tokens:
         return 0.0
@@ -220,7 +226,7 @@ def rouge_l(h: Sentence, r: Sentence, *, beta: float = 1.2) -> float:
         return 0.0
     precision = lcs / len(h.tokens)
     recall = lcs / len(r.tokens)
-    return (1 + beta**2) * precision * recall / (recall + beta**2 * precision)
+    return (1 + _ROUGE_BETA**2) * precision * recall / (recall + _ROUGE_BETA**2 * precision)
 
 
 EDIT_KINDS = frozenset(
@@ -308,6 +314,23 @@ def _classify(src_side: tuple[str, ...], repl: tuple[str, ...], dictionary: Cont
     return "other"
 
 
+def _edit_runs(src: Sequence[str], tgt: Sequence[str]) -> list[tuple[int, int, tuple[str, ...]]]:
+    """Maximal runs of non-matching alignment ops as (start, end,
+    replacement): source tokens [start, end) become ``replacement``."""
+    runs = []
+    i = j = 0
+    run: tuple[int, int] | None = None
+    for op in _align(src, tgt) + ("match",):  # trailing sentinel flushes the last run
+        if op == "match" and run is not None:
+            runs.append((run[0], i, tgt[run[1] : j]))
+            run = None
+        elif op != "match" and run is None:
+            run = (i, j)
+        i += op != "ins"
+        j += op != "del"
+    return runs
+
+
 def extract_edits(
     source: Sentence, target: Sentence, dictionary: Container[str] | None = None
 ) -> list[EditSpan]:
@@ -320,27 +343,11 @@ def extract_edits(
     """
     if dictionary is None:
         dictionary = load_wordlist()
-    src, tgt = source.tokens, target.tokens
-    spans: list[EditSpan] = []
-    i = j = 0
-    run: tuple[int, int] | None = None
-    for op in _align(src, tgt) + ("match",):  # trailing sentinel flushes the last run
-        if op == "match":
-            if run is not None:
-                start, start_j = run
-                repl = tgt[start_j:j]
-                spans.append(EditSpan(start, i, repl, _classify(src[start:i], repl, dictionary)))
-                run = None
-            i += 1
-            j += 1
-            continue
-        if run is None:
-            run = (i, j)
-        if op != "ins":
-            i += 1
-        if op != "del":
-            j += 1
-    return spans
+    src = source.tokens
+    return [
+        EditSpan(start, end, repl, _classify(src[start:end], repl, dictionary))
+        for start, end, repl in _edit_runs(src, target.tokens)
+    ]
 
 
 def apply_edits(tokens: Sequence[str], edits: Iterable[EditSpan]) -> list[str]:
@@ -371,33 +378,22 @@ def _prf_from_counts(matched: int, proposed: int, gold: int) -> tuple[float, flo
     return precision, recall, f05
 
 
-def _edit_counts(
-    source: Sentence, hypothesis: Sentence, reference: Sentence, dictionary: Container[str]
-) -> tuple[int, int, int]:
+def _edit_counts(src: Sentence, hyp: Sentence, ref: Sentence) -> tuple[int, int, int]:
     """(matched, proposed, gold) counts of hypothesis against reference edits."""
-    proposed = {
-        (sp.start, sp.end, sp.replacement) for sp in extract_edits(source, hypothesis, dictionary)
-    }
-    gold = {
-        (sp.start, sp.end, sp.replacement) for sp in extract_edits(source, reference, dictionary)
-    }
+    proposed = set(_edit_runs(src.tokens, hyp.tokens))
+    gold = set(_edit_runs(src.tokens, ref.tokens))
     return len(proposed & gold), len(proposed), len(gold)
 
 
 def edit_prf(
-    source: Sentence,
-    hypothesis: Sentence,
-    reference: Sentence,
-    dictionary: Container[str] | None = None,
+    source: Sentence, hypothesis: Sentence, reference: Sentence
 ) -> tuple[float, float, float]:
     """Precision, recall, F0.5 of hypothesis edits against reference edits.
 
     An edit matches when its source range and replacement are identical;
-    the coarse type tag plays no part.
+    edits are compared untyped, so no dictionary is needed.
     """
-    if dictionary is None:
-        dictionary = load_wordlist()
-    return _prf_from_counts(*_edit_counts(source, hypothesis, reference, dictionary))
+    return _prf_from_counts(*_edit_counts(source, hypothesis, reference))
 
 
 _BRACKET_PAIRS = (("(", ")"), ("[", "]"), ("{", "}"))
@@ -636,7 +632,6 @@ def evaluate(
     references: Sequence[Sentence],
     *,
     lm=None,
-    dictionary: Container[str] | None = None,
     error_detector: Callable[[Sentence], int] | None = None,
 ) -> EvalReport:
     """Score revision hypotheses against references, edits against sources.
@@ -651,18 +646,18 @@ def evaluate(
         raise ValueError("sources, hypotheses, and references must align")
     if not sources:
         raise ValueError("nothing to evaluate")
-    if dictionary is None:
-        dictionary = load_wordlist()
     records = []
+    bleu_rows = []
     for src, hyp, ref in zip(sources, hypotheses, references):
-        matched, proposed, gold = _edit_counts(src, hyp, ref, dictionary)
+        matched, proposed, gold = _edit_counts(src, hyp, ref)
+        bleu_rows.append(_bleu_stats(hyp.tokens, ref.tokens))
         try:
             fre_value: float | None = fre(hyp)
         except ValueError:
             fre_value = None
         records.append(
             PairEval(
-                bleu=bleu([hyp], [ref]),
+                bleu=_bleu_score(bleu_rows[-1]),
                 rouge_l=rouge_l(hyp, ref),
                 levenshtein_char=levenshtein_char(hyp.text, ref.text),
                 grammaticality=grammaticality(hyp, error_detector) if hyp.tokens else 0.0,
@@ -685,7 +680,7 @@ def evaluate(
     ppl_values = [r.ppl for r in records if r.ppl is not None]
     return EvalReport(
         per_pair=tuple(records),
-        corpus_bleu=bleu(hypotheses, references),
+        corpus_bleu=_bleu_score(*bleu_rows),
         mean_rouge_l=sum(r.rouge_l for r in records) / n,
         edit_precision=precision,
         edit_recall=recall,

@@ -190,6 +190,9 @@ def read_arpa_reference(
     order = max(declared)
     if order < 1:
         raise ValueError("order must be at least 1")
+    for word in ("</s>", "<unk>"):
+        if (word,) not in logp:
+            raise ValueError(f"no unigram entry for {word!r}")
     return order, logp, bows
 
 

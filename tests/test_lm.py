@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 import tempfile
 from functools import lru_cache
 from pathlib import Path
@@ -431,6 +432,8 @@ MALFORMED_ARPA = {
             "\\end\\",
         ]
     ),
+    "no_eos_unigram": "\\data\\\nngram 1=2\n\n\\1-grams:\n-0.5\ta\n-0.5\t<unk>\n\n\\end\\\n",
+    "no_unk_unigram": "\\data\\\nngram 1=2\n\n\\1-grams:\n-0.5\ta\n-0.5\t</s>\n\n\\end\\\n",
 }
 
 
@@ -468,6 +471,17 @@ class TestArpaErrors:
         with pytest.raises(ArpaFormatError, match="2-grams"):
             self._load(tmp_path, MALFORMED_ARPA["undeclared_section"])
 
+    @pytest.mark.parametrize(
+        "name, word", [("no_eos_unigram", "</s>"), ("no_unk_unigram", "<unk>")]
+    )
+    def test_missing_marker_unigram_names_end_line(self, tmp_path, name, word):
+        # Scoring needs both unigrams, so the fault is the model's, found
+        # at its \end\ line, not the scored text's.
+        with pytest.raises(ArpaFormatError, match=rf":8: model has no unigram entry for '{word}'"):
+            self._load(tmp_path, MALFORMED_ARPA[name])
+        with pytest.raises(ValueError, match="no unigram entry"):
+            read_arpa_reference(tmp_path / "bad.arpa")
+
 
 @lru_cache(maxsize=None)
 def _saved_models() -> tuple[bytes, ...]:
@@ -485,6 +499,7 @@ _STRAY_LINES = (b"", b"  ", b"\\", b"\\data\\", b"\\end\\", b" \\end\\", b"\\1-g
                 b"\\2-grams:", b"\\4-grams:", b"\\x")
 _NOT_UTF8 = (b"\xff", b"\xc3", b"\x80", b"\xed\xa0\x80")
 _VALUES = (b"-1.5", b" -2 ", b"-inf", b"1e3", b"1_0", b"+0", b"0x1", b"")
+_COUNT = re.compile(rb"ngram (\d+)=(\d+)")
 
 
 class TestArpaReaderAgainstReference:
@@ -520,10 +535,12 @@ class TestArpaReaderAgainstReference:
                 at = data.draw(st.integers(0, len(lines[i])))
                 lines[i] = lines[i][:at] + data.draw(st.sampled_from(_NOT_UTF8)) + lines[i][at:]
             elif kind == "count":
-                counts = [j for j, line in enumerate(lines) if line.startswith(b"ngram ")]
+                # Only intact count lines: an earlier "bytes" edit may have
+                # corrupted one past what int() reads.
+                counts = {j: m for j, line in enumerate(lines) if (m := _COUNT.fullmatch(line))}
                 if counts:
-                    j = data.draw(st.sampled_from(counts))
-                    order, count = map(int, lines[j][6:].split(b"="))
+                    j = data.draw(st.sampled_from(list(counts)))
+                    order, count = map(int, counts[j].groups())
                     if data.draw(st.booleans()):
                         order = data.draw(st.integers(0, 4))
                     else:

@@ -34,10 +34,15 @@ from draftkit.metrics import (
     syllable_count,
     word_repetition,
 )
+from draftkit.resources import load_wordlist
 
 short_text = st.text(max_size=12)
 word = st.sampled_from(["the", "cat", "sat", "model", "data", "a", "ran", "."])
 token_list = st.lists(word, min_size=1, max_size=8)
+# Few token types make long common subsequences and repeated n-grams;
+# empty and short lists leave BLEU orders without candidate n-grams.
+few_types = st.integers(2, 3).map(lambda k: st.sampled_from("abc"[:k]))
+short_tokens = st.lists(st.sampled_from(["the", "modle", "model", "a", "."]), max_size=6)
 
 
 def sent(*tokens: str) -> Sentence:
@@ -234,6 +239,17 @@ class TestRougeL:
         assert got == pytest.approx(expected, abs=1e-12)
         assert 0.0 <= got <= 1.0
 
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_bit_parallel_lcs_matches_recurrence(self, data):
+        # Lengths drawn uniformly up to 80, so long pairs are common.
+        tokens = data.draw(few_types)
+        a, b = (
+            tuple(data.draw(st.lists(tokens, min_size=n, max_size=n)))
+            for n in data.draw(st.tuples(st.integers(0, 80), st.integers(0, 80)))
+        )
+        assert metrics._lcs_len(a, b) == lcs_length_recursive(a, b)
+
 
 class TestExtractEdits:
     def test_identical_sentences(self):
@@ -350,15 +366,15 @@ class TestEditPrf:
     def test_hypothesis_equals_reference(self):
         src = sent("a", "b", "c")
         ref = sent("a", "X", "c")
-        assert edit_prf(src, ref, ref, dictionary=set()) == (1.0, 1.0, 1.0)
+        assert edit_prf(src, ref, ref) == (1.0, 1.0, 1.0)
 
     def test_unedited_hypothesis_scores_zero(self):
         src = sent("a", "b", "c")
-        assert edit_prf(src, src, sent("a", "X", "c"), dictionary=set()) == (0.0, 0.0, 0.0)
+        assert edit_prf(src, src, sent("a", "X", "c")) == (0.0, 0.0, 0.0)
 
     def test_everything_unedited(self):
         src = sent("a", "b", "c")
-        assert edit_prf(src, src, src, dictionary=set()) == (1.0, 1.0, 1.0)
+        assert edit_prf(src, src, src) == (1.0, 1.0, 1.0)
 
     def test_half_matching_edits(self):
         # H = {a->A at 0, e->X at 4}, G = {a->A at 0, d->D at 3}: one of
@@ -367,7 +383,7 @@ class TestEditPrf:
         src = sent("a", "b", "c", "d", "e")
         hyp = sent("A", "b", "c", "d", "X")
         ref = sent("A", "b", "c", "D", "e")
-        assert edit_prf(src, hyp, ref, dictionary=set()) == (0.5, 0.5, 0.5)
+        assert edit_prf(src, hyp, ref) == (0.5, 0.5, 0.5)
 
     @given(token_list, token_list, token_list)
     @settings(max_examples=60)
@@ -375,7 +391,7 @@ class TestEditPrf:
         s = Sentence.from_tokens(src)
         h = Sentence.from_tokens(hyp)
         r = Sentence.from_tokens(ref)
-        p, rec, f = edit_prf(s, h, r, dictionary=set())
+        p, rec, f = edit_prf(s, h, r)
         assert 0.0 <= p <= 1.0 and 0.0 <= rec <= 1.0 and 0.0 <= f <= 1.0
         same_edits = extract_edits(s, h, dictionary=set()) == extract_edits(s, r, dictionary=set())
         assert (f == 1.0) == same_edits
@@ -576,6 +592,22 @@ class FixedPerplexity:
 
 
 class TestEvaluate:
+    @given(st.lists(st.tuples(short_tokens, short_tokens, short_tokens), min_size=1, max_size=5))
+    @settings(max_examples=100, deadline=None)
+    def test_single_pass_equals_separate_metric_calls(self, triples):
+        sources, hyps, refs = ([Sentence.from_tokens(t) for t in side] for side in zip(*triples))
+        report = evaluate(sources, hyps, refs)
+        assert report.corpus_bleu == bleu(hyps, refs)
+        for src, hyp, ref, pair in zip(sources, hyps, refs, report.per_pair):
+            assert pair.bleu == bleu([hyp], [ref])
+            for dictionary in (load_wordlist(), set()):
+                proposed, gold = (
+                    {(sp.start, sp.end, sp.replacement) for sp in extract_edits(src, t, dictionary)}
+                    for t in (hyp, ref)
+                )
+                counts = (len(proposed & gold), len(proposed), len(gold))
+                assert (pair.edit_matches, pair.edit_proposed, pair.edit_gold) == counts
+
     def build(self, lm=None):
         sources = [
             Sentence.from_text("the cat sat on the mat"),
