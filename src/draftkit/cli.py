@@ -35,6 +35,7 @@ from .corpus import (
     filter_training_sentences,
     iter_checked_lines,
     load_pairs,
+    read_checked_lines,
     write_pairs,
 )
 from .lm import SMOOTHINGS, load_arpa, save_arpa, train
@@ -67,7 +68,7 @@ def _parse_bool(value: str) -> bool:
 
 
 def _read_text_lines(path: Path | str, *, keep_blank: bool) -> list[str]:
-    lines = [text for _, text in iter_checked_lines(path)]
+    lines = read_checked_lines(path)
     if keep_blank:
         return lines
     return [line for line in lines if line.strip()]
@@ -142,6 +143,7 @@ def _cmd_lm_ppl(args) -> tuple[list, list]:
     rows = []
     logprob_total = 0.0
     event_total = 0
+    line_no = 0
     for line_no, text in iter_checked_lines(args.input):
         if not text.strip():
             continue
@@ -158,11 +160,13 @@ def _cmd_lm_ppl(args) -> tuple[list, list]:
         )
         logprob_total += logprob
         event_total += events
+    if not rows:
+        raise RecordError(args.input, line_no + 1, "no non-blank lines to score")
     report = {
         "schema_version": SCHEMA_VERSION,
         "model": str(args.model),
         "sentence_count": len(rows),
-        "corpus_ppl": 10.0 ** (-logprob_total / event_total) if event_total else None,
+        "corpus_ppl": 10.0 ** (-logprob_total / event_total),
         "sentences": rows,
     }
     _write_json(args.report, report)

@@ -190,13 +190,37 @@ class RecordError(ValueError):
 
 def iter_checked_lines(path: Path | str) -> Iterator[tuple[int, str]]:
     """Yield ``(line_no, text)`` for each line; an undecodable line raises
-    :class:`RecordError`."""
+    :class:`RecordError`.  Streams: one line is held at a time."""
     with open(path, "rb") as handle:
         for line_no, raw in enumerate(handle, start=1):
             try:
                 yield line_no, raw.decode("utf-8").rstrip("\r\n")
             except UnicodeDecodeError as exc:
                 raise RecordError(path, line_no, f"not valid UTF-8 ({exc.reason})") from exc
+
+
+def read_checked_lines(path: Path | str) -> list[str]:
+    """The texts :func:`iter_checked_lines` yields, from one read and one
+    decode of the whole file; line ``k`` is item ``k - 1``.
+
+    ``\\n`` never occurs inside a multi-byte UTF-8 sequence, so an
+    undecodable byte raises the same :class:`RecordError`, line and reason
+    as the streaming reader.
+    """
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = data.count(b"\n", 0, exc.start) + 1
+        raise RecordError(path, line_no, f"not valid UTF-8 ({exc.reason})") from exc
+    del data  # not held beside the lines
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()  # the empty tail after a final newline is not a line
+    if "\r" in text:
+        lines = [line.rstrip("\r") for line in lines]
+    return lines
 
 
 def _pair_from_tsv(path: Path | str, line_no: int, line: str) -> DraftPair:

@@ -16,7 +16,7 @@ from collections import Counter, defaultdict
 from collections.abc import Iterable, Sequence
 from pathlib import Path
 
-from .corpus import RecordError, Sentence, atomic_writer, iter_checked_lines
+from .corpus import RecordError, Sentence, atomic_writer, read_checked_lines
 
 BOS = "<s>"
 EOS = "</s>"
@@ -50,10 +50,11 @@ class NGramModel:
         if order < 1:
             raise ValueError("order must be at least 1")
         self.order = order
-        self._logprob = dict(logprob_table)
-        self._backoff = dict(backoff_table)
+        # The model owns the tables it is given: its callers build them for it.
+        self._logprob = logprob_table
+        self._backoff = backoff_table
         self.vocab: frozenset[str] = frozenset(
-            gram[0] for gram in self._logprob if len(gram) == 1
+            [gram[0] for gram in logprob_table if len(gram) == 1]
         )
 
     def __repr__(self) -> str:
@@ -292,48 +293,72 @@ def save_arpa(model: NGramModel, path: str | Path) -> None:
         handle.write("\n".join(lines))
 
 
+def _read_section(
+    path: str | Path,
+    lines: list[str | None],
+    start: int,
+    n: int,
+    logp: dict[tuple[str, ...], float],
+    bows: dict[tuple[str, ...], float],
+) -> int:
+    """Store the entries of the ``n``-grams section whose first entry is
+    ``lines[start]``, replacing each stored line by ``None``; return the
+    index of the blank or ``\\``-led line that ends the section, or
+    ``len(lines)``.
+
+    Neither kind of line parses as an entry (``float`` rejects a first
+    field that is blank or starts with ``\\``), so one is looked for only
+    where an entry fails a check.
+    """
+    for index in range(start, len(lines)):
+        line = lines[index]
+        fields = line.split("\t")
+        if len(fields) == 2:
+            value, words = fields
+            bow = None
+        elif len(fields) == 3:
+            value, words, bow = fields
+        else:
+            fault = "malformed entry"
+            break
+        gram = tuple(words.split(" "))
+        if len(gram) != n or "" in gram:
+            fault = "entry arity mismatch"
+            break
+        try:
+            logp[gram] = float(value)
+            if bow is not None:
+                bows[gram] = float(bow)
+        except ValueError:
+            fault = "malformed entry"
+            break
+        lines[index] = None  # so the decoded file is not held beside the finished tables
+    else:
+        return len(lines)
+    if not line.strip() or line.startswith("\\"):
+        return index
+    raise ArpaFormatError(path, index + 1, f"{fault} in {n}-grams section: {line!r}")
+
+
 def load_arpa(path: str | Path) -> NGramModel:
-    """Parse an ARPA file in one pass, validating section structure and
-    entry counts.
+    """Parse an ARPA file from one decode (see :func:`read_checked_lines`),
+    validating section structure and entry counts.
 
     A fault raises :class:`ArpaFormatError` naming the line where it is
     found; one found at the end of the file names the line after the last.
     """
+    lines = read_checked_lines(path)
     declared: dict[int, int] | None = None  # None until the \data\ header
     counting = False  # reading the count lines under \data\
-    n: int | None = None  # order of the section whose entries are being read
-    where = ""
-    entries = end_line = line_no = 0
+    end_line = 0
     seen_sections: set[int] = set()
     logp: dict[tuple[str, ...], float] = {}
     bows: dict[tuple[str, ...], float] = {}
-    for line_no, line in iter_checked_lines(path):
-        if end_line:
-            continue  # ignored, but still decoded: a byte that is not UTF-8 is a fault
+    line_no = 0  # of the line being read, which is also the index of the next
+    while line_no < len(lines):
+        line = lines[line_no]
+        line_no += 1
         text = line.strip()
-        if n is not None and text and not line.startswith("\\"):
-            fields = line.split("\t")
-            if len(fields) not in (2, 3):
-                raise ArpaFormatError(path, line_no, f"malformed entry in {where}: {line!r}")
-            gram = tuple(fields[1].split(" "))
-            if len(gram) != n or not all(gram):
-                raise ArpaFormatError(path, line_no, f"entry arity mismatch in {where}: {line!r}")
-            try:
-                logp[gram] = float(fields[0])
-                if len(fields) == 3:
-                    bows[gram] = float(fields[2])
-            except ValueError:
-                raise ArpaFormatError(
-                    path, line_no, f"malformed entry in {where}: {line!r}"
-                ) from None
-            entries += 1
-            continue
-        if n is not None:
-            if entries != declared[n]:
-                reason = f"{where} lists {entries} entries, header promises {declared[n]}"
-                raise ArpaFormatError(path, line_no, reason)
-            seen_sections.add(n)
-            n = None
         if counting and text:
             match = _COUNT_LINE.fullmatch(text)
             if match is None:
@@ -352,14 +377,23 @@ def load_arpa(path: str | Path) -> NGramModel:
             declared, counting = {}, True
         elif text == "\\end\\":
             end_line = line_no
+            break  # later lines are ignored; the decode has checked them
         elif (match := _SECTION_LINE.fullmatch(text)) is None:
             raise ArpaFormatError(path, line_no, f"unexpected line {text!r}")
         else:
-            n, entries = int(match[1]), 0
-            where = f"{n}-grams section"
+            n = int(match[1])
             if n not in declared:
                 raise ArpaFormatError(path, line_no, f"section {n}-grams not declared in header")
-    line_no += 1  # a fault found at the end of the file
+            end = _read_section(path, lines, line_no, n, logp, bows)
+            if end == len(lines):
+                break  # the file ends inside the section: no \end\ marker
+            entries = end - line_no
+            if entries != declared[n]:
+                reason = f"{n}-grams section lists {entries} entries, header promises {declared[n]}"
+                raise ArpaFormatError(path, end + 1, reason)
+            seen_sections.add(n)
+            line_no = end  # the line that ended the section is read next
+    line_no = len(lines) + 1  # a fault found at the end of the file
     if declared is None:
         raise ArpaFormatError(path, line_no, "expected \\data\\ header")
     if not declared:

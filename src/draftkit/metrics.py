@@ -251,18 +251,33 @@ class EditSpan:
 
 
 def _align(src: Sequence[str], tgt: Sequence[str]) -> tuple[str, ...]:
-    """Unit-cost token alignment; ties prefer substitution, then deletion."""
+    """Unit-cost token alignment; ties prefer substitution, then deletion.
+
+    The common suffix is matched without the DP: for unit costs, equal
+    last tokens give D[n][m] = D[n-1][m-1], which the backtrace takes.  The
+    common prefix is not trimmed, as that can move an edit: src ``a a``
+    against tgt ``a`` aligns as (del, match), not (match, del).
+    """
     n, m = len(src), len(tgt)
-    dist = [[0] * (m + 1) for _ in range(n + 1)]
-    for i in range(n + 1):
-        dist[i][0] = i
-    dist[0] = list(range(m + 1))
+    while n and m and src[n - 1] == tgt[m - 1]:
+        n -= 1
+        m -= 1
+    ops = ["match"] * (len(src) - n)  # built backwards, reversed at the end
+    tgt = tgt[:m]
+    dist = [list(range(m + 1))]
+    above = dist[0]
     for i in range(1, n + 1):
-        row, above = dist[i], dist[i - 1]
         token = src[i - 1]
-        for j in range(1, m + 1):
-            row[j] = min(above[j] + 1, row[j - 1] + 1, above[j - 1] + (token != tgt[j - 1]))
-    ops: list[str] = []
+        row = [i]
+        left = i
+        for j, word in enumerate(tgt):
+            best = above[j] if token == word else above[j] + 1
+            up = above[j + 1] + 1
+            best = up if up < best else best
+            left = left + 1 if left + 1 < best else best
+            row.append(left)
+        dist.append(row)
+        above = row
     i, j = n, m
     while i > 0 or j > 0:
         if (

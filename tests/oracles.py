@@ -96,6 +96,40 @@ def lcs_length_recursive(a: Sequence[str], b: Sequence[str]) -> int:
     return go(0, 0)
 
 
+def align_reference(src: Sequence[str], tgt: Sequence[str]) -> tuple[str, ...]:
+    """Unit-cost token alignment over the full DP table; ties prefer
+    substitution, then deletion."""
+    n, m = len(src), len(tgt)
+    dist = [[0] * (m + 1) for _ in range(n + 1)]
+    for i in range(n + 1):
+        dist[i][0] = i
+    dist[0] = list(range(m + 1))
+    for i in range(1, n + 1):
+        row, above = dist[i], dist[i - 1]
+        token = src[i - 1]
+        for j in range(1, m + 1):
+            row[j] = min(above[j] + 1, row[j - 1] + 1, above[j - 1] + (token != tgt[j - 1]))
+    ops: list[str] = []
+    i, j = n, m
+    while i > 0 or j > 0:
+        if (
+            i > 0
+            and j > 0
+            and dist[i][j] == dist[i - 1][j - 1] + (src[i - 1] != tgt[j - 1])
+        ):
+            ops.append("match" if src[i - 1] == tgt[j - 1] else "sub")
+            i -= 1
+            j -= 1
+        elif i > 0 and dist[i][j] == dist[i - 1][j] + 1:
+            ops.append("del")
+            i -= 1
+        else:
+            ops.append("ins")
+            j -= 1
+    ops.reverse()
+    return tuple(ops)
+
+
 def nearest_entry_scan(word: str, dictionary: Mapping[str, int]) -> str | None:
     """Spell-check pick by scanning every entry: edit distance 1 or 2,
     then higher frequency, then lexicographic order; None if no entry is

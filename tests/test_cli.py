@@ -128,6 +128,21 @@ class TestLmCommands:
             assert row["logprob10"] == model.sentence_logprob(tokens)
             assert row["ppl"] == model.perplexity(tokens)
 
+    @pytest.mark.parametrize("blob, line", [(b"", 1), (b"\n  \r\n\t\n", 4), (b" ", 2)])
+    def test_ppl_on_no_non_blank_line_is_data_error(
+        self, tmp_path, sentences_file, blob, line, capsys
+    ):
+        model = tmp_path / "model.arpa"
+        assert dispatch(["lm", "train", "--input", str(sentences_file), "--out", str(model)]) == 0
+        hyps = tmp_path / "hyps.txt"
+        hyps.write_bytes(blob)
+        before = sorted(tmp_path.iterdir())
+        code = dispatch(["lm", "ppl", "--model", str(model), "--input", str(hyps),
+                         "--report", str(tmp_path / "ppl.json")])
+        assert code == 2
+        assert f"{hyps}:{line}: no non-blank lines to score" in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == before
+
     def test_ppl_scores_each_sentence_once(self, tmp_path, sentences_file, monkeypatch):
         model_path = tmp_path / "model.arpa"
         assert dispatch(

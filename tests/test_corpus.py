@@ -20,8 +20,10 @@ from draftkit.corpus import (
     atomic_writer,
     filter_final_sentences,
     filter_training_sentences,
+    iter_checked_lines,
     load_pairs,
     normalize_sentence,
+    read_checked_lines,
     tokenize,
     write_pairs,
 )
@@ -289,6 +291,48 @@ class TestPairIO:
         write_pairs(path, [pair])
         text = path.read_text(encoding="utf-8")
         assert text == "a b\tc d\n"
+
+
+# Byte pieces for the reader agreement test: line ends, a stray CR,
+# multi-byte UTF-8, and sequences that are truncated or invalid.
+_LINE_PIECES = (
+    b"a", b" ", b"\t", b"\n", b"\r", b"\r\n", b"\r\r\n", b"\xc3\xa9", b"\xe2\x82\xac",
+    b"\xf0\x9f\x98\x80", b"\xc3", b"\xe2\x82", b"\xf0\x9f\x98", b"\xff", b"\x80",
+    b"\xed\xa0\x80", b"\xc3\n", b"\xe2\x82\n", b"\xc0\xaf",
+)
+
+
+class TestCheckedReaders:
+    @settings(max_examples=500)
+    @given(pieces=st.lists(st.sampled_from(_LINE_PIECES), max_size=12), final_newline=st.booleans())
+    def test_whole_file_reader_agrees_with_streaming(self, tmp_path_factory, pieces, final_newline):
+        blob = b"".join(pieces) + (b"\n" if final_newline else b"")
+        path = tmp_path_factory.mktemp("lines") / "input.txt"
+        path.write_bytes(blob)
+        try:
+            expected = [text for _, text in iter_checked_lines(path)]
+        except RecordError as err:
+            with pytest.raises(RecordError) as got:
+                read_checked_lines(path)
+            assert (got.value.line_no, got.value.reason) == (err.line_no, err.reason)
+            assert str(got.value) == str(err)
+        else:
+            assert read_checked_lines(path) == expected
+
+    @pytest.mark.parametrize(
+        "blob, lines",
+        [(b"", []), (b"\n", [""]), (b"a", ["a"]), (b"a\r\n\r\nb\r", ["a", "", "b"]), (b"\r", [""])],
+    )
+    def test_line_framing(self, tmp_path, blob, lines):
+        path = tmp_path / "input.txt"
+        path.write_bytes(blob)
+        assert read_checked_lines(path) == lines
+
+    def test_undecodable_byte_names_its_line(self, tmp_path):
+        path = tmp_path / "input.txt"
+        path.write_bytes(b"ok\n\n\xe2\x82\nmore\n")
+        with pytest.raises(RecordError, match=r":3: not valid UTF-8 \(invalid continuation byte\)"):
+            read_checked_lines(path)
 
 
 class TestAtomicWrite:

@@ -417,6 +417,21 @@ MALFORMED_ARPA = {
             "\\end\\",
         ]
     ),
+    "empty_word_entry": "\n".join(
+        [
+            "\\data\\",
+            "ngram 1=1",
+            "ngram 2=1",
+            "",
+            "\\1-grams:",
+            "-0.5\ta",
+            "",
+            "\\2-grams:",
+            "-0.5\ta ",
+            "",
+            "\\end\\",
+        ]
+    ),
     "missing_section": "\\data\\\nngram 1=1\nngram 2=1\n\n\\1-grams:\n-0.5\ta\n\n\\end\\\n",
     "undeclared_section": "\n".join(
         [
@@ -444,7 +459,9 @@ class TestArpaErrors:
         return load_arpa(path)
 
     def test_count_header_mismatch_names_section(self, tmp_path):
-        with pytest.raises(ArpaFormatError, match="1-grams"):
+        # Named at the blank line that ends the section.
+        match = r":7: 1-grams section lists 2 entries, header promises 3$"
+        with pytest.raises(ArpaFormatError, match=match):
             self._load(tmp_path, MALFORMED_ARPA["count_header_mismatch"])
 
     def test_missing_data_header(self, tmp_path):
@@ -462,6 +479,11 @@ class TestArpaErrors:
     def test_wrong_arity_entry_names_section(self, tmp_path):
         with pytest.raises(ArpaFormatError, match="2-grams"):
             self._load(tmp_path, MALFORMED_ARPA["wrong_arity_entry"])
+
+    def test_empty_word_is_arity_mismatch(self, tmp_path):
+        # "a " has two fields, one of them empty.
+        with pytest.raises(ArpaFormatError, match=r":9: entry arity mismatch in 2-grams section"):
+            self._load(tmp_path, MALFORMED_ARPA["empty_word_entry"])
 
     def test_missing_section(self, tmp_path):
         with pytest.raises(ArpaFormatError, match=r":8: missing 2-grams section"):
@@ -511,7 +533,9 @@ class TestArpaReaderAgainstReference:
         lines = data.draw(st.sampled_from(_saved_models())).split(b"\n")
         for _ in range(data.draw(st.integers(1, 3))):
             kind = data.draw(
-                st.sampled_from(["drop", "dup", "insert", "tab", "count", "value", "bytes"])
+                st.sampled_from(
+                    ["drop", "dup", "insert", "tab", "count", "value", "bytes", "crlf"]
+                )
             )
             # Half the edits land on a header, count or blank line or the end.
             framing = [
@@ -525,6 +549,10 @@ class TestArpaReaderAgainstReference:
                 lines.insert(i, lines[i])
             elif kind == "insert":
                 lines.insert(i % len(lines), data.draw(st.sampled_from(_STRAY_LINES)))
+            elif kind == "crlf" and i % len(lines) < len(lines) - 1 and not lines[i].endswith(b"\r"):
+                # The line's "\n" becomes "\r\n" (the last line has none); a
+                # second "\r" would be a blank line to the reference's splitlines.
+                lines[i] += b"\r"
             elif kind == "tab":
                 lines[i] = lines[i].replace(b"\t", b" ", 1)
             elif kind == "value" and b"\t" in lines[i]:

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import lcs_length_recursive, levenshtein_recursive
+from oracles import align_reference, lcs_length_recursive, levenshtein_recursive
 
 from draftkit import metrics
 from draftkit.corpus import Sentence
@@ -339,6 +339,22 @@ class TestExtractEdits:
     def test_self_extraction_is_empty(self, toks):
         s = Sentence.from_tokens(toks)
         assert extract_edits(s, s, dictionary=set()) == []
+
+
+class TestAlign:
+    @pytest.mark.parametrize("alphabet", ["ab", "abc"])
+    @settings(max_examples=400)
+    @given(data=st.data())
+    def test_matches_full_table_reference(self, alphabet, data):
+        # Small alphabets make ties common, so the tie-breaking is tested.
+        side = st.lists(st.sampled_from(alphabet), max_size=8)
+        src, tgt = data.draw(side), data.draw(side)
+        assert metrics._align(src, tgt) == align_reference(src, tgt)
+
+    def test_common_prefix_is_aligned_by_the_dp(self):
+        # Trimming the prefix would give (match, del) and move the edit.
+        assert metrics._align(["a", "a"], ["a"]) == ("del", "match")
+        assert align_reference(["a", "a"], ["a"]) == ("del", "match")
 
 
 class TestApplyEdits:
