@@ -17,7 +17,6 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
 from pathlib import Path
 from typing import Callable, Iterable, NoReturn, Sequence
@@ -67,11 +66,14 @@ def _parse_bool(value: str) -> bool:
     raise ValueError(f"expected a boolean, got {value!r}")
 
 
-def _read_text_lines(path: Path | str, *, keep_blank: bool) -> list[str]:
-    lines = read_checked_lines(path)
-    if keep_blank:
-        return lines
-    return [line for line in lines if line.strip()]
+# Every path flag has one of these two as its type; the manifest lists the
+# flags by which of them it is (see _write_manifest).
+def _input(text: str) -> Path:
+    return Path(text)
+
+
+def _output(text: str) -> Path:
+    return Path(text)
 
 
 def _read_word_set(path: Path | str) -> frozenset[str]:
@@ -97,15 +99,13 @@ def _write_lines(path: Path | str, lines: Iterable[str]) -> None:
 
 
 # --------------------------------------------------------------------------
-# subcommand handlers; each returns (input paths, output paths)
+# subcommand handlers; dispatch knows their files from the parser
 
 
-def _cmd_corpus_extract(args) -> tuple[list, list]:
-    inputs = [args.input]
+def _cmd_corpus_extract(args) -> None:
     excluded: frozenset[str] = frozenset()
     if args.exclude is not None:
-        excluded = frozenset(_read_text_lines(args.exclude, keep_blank=False))
-        inputs.append(args.exclude)
+        excluded = frozenset(line for line in read_checked_lines(args.exclude) if line.strip())
     cfg = CorpusFilterConfig(
         min_chars=args.min_chars,
         max_chars=args.max_chars,
@@ -119,11 +119,10 @@ def _cmd_corpus_extract(args) -> tuple[list, list]:
         Sentence.from_text(text) for _, text in iter_checked_lines(args.input)
     )
     _write_lines(args.out, (s.text for s in keep(sentences, cfg)))
-    return inputs, [args.out]
 
 
-def _cmd_lm_train(args) -> tuple[list, list]:
-    lines = _read_text_lines(args.input, keep_blank=True)
+def _cmd_lm_train(args) -> None:
+    lines = read_checked_lines(args.input)
     sentences = [Sentence.from_text(text) for text in lines if text.strip()]
     if not sentences:
         raise RecordError(args.input, len(lines) + 1, "no non-blank lines to train on")
@@ -135,10 +134,9 @@ def _cmd_lm_train(args) -> tuple[list, list]:
         unk_floor=args.unk_floor,
     )
     save_arpa(model, args.out)
-    return [args.input], [args.out]
 
 
-def _cmd_lm_ppl(args) -> tuple[list, list]:
+def _cmd_lm_ppl(args) -> None:
     model = load_arpa(args.model)
     rows = []
     logprob_total = 0.0
@@ -170,7 +168,6 @@ def _cmd_lm_ppl(args) -> tuple[list, list]:
         "sentences": rows,
     }
     _write_json(args.report, report)
-    return [args.model, args.input], [args.report]
 
 
 def _noise_one(
@@ -196,7 +193,7 @@ def _load_vocab_counts(path: Path | str) -> dict[str, int]:
     return counts
 
 
-def _cmd_noise_run(args) -> tuple[list, list]:
+def _cmd_noise_run(args) -> None:
     cfg = NoiseConfig(
         delete_p=args.delete_p,
         replace_p=args.replace_p,
@@ -205,7 +202,6 @@ def _cmd_noise_run(args) -> tuple[list, list]:
         mask_fraction_max=args.mask_fraction_max,
         seed=args.seed,
     )
-    inputs = [args.input]
     vocab: ReplacementVocab | None = None
     if args.vocab_counts is not None:
         vocab = ReplacementVocab(
@@ -213,7 +209,6 @@ def _cmd_noise_run(args) -> tuple[list, list]:
             min_count=cfg.replace_vocab_min_count,
             weighted=args.weighted_vocab,
         )
-        inputs.append(args.vocab_counts)
     elif cfg.replace_p > 0:
         vocab = ReplacementVocab.from_wordlist(
             min_count=cfg.replace_vocab_min_count, weighted=args.weighted_vocab
@@ -228,6 +223,8 @@ def _cmd_noise_run(args) -> tuple[list, list]:
                 )
             sentences.append(s)
     if args.jobs > 1 and sentences:
+        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
+
         chunksize = max(1, math.ceil(len(sentences) / (args.jobs * 4)))
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             noise = functools.partial(_noise_one, cfg, vocab)
@@ -235,25 +232,21 @@ def _cmd_noise_run(args) -> tuple[list, list]:
     else:
         pairs = list(noise_corpus(sentences, cfg, vocab))
     write_pairs(args.out, pairs, fmt="tsv")
-    return inputs, [args.out]
 
 
-def _cmd_quality_score_workers(args) -> tuple[list, list]:
+def _cmd_quality_score_workers(args) -> None:
     lines = []
     for sub in load_submissions(args.input):
         verdict = score_worker(sub)
         record = {"worker_id": sub.worker_id, **verdict.to_json_dict()}
         lines.append(json.dumps(record, sort_keys=True))
     _write_lines(args.out, lines)
-    return [args.input], [args.out]
 
 
-def _cmd_quality_filter_pairs(args) -> tuple[list, list]:
+def _cmd_quality_filter_pairs(args) -> None:
     pairs = load_pairs(args.input, fmt="tsv")
-    inputs = [args.input]
     if args.stopwords is not None:
         cfg = FilterConfig(alpha=args.alpha, stopwords=_read_word_set(args.stopwords))
-        inputs.append(args.stopwords)
     else:
         cfg = FilterConfig(alpha=args.alpha)
     kept, removed = filter_pairs(pairs, cfg)
@@ -262,13 +255,12 @@ def _cmd_quality_filter_pairs(args) -> tuple[list, list]:
         args.removed,
         (f"{p.draft.text}\t{p.reference.text}\t{reason}" for p, reason in removed),
     )
-    return inputs, [args.kept, args.removed]
 
 
-def _cmd_eval_run(args) -> tuple[list, list]:
+def _cmd_eval_run(args) -> None:
     texts = {}
     for name, path in (("src", args.src), ("hyp", args.hyp), ("ref", args.ref)):
-        texts[name] = _read_text_lines(path, keep_blank=True)
+        texts[name] = read_checked_lines(path)
     shortest = min(len(lines) for lines in texts.values())
     for name, path in (("src", args.src), ("hyp", args.hyp), ("ref", args.ref)):
         if len(texts[name]) != shortest:
@@ -282,11 +274,7 @@ def _cmd_eval_run(args) -> tuple[list, list]:
         hypotheses = [
             Sentence.from_text(spell_check(h).corrected_text) for h in hypotheses
         ]
-    inputs = [args.src, args.hyp, args.ref]
-    model = None
-    if args.lm is not None:
-        model = load_arpa(args.lm)
-        inputs.append(args.lm)
+    model = None if args.lm is None else load_arpa(args.lm)
     report = evaluate(sources, hypotheses, references, lm=model)
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -295,16 +283,14 @@ def _cmd_eval_run(args) -> tuple[list, list]:
         **report.to_json_dict(),
     }
     _write_json(args.report, payload)
-    return inputs, [args.report]
 
 
-def _cmd_stats_dataset(args) -> tuple[list, list]:
+def _cmd_stats_dataset(args) -> None:
     pairs = load_pairs(args.input, fmt="tsv")
     if not pairs:
         raise RecordError(args.input, 1, "need at least one pair")
     stats = dataset_stats(pairs)
     payload = {"schema_version": SCHEMA_VERSION, **asdict(stats)}
-    inputs = [args.input]
     if args.lm is not None:
         model = load_arpa(args.lm)
         try:
@@ -314,12 +300,10 @@ def _cmd_stats_dataset(args) -> tuple[list, list]:
             raise RecordError(args.input, len(pairs) + 1, str(err)) from err
         payload["draft_profile"] = asdict(profile.draft)
         payload["reference_profile"] = asdict(profile.reference)
-        inputs.append(args.lm)
     _write_json(args.report, payload)
-    return inputs, [args.report]
 
 
-def _cmd_analysis_terms(args) -> tuple[list, list]:
+def _cmd_analysis_terms(args) -> None:
     pairs = load_pairs(args.input, fmt="tsv")
     if not pairs:
         raise RecordError(args.input, 1, "need at least one pair")
@@ -329,7 +313,6 @@ def _cmd_analysis_terms(args) -> tuple[list, list]:
         f"{t.term}\t{t.draft_freq!r}\t{t.reference_freq!r}\t{t.log_ratio!r}" for t in terms
     )
     _write_lines(args.out, lines)
-    return [args.input], [args.out]
 
 
 # --------------------------------------------------------------------------
@@ -357,27 +340,25 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     groups = parser.add_subparsers(dest="group", required=True, metavar="group")
     registry: dict[str, _Parser] = {}
 
-    def leaf(group, name: str, run: Callable, help_text: str) -> _Parser:
-        sub = group.add_parser(name, parents=[common], help=help_text)
-        label = f"{group_names[id(group)]} {name}"
-        # The handler is kept by name and looked up when a call runs, so the
-        # shared tree never pins a function that was rebound on the module.
-        sub.set_defaults(_run=run.__name__, _leaf=label)
-        registry[label] = sub
-        return sub
+    def group(group_name: str, help_text: str) -> Callable[[str, Callable, str], _Parser]:
+        g = groups.add_parser(group_name, help=help_text)
+        commands = g.add_subparsers(dest="command", required=True, metavar="command")
 
-    group_names: dict[int, str] = {}
+        def leaf(name: str, run: Callable, help_text: str) -> _Parser:
+            sub = commands.add_parser(name, parents=[common], help=help_text)
+            label = f"{group_name} {name}"
+            # The handler is kept by name and looked up when a call runs, so
+            # the shared tree never pins a function that was rebound on the module.
+            sub.set_defaults(_run=run.__name__, _leaf=label)
+            registry[label] = sub
+            return sub
 
-    def group(name: str, help_text: str):
-        g = groups.add_parser(name, help=help_text)
-        sub = g.add_subparsers(dest="command", required=True, metavar="command")
-        group_names[id(sub)] = name
-        return sub
+        return leaf
 
     corpus = group("corpus", "sentence selection and pair file utilities")
-    p = leaf(corpus, "extract", _cmd_corpus_extract, "filter a sentence-per-line file")
-    p.add_argument("--input", type=Path, required=True)
-    p.add_argument("--out", type=Path, required=True)
+    p = corpus("extract", _cmd_corpus_extract, "filter a sentence-per-line file")
+    p.add_argument("--input", type=_input, required=True)
+    p.add_argument("--out", type=_output, required=True)
     p.add_argument("--profile", choices=("final", "training"), default="final",
                    help="final: char-length and character-class rules; training: token rules")
     p.add_argument("--min-chars", type=int, default=_CORPUS_DEFAULTS.min_chars)
@@ -385,73 +366,73 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--min-tokens", type=int, default=_CORPUS_DEFAULTS.min_tokens)
     p.add_argument("--max-tokens", type=int, default=_CORPUS_DEFAULTS.max_tokens)
     p.add_argument("--min-alpha-ratio", type=float, default=_CORPUS_DEFAULTS.min_alpha_ratio)
-    p.add_argument("--exclude", type=Path, default=None,
+    p.add_argument("--exclude", type=_input, default=None,
                    help="sentences that must not appear in training output")
 
     lm = group("lm", "n-gram language models")
-    p = leaf(lm, "train", _cmd_lm_train, "train a backoff model and save it as ARPA")
-    p.add_argument("--input", type=Path, required=True)
-    p.add_argument("--out", type=Path, required=True)
+    p = lm("train", _cmd_lm_train, "train a backoff model and save it as ARPA")
+    p.add_argument("--input", type=_input, required=True)
+    p.add_argument("--out", type=_output, required=True)
     p.add_argument("--order", type=int, default=5)
     p.add_argument("--smoothing", choices=sorted(SMOOTHINGS), default="interpolated-kneser-ney")
     p.add_argument("--k", type=float, default=1.0, help="additive constant for add-k smoothing")
     p.add_argument("--unk-floor", type=float, default=None,
                    help="minimum unigram probability for the unknown token")
-    p = leaf(lm, "ppl", _cmd_lm_ppl, "score a sentence-per-line file under a saved model")
-    p.add_argument("--model", type=Path, required=True)
-    p.add_argument("--input", type=Path, required=True)
-    p.add_argument("--report", type=Path, required=True)
+    p = lm("ppl", _cmd_lm_ppl, "score a sentence-per-line file under a saved model")
+    p.add_argument("--model", type=_input, required=True)
+    p.add_argument("--input", type=_input, required=True)
+    p.add_argument("--report", type=_output, required=True)
 
     noise = group("noise", "synthetic draft generation")
-    p = leaf(noise, "run", _cmd_noise_run, "noise a sentence-per-line file into a pair TSV")
-    p.add_argument("--input", type=Path, required=True)
-    p.add_argument("--out", type=Path, required=True)
+    p = noise("run", _cmd_noise_run, "noise a sentence-per-line file into a pair TSV")
+    p.add_argument("--input", type=_input, required=True)
+    p.add_argument("--out", type=_output, required=True)
     p.add_argument("--delete-p", type=float, default=_NOISE_DEFAULTS.delete_p)
     p.add_argument("--replace-p", type=float, default=_NOISE_DEFAULTS.replace_p)
     p.add_argument("--shuffle-k", type=int, default=_NOISE_DEFAULTS.shuffle_k)
     p.add_argument("--mask-fraction-max", type=float, default=_NOISE_DEFAULTS.mask_fraction_max)
     p.add_argument("--replace-vocab-min-count", type=int,
                    default=_NOISE_DEFAULTS.replace_vocab_min_count)
-    p.add_argument("--vocab-counts", type=Path, default=None,
+    p.add_argument("--vocab-counts", type=_input, default=None,
                    help="token<TAB>count file for the replacement vocabulary")
     p.add_argument("--weighted-vocab", action="store_true",
                    help="sample replacements proportionally to counts")
 
     quality = group("quality", "crowdwork scoring and pair filtering")
-    p = leaf(quality, "score-workers", _cmd_quality_score_workers,
-             "emit one verdict JSON per submission")
-    p.add_argument("--input", type=Path, required=True)
-    p.add_argument("--out", type=Path, required=True)
-    p = leaf(quality, "filter-pairs", _cmd_quality_filter_pairs,
-             "split a pair TSV by content overlap")
-    p.add_argument("--input", type=Path, required=True)
-    p.add_argument("--kept", type=Path, required=True)
-    p.add_argument("--removed", type=Path, required=True)
+    p = quality("score-workers", _cmd_quality_score_workers,
+                "emit one verdict JSON per submission")
+    p.add_argument("--input", type=_input, required=True)
+    p.add_argument("--out", type=_output, required=True)
+    p = quality("filter-pairs", _cmd_quality_filter_pairs,
+                "split a pair TSV by content overlap")
+    p.add_argument("--input", type=_input, required=True)
+    p.add_argument("--kept", type=_output, required=True)
+    p.add_argument("--removed", type=_output, required=True)
     p.add_argument("--alpha", type=float, default=0.4)
-    p.add_argument("--stopwords", type=Path, default=None,
+    p.add_argument("--stopwords", type=_input, default=None,
                    help="replacement stopword list, one token per line")
 
     evaluation = group("eval", "system output scoring")
-    p = leaf(evaluation, "run", _cmd_eval_run, "score hypotheses against references")
-    p.add_argument("--src", type=Path, required=True)
-    p.add_argument("--hyp", type=Path, required=True)
-    p.add_argument("--ref", type=Path, required=True)
-    p.add_argument("--lm", type=Path, default=None, help="ARPA model for perplexity columns")
-    p.add_argument("--report", type=Path, required=True)
+    p = evaluation("run", _cmd_eval_run, "score hypotheses against references")
+    p.add_argument("--src", type=_input, required=True)
+    p.add_argument("--hyp", type=_input, required=True)
+    p.add_argument("--ref", type=_input, required=True)
+    p.add_argument("--lm", type=_input, default=None, help="ARPA model for perplexity columns")
+    p.add_argument("--report", type=_output, required=True)
     p.add_argument("--spellcheck-hyp", action="store_true",
                    help="spell-check hypotheses before scoring")
 
     stats = group("stats", "dataset statistics")
-    p = leaf(stats, "dataset", _cmd_stats_dataset, "headline pair statistics as JSON")
-    p.add_argument("--input", type=Path, required=True)
-    p.add_argument("--lm", type=Path, default=None,
+    p = stats("dataset", _cmd_stats_dataset, "headline pair statistics as JSON")
+    p.add_argument("--input", type=_input, required=True)
+    p.add_argument("--lm", type=_input, default=None,
                    help="add per-side linguistic profiles under this ARPA model")
-    p.add_argument("--report", type=Path, required=True)
+    p.add_argument("--report", type=_output, required=True)
 
     analysis = group("analysis", "contrastive dataset analysis")
-    p = leaf(analysis, "terms", _cmd_analysis_terms, "characteristic terms per side as TSV")
-    p.add_argument("--input", type=Path, required=True)
-    p.add_argument("--out", type=Path, required=True)
+    p = analysis("terms", _cmd_analysis_terms, "characteristic terms per side as TSV")
+    p.add_argument("--input", type=_input, required=True)
+    p.add_argument("--out", type=_output, required=True)
     p.add_argument("--top-k", type=int, default=20)
     p.add_argument("--epsilon", type=float, default=1.0)
 
@@ -504,13 +485,20 @@ def _resolved_config(args: argparse.Namespace) -> dict[str, object]:
     return dict(sorted(resolved.items()))
 
 
-def _write_manifest(args: argparse.Namespace, inputs: list, outputs: list, duration: float) -> None:
+def _write_manifest(args: argparse.Namespace, leaf: _Parser, duration: float) -> None:
+    # The leaf's path flags, in declaration order, are the run's files.
+    paths: dict[Callable, list[str]] = {_input: [], _output: []}
+    for action in leaf._actions:
+        value = getattr(args, action.dest, None)
+        if action.type in paths and value is not None:
+            paths[action.type].append(str(value))
+    outputs = paths[_output]
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "subcommand": args._leaf,
         "config": _resolved_config(args),
-        "inputs": [str(p) for p in inputs],
-        "outputs": [str(p) for p in outputs],
+        "inputs": paths[_input],
+        "outputs": outputs,
         "seed": args.seed,
         "version": __version__,
         "duration_seconds": round(duration, 6),
@@ -537,18 +525,20 @@ def dispatch(argv: Sequence[str] | None = None) -> int:
     a fresh ``python -m draftkit.cli`` process would.
     """
     parser, registry = _shared_tree()
+    if argv is None:
+        argv = sys.argv[1:]
     try:
         args = parser.parse_args(argv)
+        leaf = registry[args._leaf]
         if args.config is not None:
-            overrides = _read_config(args.config, registry[args._leaf])
-            # The file's values become defaults of a private tree, and the
-            # re-parse lets explicitly passed flags still win over them.
-            parser, registry = _build_parser()
-            registry[args._leaf].set_defaults(**overrides)
-            args = parser.parse_args(argv)
+            overrides = _read_config(args.config, leaf)
+            # The leaf re-parses its own flags (argv[0:2] name the group and
+            # command) into the file's values; argparse fills in only the
+            # defaults still missing, so explicitly passed flags win.
+            args = leaf.parse_args(argv[2:], argparse.Namespace(**overrides))
     except SystemExit as exc:
         return int(exc.code or 0)
-    except RecordError as err:
+    except (RecordError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     if args.jobs < 1:
@@ -559,15 +549,14 @@ def dispatch(argv: Sequence[str] | None = None) -> int:
         return 0
     start = time.perf_counter()
     try:
-        inputs, outputs = globals()[args._run](args)
+        globals()[args._run](args)
     except (RecordError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    if outputs:
-        _write_manifest(args, inputs, outputs, time.perf_counter() - start)
+    _write_manifest(args, leaf, time.perf_counter() - start)
     return 0
 
 

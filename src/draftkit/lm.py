@@ -348,58 +348,50 @@ def load_arpa(path: str | Path) -> NGramModel:
     found; one found at the end of the file names the line after the last.
     """
     lines = read_checked_lines(path)
-    declared: dict[int, int] | None = None  # None until the \data\ header
-    counting = False  # reading the count lines under \data\
-    end_line = 0
+    n_lines = len(lines)
+
+    def skip_blanks(i: int) -> int:
+        while i < n_lines and not lines[i].strip():
+            i += 1
+        return i
+
+    i = skip_blanks(0)
+    if i == n_lines or lines[i].strip() != "\\data\\":
+        raise ArpaFormatError(path, i + 1, "expected \\data\\ header")
+    declared: dict[int, int] = {}
+    i += 1
+    while i < n_lines and (text := lines[i].strip()):
+        match = _COUNT_LINE.fullmatch(text)
+        if match is None:
+            reason = f"bad count line in \\data\\ section: {lines[i]!r}"
+            raise ArpaFormatError(path, i + 1, reason)
+        declared[int(match[1])] = int(match[2])
+        i += 1
+    if not declared:
+        raise ArpaFormatError(path, i + 1, _NO_COUNTS)
     seen_sections: set[int] = set()
     logp: dict[tuple[str, ...], float] = {}
     bows: dict[tuple[str, ...], float] = {}
-    line_no = 0  # of the line being read, which is also the index of the next
-    while line_no < len(lines):
-        line = lines[line_no]
-        line_no += 1
-        text = line.strip()
-        if counting and text:
-            match = _COUNT_LINE.fullmatch(text)
-            if match is None:
-                reason = f"bad count line in \\data\\ section: {line!r}"
-                raise ArpaFormatError(path, line_no, reason)
-            declared[int(match[1])] = int(match[2])
-        elif counting:
-            if not declared:
-                raise ArpaFormatError(path, line_no, _NO_COUNTS)
-            counting = False
-        elif not text:
-            continue
-        elif declared is None:
-            if text != "\\data\\":
-                raise ArpaFormatError(path, line_no, "expected \\data\\ header")
-            declared, counting = {}, True
-        elif text == "\\end\\":
-            end_line = line_no
-            break  # later lines are ignored; the decode has checked them
-        elif (match := _SECTION_LINE.fullmatch(text)) is None:
-            raise ArpaFormatError(path, line_no, f"unexpected line {text!r}")
-        else:
-            n = int(match[1])
-            if n not in declared:
-                raise ArpaFormatError(path, line_no, f"section {n}-grams not declared in header")
-            end = _read_section(path, lines, line_no, n, logp, bows)
-            if end == len(lines):
-                break  # the file ends inside the section: no \end\ marker
-            entries = end - line_no
-            if entries != declared[n]:
-                reason = f"{n}-grams section lists {entries} entries, header promises {declared[n]}"
-                raise ArpaFormatError(path, end + 1, reason)
-            seen_sections.add(n)
-            line_no = end  # the line that ended the section is read next
-    line_no = len(lines) + 1  # a fault found at the end of the file
-    if declared is None:
-        raise ArpaFormatError(path, line_no, "expected \\data\\ header")
-    if not declared:
-        raise ArpaFormatError(path, line_no, _NO_COUNTS)
-    if not end_line:
-        raise ArpaFormatError(path, line_no, "missing \\end\\ marker")
+    i = skip_blanks(i)
+    # Lines after \end\ are ignored; the decode has checked them.
+    while i < n_lines and (text := lines[i].strip()) != "\\end\\":
+        match = _SECTION_LINE.fullmatch(text)
+        if match is None:
+            raise ArpaFormatError(path, i + 1, f"unexpected line {text!r}")
+        n = int(match[1])
+        if n not in declared:
+            raise ArpaFormatError(path, i + 1, f"section {n}-grams not declared in header")
+        end = _read_section(path, lines, i + 1, n, logp, bows)
+        entries = end - i - 1
+        # If the file ends inside the section, the fault is the missing \end\.
+        if end < n_lines and entries != declared[n]:
+            reason = f"{n}-grams section lists {entries} entries, header promises {declared[n]}"
+            raise ArpaFormatError(path, end + 1, reason)
+        seen_sections.add(n)
+        i = skip_blanks(end)
+    if i == n_lines:
+        raise ArpaFormatError(path, n_lines + 1, "missing \\end\\ marker")
+    end_line = i + 1
     missing = [k for k in sorted(declared) if k not in seen_sections and declared[k] > 0]
     if missing:
         raise ArpaFormatError(path, end_line, f"missing {missing[0]}-grams section")

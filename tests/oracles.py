@@ -154,11 +154,12 @@ def read_arpa_reference(
 
     Returns the order and the log10 probability and backoff tables;
     raises ValueError on a malformed file, bad UTF-8 included.  Lines
-    split at every line boundary `str.splitlines` knows.
+    split at "\n" only and lose their trailing "\r", as in
+    `read_checked_lines`.
     """
     count_line = re.compile(r"ngram\s+(\d+)=(\d+)")
     section_line = re.compile(r"\\(\d+)-grams:")
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = [line.rstrip("\r") for line in Path(path).read_bytes().decode("utf-8").split("\n")]
     n_lines = len(lines)
 
     def skip_blanks(i: int) -> int:

@@ -290,6 +290,40 @@ class TestConfigPrecedence:
         assert resolved["delete_p"] == 0.9
         assert resolved["replace_p"] == 0.0
 
+    @pytest.mark.parametrize(
+        "argv, setting, flags, key, value",
+        [
+            (["noise", "run"], "weighted_vocab = true", ["--weighted-vocab"],
+             "weighted_vocab", True),
+            (["corpus", "extract"], "profile = training", ["--profile", "training"],
+             "profile", "training"),
+        ],
+    )
+    def test_config_sets_switch_and_choice(
+        self, tmp_path, sentences_file, argv, setting, flags, key, value, capsys
+    ):
+        cfg = write_lines(tmp_path / "run.cfg", [setting])
+        out = tmp_path / "out.txt"
+        runs = []
+        for extra in (["--config", str(cfg)], flags, []):
+            call = [*argv, "--input", str(sentences_file), "--out", str(out), *extra]
+            assert dispatch([*call, "--dump-config"]) == 0
+            resolved = json.loads(capsys.readouterr().out)
+            assert dispatch(call) == 0
+            runs.append((resolved, take_outputs(out)))
+        assert runs[0] == runs[1]
+        assert runs[0][0][key] == value
+        assert runs[2][0][key] != value
+
+    def test_switch_flag_wins_over_config_false(self, tmp_path, sentences_file, capsys):
+        cfg = write_lines(tmp_path / "run.cfg", ["weighted_vocab = false"])
+        code = dispatch(
+            ["noise", "run", "--input", str(sentences_file), "--out", str(tmp_path / "o.tsv"),
+             "--weighted-vocab", "--config", str(cfg), "--dump-config"]
+        )
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["weighted_vocab"] is True
+
     def test_dump_config_writes_nothing(self, tmp_path, sentences_file, capsys):
         out = tmp_path / "o.tsv"
         code = dispatch(
@@ -316,6 +350,16 @@ class TestConfigPrecedence:
         assert code == 2
         key = setting.split()[0]
         assert f"{cfg}:2: bad value for {key}: 'bogus'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_missing_config_file_is_data_error(self, tmp_path, sentences_file, capsys):
+        cfg, out = tmp_path / "missing.cfg", tmp_path / "o.tsv"
+        code = dispatch(
+            ["noise", "run", "--input", str(sentences_file), "--out", str(out),
+             "--config", str(cfg)]
+        )
+        assert code == 2
+        assert str(cfg) in capsys.readouterr().err
         assert not out.exists()
 
     def test_unknown_config_key_is_data_error(self, tmp_path, sentences_file, capsys):
@@ -610,6 +654,107 @@ class TestStatsAndAnalysis:
         assert lines[2].split("\t")[0] == "can"
 
 
+# One call per subcommand, optional inputs both given and left out, flags
+# not in declaration order; then the manifest's inputs and outputs, which
+# follow the order the subcommand declares its flags in.
+MANIFEST_CASES = [
+    ("corpus extract --out out/kept.txt --input in/sentences.txt",
+     ["in/sentences.txt"], ["out/kept.txt"]),
+    ("corpus extract --exclude in/exclude.txt --profile training --input in/sentences.txt"
+     " --out out/kept.txt",
+     ["in/sentences.txt", "in/exclude.txt"], ["out/kept.txt"]),
+    ("lm train --out out/model.arpa --input in/sentences.txt --order 2",
+     ["in/sentences.txt"], ["out/model.arpa"]),
+    ("lm ppl --input in/sentences.txt --report out/ppl.json --model in/model.arpa",
+     ["in/model.arpa", "in/sentences.txt"], ["out/ppl.json"]),
+    ("noise run --input in/sentences.txt --out out/pairs.tsv",
+     ["in/sentences.txt"], ["out/pairs.tsv"]),
+    ("noise run --vocab-counts in/vocab.tsv --replace-p 0.4 --out out/pairs.tsv"
+     " --input in/sentences.txt",
+     ["in/sentences.txt", "in/vocab.tsv"], ["out/pairs.tsv"]),
+    ("quality score-workers --out out/verdicts.jsonl --input in/subs.jsonl",
+     ["in/subs.jsonl"], ["out/verdicts.jsonl"]),
+    ("quality filter-pairs --removed out/removed.tsv --kept out/kept.tsv --input in/pairs.tsv",
+     ["in/pairs.tsv"], ["out/kept.tsv", "out/removed.tsv"]),
+    ("quality filter-pairs --stopwords in/stop.txt --input in/pairs.tsv --removed out/removed.tsv"
+     " --kept out/kept.tsv",
+     ["in/pairs.tsv", "in/stop.txt"], ["out/kept.tsv", "out/removed.tsv"]),
+    ("eval run --report out/eval.json --ref in/ref.txt --hyp in/hyp.txt --src in/src.txt",
+     ["in/src.txt", "in/hyp.txt", "in/ref.txt"], ["out/eval.json"]),
+    ("eval run --lm in/model.arpa --report out/eval.json --src in/src.txt --hyp in/hyp.txt"
+     " --ref in/ref.txt --spellcheck-hyp",
+     ["in/src.txt", "in/hyp.txt", "in/ref.txt", "in/model.arpa"], ["out/eval.json"]),
+    ("stats dataset --report out/stats.json --input in/pairs.tsv",
+     ["in/pairs.tsv"], ["out/stats.json"]),
+    ("stats dataset --lm in/model.arpa --report out/stats.json --input in/pairs.tsv",
+     ["in/pairs.tsv", "in/model.arpa"], ["out/stats.json"]),
+    ("analysis terms --out out/terms.tsv --input in/pairs.tsv --top-k 5",
+     ["in/pairs.tsv"], ["out/terms.tsv"]),
+]
+
+
+class TestManifests:
+    @pytest.fixture()
+    def root(self, tmp_path):
+        data = tmp_path / "in"
+        data.mkdir()
+        (tmp_path / "out").mkdir()
+        texts = [s.text for s in academic_sentences(12, seed=3)]
+        write_lines(data / "sentences.txt", texts)
+        write_lines(data / "exclude.txt", texts[:2])
+        write_lines(data / "vocab.tsv", ["qqsub\t20000", "rare\t3"])
+        write_lines(data / "subs.jsonl", SUBMISSION_LINES)
+        write_lines(data / "pairs.tsv", [f"{t.replace('the', 'teh', 1)}\t{t}" for t in texts])
+        write_lines(data / "stop.txt", ["the", "a"])
+        write_lines(data / "src.txt", [t.replace("the", "teh", 1) for t in texts[:4]])
+        write_lines(data / "hyp.txt", [t.replace("the", "a", 1) for t in texts[:4]])
+        write_lines(data / "ref.txt", texts[:4])
+        model = lm.train([Sentence.from_text(t) for t in texts], order=2)
+        lm.save_arpa(model, data / "model.arpa")
+        return tmp_path
+
+    @staticmethod
+    def resolve(root, words):
+        return [str(root / w) if w.startswith(("in/", "out/")) else w for w in words]
+
+    @pytest.mark.parametrize("line, inputs, outputs", MANIFEST_CASES)
+    def test_manifest_names_declared_files(self, root, line, inputs, outputs, capsys):
+        argv = self.resolve(root, line.split())
+        assert dispatch([*argv, "--dump-config"]) == 0
+        config = json.loads(capsys.readouterr().out)
+        assert dispatch(argv) == 0
+        raw = Path(f"{root / outputs[0]}.manifest.json").read_text(encoding="utf-8")
+        manifest = json.loads(raw)
+        expected = {
+            "schema_version": 1,
+            "subcommand": " ".join(argv[:2]),
+            "config": config,
+            "inputs": self.resolve(root, inputs),
+            "outputs": self.resolve(root, outputs),
+            "seed": 1729,
+            "version": draftkit.__version__,
+            "duration_seconds": manifest["duration_seconds"],
+        }
+        assert raw == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+        assert sorted(p.name for p in (root / "out").iterdir()) == sorted(
+            [Path(outputs[0]).name + ".manifest.json", *(Path(p).name for p in outputs)]
+        )
+
+    @pytest.mark.parametrize("line, inputs, outputs", MANIFEST_CASES)
+    def test_config_file_matches_flags(self, root, line, inputs, outputs, capsys):
+        argv = self.resolve(root, line.split())
+        cfg = write_lines(root / "run.cfg", ["seed = 7  # as --seed 7", "jobs = 1"])
+        runs = []
+        for extra in (["--seed", "7"], ["--config", str(cfg)]):
+            assert dispatch([*argv, *extra, "--dump-config"]) == 0
+            dumped = capsys.readouterr().out
+            assert dispatch([*argv, *extra]) == 0
+            taken = {p: take_outputs(root / p) for p in outputs}
+            runs.append((dumped, taken))
+        assert runs[0] == runs[1]
+        assert json.loads(runs[0][0])["seed"] == 7
+
+
 def run_fresh_process(argv):
     proc = subprocess.run(
         [sys.executable, "-m", "draftkit.cli", *argv],
@@ -699,6 +844,15 @@ class TestSharedParserTree:
         )
         assert proc.stdout == "True\n", proc.stderr
 
+    def test_import_leaves_multiprocessing_unloaded(self):
+        # Only noise run with --jobs > 1 starts workers; it imports the pool.
+        probe = "import sys, draftkit.cli; print('multiprocessing' in sys.modules)"
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": str(SRC)},
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.stdout == "False\n", proc.stderr
+
     def test_built_once_per_process(self, tmp_path, extract, monkeypatch):
         monkeypatch.setattr(cli, "_tree", None)
         builds = []
@@ -707,11 +861,11 @@ class TestSharedParserTree:
         for _ in range(5):
             assert dispatch(extract) == 0
         assert len(builds) == 1
-        # A --config call re-parses on a private tree; the shared one stays.
+        # A --config call re-parses on the shared tree's leaf; nothing is built.
         cfg = write_lines(tmp_path / "extract.cfg", ["profile = training"])
         assert dispatch([*extract, "--config", str(cfg)]) == 0
         assert dispatch(extract) == 0
-        assert len(builds) == 2
+        assert len(builds) == 1
 
     def test_handler_looked_up_at_each_call(self, extract, monkeypatch):
         # A profiler or tracer may rebind cli._cmd_* after the tree exists.

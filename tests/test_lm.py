@@ -464,6 +464,29 @@ class TestArpaErrors:
         with pytest.raises(ArpaFormatError, match=match):
             self._load(tmp_path, MALFORMED_ARPA["count_header_mismatch"])
 
+    @pytest.mark.parametrize(
+        "text, line, reason",
+        [
+            ("", 1, "expected \\data\\ header"),
+            ("\n \n", 3, "expected \\data\\ header"),
+            ("\\data\\\n", 2, "no n-gram counts declared in \\data\\ section"),
+            ("\\data\\\n\nngram 1=1\n", 2, "no n-gram counts declared in \\data\\ section"),
+            ("\\data\\\nngram x\n", 2, "bad count line in \\data\\ section: 'ngram x'"),
+            ("\\data\\\nngram 1=1\n", 3, "missing \\end\\ marker"),
+            ("\\data\\\nngram 1=1\n\nhello\n", 4, "unexpected line 'hello'"),
+            ("\\data\\\nngram 1=1\n\n\\2-grams:\n", 4, "section 2-grams not declared in header"),
+            # A section the file ends inside is a missing \end\, whatever its count.
+            ("\\data\\\nngram 1=2\n\n\\1-grams:\n-0.5\ta\n", 6, "missing \\end\\ marker"),
+            # Faults found after the sections are named at the \end\ line.
+            ("\\data\\\nngram 1=1\nngram 2=1\n\n\\1-grams:\n-0.5\ta\n\n\\end\\\n\njunk\n", 8,
+             "missing 2-grams section"),
+        ],
+    )
+    def test_structure_fault_line_and_reason(self, tmp_path, text, line, reason):
+        with pytest.raises(ArpaFormatError) as excinfo:
+            self._load(tmp_path, text)
+        assert str(excinfo.value) == f"{tmp_path / 'bad.arpa'}:{line}: {reason}"
+
     def test_missing_data_header(self, tmp_path):
         with pytest.raises(ArpaFormatError, match=r"\\data\\"):
             self._load(tmp_path, MALFORMED_ARPA["missing_data_header"])
@@ -534,7 +557,7 @@ class TestArpaReaderAgainstReference:
         for _ in range(data.draw(st.integers(1, 3))):
             kind = data.draw(
                 st.sampled_from(
-                    ["drop", "dup", "insert", "tab", "count", "value", "bytes", "crlf"]
+                    ["drop", "dup", "insert", "tab", "count", "value", "bytes", "crlf", "ff"]
                 )
             )
             # Half the edits land on a header, count or blank line or the end.
@@ -549,10 +572,16 @@ class TestArpaReaderAgainstReference:
                 lines.insert(i, lines[i])
             elif kind == "insert":
                 lines.insert(i % len(lines), data.draw(st.sampled_from(_STRAY_LINES)))
-            elif kind == "crlf" and i % len(lines) < len(lines) - 1 and not lines[i].endswith(b"\r"):
-                # The line's "\n" becomes "\r\n" (the last line has none); a
-                # second "\r" would be a blank line to the reference's splitlines.
-                lines[i] += b"\r"
+            elif kind == "crlf":
+                # The line's "\n" becomes "\r\n" or "\r\r\n"; both readers drop them.
+                lines[i] += data.draw(st.sampled_from([b"\r", b"\r\r"]))
+            elif kind == "ff":
+                # A form feed is no line break, inside a word or anywhere else.
+                fields = lines[i].split(b"\t")
+                f = 1 if len(fields) > 1 else 0
+                at = data.draw(st.integers(0, len(fields[f])))
+                fields[f] = fields[f][:at] + b"\x0c" + fields[f][at:]
+                lines[i] = b"\t".join(fields)
             elif kind == "tab":
                 lines[i] = lines[i].replace(b"\t", b" ", 1)
             elif kind == "value" and b"\t" in lines[i]:
