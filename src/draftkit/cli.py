@@ -35,6 +35,7 @@ from .corpus import (
     iter_checked_lines,
     load_pairs,
     read_checked_lines,
+    tsv_field,
     write_pairs,
 )
 from .lm import SMOOTHINGS, load_arpa, save_arpa, train
@@ -231,7 +232,7 @@ def _cmd_noise_run(args) -> None:
             pairs = list(pool.map(noise, sentences, range(len(sentences)), chunksize=chunksize))
     else:
         pairs = list(noise_corpus(sentences, cfg, vocab))
-    write_pairs(args.out, pairs, fmt="tsv")
+    write_pairs(args.out, pairs)
 
 
 def _cmd_quality_score_workers(args) -> None:
@@ -244,16 +245,19 @@ def _cmd_quality_score_workers(args) -> None:
 
 
 def _cmd_quality_filter_pairs(args) -> None:
-    pairs = load_pairs(args.input, fmt="tsv")
+    pairs = load_pairs(args.input)
     if args.stopwords is not None:
         cfg = FilterConfig(alpha=args.alpha, stopwords=_read_word_set(args.stopwords))
     else:
         cfg = FilterConfig(alpha=args.alpha)
     kept, removed = filter_pairs(pairs, cfg)
-    write_pairs(args.kept, kept, fmt="tsv")
+    write_pairs(args.kept, kept)
     _write_lines(
         args.removed,
-        (f"{p.draft.text}\t{p.reference.text}\t{reason}" for p, reason in removed),
+        (
+            f"{tsv_field(p.draft.text)}\t{tsv_field(p.reference.text)}\t{reason}"
+            for p, reason in removed
+        ),
     )
 
 
@@ -286,7 +290,7 @@ def _cmd_eval_run(args) -> None:
 
 
 def _cmd_stats_dataset(args) -> None:
-    pairs = load_pairs(args.input, fmt="tsv")
+    pairs = load_pairs(args.input)
     if not pairs:
         raise RecordError(args.input, 1, "need at least one pair")
     stats = dataset_stats(pairs)
@@ -304,7 +308,7 @@ def _cmd_stats_dataset(args) -> None:
 
 
 def _cmd_analysis_terms(args) -> None:
-    pairs = load_pairs(args.input, fmt="tsv")
+    pairs = load_pairs(args.input)
     if not pairs:
         raise RecordError(args.input, 1, "need at least one pair")
     terms = characteristic_terms(pairs, top_k=args.top_k, epsilon=args.epsilon)

@@ -7,15 +7,14 @@ markers).  The *training* filter selects material for language models and
 noising vocabularies by token count and alphabetic-character ratio, minus an
 explicit exclusion set so evaluation sentences can be held out.
 
-Draft/reference pairs travel as two-column TSV (``draft<TAB>reference``) or
-JSONL with ``draft`` and ``reference`` keys.  The literal token ``<*>`` marks
-a masked span in a draft and is never split by the tokenizer.
+Draft/reference pairs travel as two-column TSV (``draft<TAB>reference``).
+The literal token ``<*>`` marks a masked span in a draft and is never split
+by the tokenizer.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 import os
 import re
 import unicodedata
@@ -26,7 +25,7 @@ from typing import Iterable, Iterator, Sequence, TextIO
 
 MASK_TOKEN = "<*>"
 
-#: Named character classes the final filter can reject.  Values are searched,
+#: Named character classes the final filter rejects.  Values are searched,
 #: not matched, so any hit anywhere in the sentence disqualifies it.
 CHARACTER_CLASSES: dict[str, re.Pattern[str]] = {
     "math": re.compile(
@@ -124,7 +123,6 @@ class CorpusFilterConfig:
 
     min_chars: int = 70
     max_chars: int = 120
-    forbidden_char_classes: frozenset[str] = frozenset({"math", "greek", "url", "citation"})
     min_tokens: int = 5
     max_tokens: int = 35
     min_alpha_ratio: float = 0.5
@@ -137,9 +135,6 @@ class CorpusFilterConfig:
             raise ValueError(f"need 0 < min_tokens <= max_tokens, got {self.min_tokens}..{self.max_tokens}")
         if not 0.0 <= self.min_alpha_ratio <= 1.0:
             raise ValueError(f"min_alpha_ratio must be in [0, 1], got {self.min_alpha_ratio}")
-        unknown = set(self.forbidden_char_classes) - set(CHARACTER_CLASSES)
-        if unknown:
-            raise ValueError(f"unknown character classes: {sorted(unknown)}")
         object.__setattr__(
             self, "excluded", frozenset(normalize_sentence(s) for s in self.excluded)
         )
@@ -148,9 +143,7 @@ class CorpusFilterConfig:
 def passes_final_filter(sentence: Sentence, cfg: CorpusFilterConfig) -> bool:
     if not cfg.min_chars <= sentence.char_len <= cfg.max_chars:
         return False
-    return not any(
-        CHARACTER_CLASSES[name].search(sentence.text) for name in cfg.forbidden_char_classes
-    )
+    return not any(pattern.search(sentence.text) for pattern in CHARACTER_CLASSES.values())
 
 
 def passes_training_filter(sentence: Sentence, cfg: CorpusFilterConfig) -> bool:
@@ -223,40 +216,18 @@ def read_checked_lines(path: Path | str) -> list[str]:
     return lines
 
 
-def _pair_from_tsv(path: Path | str, line_no: int, line: str) -> DraftPair:
-    fields = line.split("\t")
-    if len(fields) != 2:
-        raise RecordError(path, line_no, f"expected 2 tab-separated fields, got {len(fields)}")
-    try:
-        return DraftPair.from_texts(fields[0], fields[1])
-    except ValueError as exc:
-        raise RecordError(path, line_no, str(exc)) from exc
-
-
-def _pair_from_jsonl(path: Path | str, line_no: int, line: str) -> DraftPair:
-    try:
-        record = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise RecordError(path, line_no, f"invalid JSON: {exc.msg}") from exc
-    if not isinstance(record, dict) or not {"draft", "reference"} <= set(record):
-        raise RecordError(path, line_no, 'record must be an object with "draft" and "reference"')
-    if not isinstance(record["draft"], str) or not isinstance(record["reference"], str):
-        raise RecordError(path, line_no, '"draft" and "reference" must be strings')
-    try:
-        return DraftPair.from_texts(record["draft"], record["reference"])
-    except ValueError as exc:
-        raise RecordError(path, line_no, str(exc)) from exc
-
-
-def load_pairs(path: Path | str, fmt: str = "tsv") -> list[DraftPair]:
+def load_pairs(path: Path | str) -> list[DraftPair]:
     """Load draft/reference pairs, raising :class:`RecordError` with the
     offending line number on the first malformed record."""
-    if fmt not in ("tsv", "jsonl"):
-        raise ValueError(f"unknown pair format: {fmt!r}")
-    parse = _pair_from_tsv if fmt == "tsv" else _pair_from_jsonl
     pairs = []
     for line_no, line in iter_checked_lines(path):
-        pairs.append(parse(path, line_no, line))
+        fields = line.split("\t")
+        if len(fields) != 2:
+            raise RecordError(path, line_no, f"expected 2 tab-separated fields, got {len(fields)}")
+        try:
+            pairs.append(DraftPair.from_texts(fields[0], fields[1]))
+        except ValueError as exc:
+            raise RecordError(path, line_no, str(exc)) from exc
     return pairs
 
 
@@ -291,23 +262,15 @@ def atomic_writer(path: Path | str) -> Iterator[TextIO]:
 _FIELD_BREAKERS = re.compile(r"[\t\r\n]")
 
 
-def write_pairs(path: Path | str, pairs: Iterable[DraftPair], fmt: str = "tsv") -> None:
-    """Write pairs one record per line, atomically (see :func:`atomic_writer`);
-    tabs/newlines inside sentence text are flattened to spaces so the TSV
-    framing cannot be corrupted."""
-    if fmt not in ("tsv", "jsonl"):
-        raise ValueError(f"unknown pair format: {fmt!r}")
+def tsv_field(text: str) -> str:
+    """``text`` with each tab, CR and LF turned into a space, so that it
+    fills exactly one field of one TSV line."""
+    return _FIELD_BREAKERS.sub(" ", text)
+
+
+def write_pairs(path: Path | str, pairs: Iterable[DraftPair]) -> None:
+    """Write pairs one ``draft<TAB>reference`` line each, atomically (see
+    :func:`atomic_writer`); each text goes through :func:`tsv_field`."""
     with atomic_writer(path) as handle:
         for pair in pairs:
-            if fmt == "tsv":
-                draft = _FIELD_BREAKERS.sub(" ", pair.draft.text)
-                reference = _FIELD_BREAKERS.sub(" ", pair.reference.text)
-                handle.write(f"{draft}\t{reference}\n")
-            else:
-                handle.write(
-                    json.dumps(
-                        {"draft": pair.draft.text, "reference": pair.reference.text},
-                        ensure_ascii=False,
-                    )
-                    + "\n"
-                )
+            handle.write(f"{tsv_field(pair.draft.text)}\t{tsv_field(pair.reference.text)}\n")

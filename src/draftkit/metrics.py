@@ -416,76 +416,63 @@ _TERMINALS = frozenset({".", "!", "?"})
 _VOWELS = frozenset("aeiou")
 
 
-class RuleErrorDetector:
-    """Counts surface errors using a configurable subset of rules.
-
-    Available rules: duplicate_word (adjacent case-equal words),
-    article_agreement (a/an against the next word's onset letter),
-    initial_capital, unbalanced_pairs (brackets and straight double
-    quotes), terminal_punct.  The default enables all of them.
-    """
-
-    RULES = (
-        "duplicate_word",
-        "article_agreement",
-        "initial_capital",
-        "unbalanced_pairs",
-        "terminal_punct",
+def _duplicate_word(tokens: tuple[str, ...]) -> int:
+    return sum(
+        1
+        for prev, cur in zip(tokens, tokens[1:])
+        if prev.lower() == cur.lower() and any(ch.isalpha() for ch in cur)
     )
 
-    def __init__(self, rules: Sequence[str] | None = None) -> None:
-        chosen = tuple(rules) if rules is not None else self.RULES
-        unknown = sorted(set(chosen) - set(self.RULES))
-        if unknown:
-            raise ValueError(f"unknown rules: {', '.join(unknown)}")
-        self.rules = chosen
 
-    def __call__(self, sentence: Sentence) -> int:
-        return sum(getattr(self, "_" + rule)(sentence.tokens) for rule in self.rules)
+def _article_agreement(tokens: tuple[str, ...]) -> int:
+    errors = 0
+    for article, nxt in zip(tokens, tokens[1:]):
+        low = article.lower()
+        if low not in ("a", "an") or not nxt[:1].isalpha():
+            continue
+        if (low == "a") == (nxt[0].lower() in _VOWELS):
+            errors += 1
+    return errors
 
-    @staticmethod
-    def _duplicate_word(tokens: tuple[str, ...]) -> int:
-        return sum(
-            1
-            for prev, cur in zip(tokens, tokens[1:])
-            if prev.lower() == cur.lower() and any(ch.isalpha() for ch in cur)
-        )
 
-    @staticmethod
-    def _article_agreement(tokens: tuple[str, ...]) -> int:
-        errors = 0
-        for article, nxt in zip(tokens, tokens[1:]):
-            low = article.lower()
-            if low not in ("a", "an") or not nxt[:1].isalpha():
-                continue
-            if (low == "a") == (nxt[0].lower() in _VOWELS):
-                errors += 1
-        return errors
+def _initial_capital(tokens: tuple[str, ...]) -> int:
+    for token in tokens:
+        for ch in token:
+            if ch.isalpha():
+                return int(ch.islower())
+    return 0
 
-    @staticmethod
-    def _initial_capital(tokens: tuple[str, ...]) -> int:
-        for token in tokens:
-            for ch in token:
-                if ch.isalpha():
-                    return int(ch.islower())
-        return 0
 
-    @staticmethod
-    def _unbalanced_pairs(tokens: tuple[str, ...]) -> int:
-        text = " ".join(tokens)
-        errors = sum(1 for left, right in _BRACKET_PAIRS if text.count(left) != text.count(right))
-        return errors + (text.count('"') % 2)
+def _unbalanced_pairs(tokens: tuple[str, ...]) -> int:
+    text = " ".join(tokens)
+    errors = sum(1 for left, right in _BRACKET_PAIRS if text.count(left) != text.count(right))
+    return errors + (text.count('"') % 2)
 
-    @staticmethod
-    def _terminal_punct(tokens: tuple[str, ...]) -> int:
-        return int(tokens[-1] not in _TERMINALS) if tokens else 0
+
+def _terminal_punct(tokens: tuple[str, ...]) -> int:
+    return int(tokens[-1] not in _TERMINALS) if tokens else 0
+
+
+def _rule_errors(s: Sentence) -> int:
+    """Surface errors counted by five rules: duplicate_word (adjacent
+    case-equal words), article_agreement (a/an against the next word's
+    onset letter), initial_capital, unbalanced_pairs (brackets and
+    straight double quotes) and terminal_punct."""
+    tokens = s.tokens
+    return (
+        _duplicate_word(tokens)
+        + _article_agreement(tokens)
+        + _initial_capital(tokens)
+        + _unbalanced_pairs(tokens)
+        + _terminal_punct(tokens)
+    )
 
 
 def grammaticality(s: Sentence, error_detector: Callable[[Sentence], int] | None = None) -> float:
     """One minus the detected errors per token, floored at zero."""
     if not s.tokens:
         raise ValueError("cannot score an empty sentence")
-    detector = error_detector if error_detector is not None else RuleErrorDetector()
+    detector = error_detector if error_detector is not None else _rule_errors
     return max(0.0, 1.0 - detector(s) / len(s.tokens))
 
 
@@ -536,25 +523,18 @@ def _default_participle(token: str) -> bool:
 
 
 def passive_voice(
-    s: Sentence,
-    auxiliary_list: Iterable[str] | None = None,
-    participle_recognizer: Callable[[str], bool] | None = None,
+    s: Sentence, participle_recognizer: Callable[[str], bool] | None = None
 ) -> bool:
     """True when a be-form is followed closely by a past participle.
 
     The recognizer sees the raw token; at most two non-adverb tokens
     after the auxiliary are inspected, with adverbs skipped for free.
     """
-    aux = (
-        frozenset(t.lower() for t in auxiliary_list)
-        if auxiliary_list is not None
-        else _BE_FORMS
-    )
     recognize = (
         participle_recognizer if participle_recognizer is not None else _default_participle
     )
     for i, token in enumerate(s.tokens):
-        if token.lower() not in aux:
+        if token.lower() not in _BE_FORMS:
             continue
         budget = 2
         for nxt in s.tokens[i + 1 :]:
@@ -568,18 +548,19 @@ def passive_voice(
     return False
 
 
-def word_repetition(
-    s: Sentence, window: int = 5, stopwords: Container[str] | None = None
-) -> bool:
-    """True when a content word recurs within `window` token positions.
+#: Largest token distance at which a recurring content word counts as
+#: close repetition.
+_REPETITION_WINDOW = 5
+
+
+def word_repetition(s: Sentence) -> bool:
+    """True when a content word (not one of the bundled stopwords) recurs
+    within ``_REPETITION_WINDOW`` token positions.
 
     Distance is measured over original token indices, so punctuation
     and stopwords in between still count toward the gap.
     """
-    if window < 1:
-        raise ValueError("window must be at least 1")
-    if stopwords is None:
-        stopwords = load_stopwords()
+    stopwords = load_stopwords()
     last_seen: dict[str, int] = {}
     for idx, token in enumerate(s.tokens):
         if not any(ch.isalpha() for ch in token):
@@ -587,7 +568,7 @@ def word_repetition(
         lowered = token.lower()
         if lowered in stopwords:
             continue
-        if lowered in last_seen and idx - last_seen[lowered] <= window:
+        if lowered in last_seen and idx - last_seen[lowered] <= _REPETITION_WINDOW:
             return True
         last_seen[lowered] = idx
     return False
@@ -647,7 +628,6 @@ def evaluate(
     references: Sequence[Sentence],
     *,
     lm=None,
-    error_detector: Callable[[Sentence], int] | None = None,
 ) -> EvalReport:
     """Score revision hypotheses against references, edits against sources.
 
@@ -675,7 +655,7 @@ def evaluate(
                 bleu=_bleu_score(bleu_rows[-1]),
                 rouge_l=rouge_l(hyp, ref),
                 levenshtein_char=levenshtein_char(hyp.text, ref.text),
-                grammaticality=grammaticality(hyp, error_detector) if hyp.tokens else 0.0,
+                grammaticality=grammaticality(hyp) if hyp.tokens else 0.0,
                 fre=fre_value,
                 ppl=float(lm.perplexity(hyp.tokens)) if lm is not None else None,
                 passive=passive_voice(hyp),

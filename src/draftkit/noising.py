@@ -235,11 +235,10 @@ def noise_corpus(
     sentences: Iterable[Sentence],
     cfg: NoiseConfig,
     vocab: ReplacementVocab | None,
-    *,
-    start_index: int = 0,
 ) -> Iterator[DraftPair]:
-    """Stream drafts for a sentence iterable; safe for huge corpora."""
-    for index, s in enumerate(sentences, start=start_index):
+    """Stream drafts for a sentence iterable, record ``i`` noised with
+    ``index=i``; safe for huge corpora."""
+    for index, s in enumerate(sentences):
         yield noise_sentence(s, cfg, vocab, index=index)
 
 

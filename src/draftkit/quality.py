@@ -61,6 +61,9 @@ CRITERION_NOT_ENGLISH = "worker.not_english"
 _MIN_WORDS = 4
 _MIN_TYPES = 4
 _MIN_SECONDS = 120
+#: Share of a text's alphabetic tokens that must be dictionary words for
+#: the text to count as English.
+_ENGLISH_SHARE = 0.5
 
 # Hiragana, katakana, and the unified CJK ideographs.
 _JAPANESE_RANGES = ((0x3040, 0x309F), (0x30A0, 0x30FF), (0x4E00, 0x9FFF))
@@ -218,11 +221,9 @@ def contains_japanese(text: str) -> bool:
     return re.search(_JAPANESE, text) is not None
 
 
-def is_english(
-    text: str, dictionary: Mapping[str, int] | None = None, *, threshold: float = 0.5
-) -> bool:
+def is_english(text: str, dictionary: Mapping[str, int] | None = None) -> bool:
     """Heuristic language check: no Japanese script, and at least
-    ``threshold`` of the alphabetic tokens appear in the dictionary."""
+    ``_ENGLISH_SHARE`` of the alphabetic tokens appear in the dictionary."""
     if dictionary is None:
         dictionary = load_wordlist()
     if contains_japanese(text):
@@ -231,7 +232,7 @@ def is_english(
     if not alphabetic:
         return False
     hits = sum(t.lower() in dictionary for t in alphabetic)
-    return hits / len(alphabetic) >= threshold
+    return hits / len(alphabetic) >= _ENGLISH_SHARE
 
 
 @dataclass(frozen=True)
@@ -396,12 +397,19 @@ def score_worker(
     return WorkerVerdict(score=float(score), accepted=not rejected and score >= 0, triggered=tuple(triggered))
 
 
+def _texts(record: dict, key: str) -> tuple[str, ...]:
+    value = record[key]
+    if not isinstance(value, list) or not all(isinstance(item, str) for item in value):
+        raise ValueError(f"{key} must be an array of strings")
+    return tuple(value)
+
+
 def load_submissions(path: Path | str) -> list[WorkerSubmission]:
     """Read worker submissions from a JSONL file.
 
     Each line holds an object with ``worker_id``, ``answers`` (three
-    strings), ``seconds``, and ``mt_references`` (three strings).
-    Malformed lines raise :class:`draftkit.corpus.RecordError`.
+    strings), ``seconds`` (an integer), and ``mt_references`` (three
+    strings).  Malformed lines raise :class:`draftkit.corpus.RecordError`.
     """
     submissions = []
     for line_no, line in iter_checked_lines(path):
@@ -414,15 +422,17 @@ def load_submissions(path: Path | str) -> list[WorkerSubmission]:
         if not isinstance(record, dict):
             raise RecordError(path, line_no, "expected a JSON object per line")
         try:
-            answers = record["answers"]
-            references = record["mt_references"]
-            if not isinstance(answers, list) or not isinstance(references, list):
-                raise ValueError("answers and mt_references must be arrays")
+            answers = _texts(record, "answers")
+            references = _texts(record, "mt_references")
+            seconds = record["seconds"]
+            # bool is a subclass of int, but true is not a duration.
+            if not isinstance(seconds, int) or isinstance(seconds, bool):
+                raise ValueError(f"seconds must be an integer, got {seconds!r}")
             submission = WorkerSubmission(
                 worker_id=str(record["worker_id"]),
-                answers=tuple(str(a) for a in answers),
-                seconds_worked=int(record["seconds"]),
-                mt_references=tuple(str(r) for r in references),
+                answers=answers,
+                seconds_worked=seconds,
+                mt_references=references,
             )
         except (KeyError, TypeError, ValueError) as err:
             raise RecordError(path, line_no, f"bad submission record: {err}") from err

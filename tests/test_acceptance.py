@@ -103,7 +103,7 @@ def test_01_released_pairs_headline_stats(tmp_path):
 
 
 def test_02_released_pairs_directional_profiles():
-    pairs = load_pairs(_released_pairs_path(), fmt="tsv")
+    pairs = load_pairs(_released_pairs_path())
     arpa = os.environ.get(ACADEMIC_LM_VAR)
     corpus_path = os.environ.get(ACADEMIC_CORPUS_VAR)
     if arpa:
@@ -491,7 +491,7 @@ def test_10_cli_byte_determinism(tmp_path):
     assert noise("b", 1) == first
     assert noise("c", 8) == first
 
-    pairs = load_pairs(tmp_path / "pairs_a.tsv", fmt="tsv")
+    pairs = load_pairs(tmp_path / "pairs_a.tsv")
     src = tmp_path / "src.txt"
     hyp = tmp_path / "hyp.txt"
     ref = tmp_path / "ref.txt"

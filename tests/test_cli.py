@@ -423,6 +423,27 @@ class TestQualityCommands:
         assert code == 2
         assert ":1:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("answers", [None, "a cat sat on a big mat .", "the model sat on the mat ."]),
+            ("answers", ["the cat sat on the mat .", 17, "the model sat on the mat ."]),
+            ("mt_references", ["x" * 60, True, "z" * 60]),
+            ("seconds", 12.7),
+            ("seconds", True),
+            ("seconds", "300"),
+        ],
+    )
+    def test_score_workers_wrong_value_type(self, tmp_path, key, value, capsys):
+        record = json.loads(SUBMISSION_LINES[0])
+        record[key] = value
+        subs = write_lines(tmp_path / "subs.jsonl", [SUBMISSION_LINES[0], json.dumps(record)])
+        code = dispatch(["quality", "score-workers", "--input", str(subs),
+                         "--out", str(tmp_path / "v.jsonl")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {subs}:2: bad submission record: ")
+        assert sorted(tmp_path.iterdir()) == [subs]
+
     def test_filter_pairs(self, tmp_path):
         pairs = write_lines(
             tmp_path / "pairs.tsv",
@@ -440,6 +461,17 @@ class TestQualityCommands:
         [removed_line] = removed.read_text().splitlines()
         draft, reference, reason = removed_line.split("\t")
         assert draft == "qqa qqb qqc"
+        assert reason
+
+    def test_filter_pairs_flattens_removed_fields(self, tmp_path):
+        pairs = tmp_path / "pairs.tsv"
+        pairs.write_bytes(b"model\rresults show gains .\tthe cat sat on the mat .\n")
+        kept, removed = tmp_path / "kept.tsv", tmp_path / "removed.tsv"
+        assert dispatch(["quality", "filter-pairs", "--input", str(pairs),
+                         "--kept", str(kept), "--removed", str(removed)]) == 0
+        [removed_line] = removed.read_bytes().decode("utf-8").splitlines()
+        draft, reference, reason = removed_line.split("\t")
+        assert (draft, reference) == ("model results show gains .", "the cat sat on the mat .")
         assert reason
 
     def test_mask_token_stopword_is_data_error(self, tmp_path, capsys):
@@ -739,6 +771,19 @@ class TestManifests:
         assert sorted(p.name for p in (root / "out").iterdir()) == sorted(
             [Path(outputs[0]).name + ".manifest.json", *(Path(p).name for p in outputs)]
         )
+
+    @pytest.mark.parametrize(
+        "line, bad", [(line, path) for line, inputs, _ in MANIFEST_CASES for path in inputs]
+    )
+    def test_undecodable_input_is_data_error(self, root, line, bad, capsys):
+        path = root / bad
+        lines = path.read_bytes().split(b"\n")
+        lines[1] = b"\xff" + lines[1]
+        path.write_bytes(b"\n".join(lines))
+        before = sorted(root.rglob("*"))
+        assert dispatch(self.resolve(root, line.split())) == 2
+        assert capsys.readouterr().err == f"error: {path}:2: not valid UTF-8 (invalid start byte)\n"
+        assert sorted(root.rglob("*")) == before
 
     @pytest.mark.parametrize("line, inputs, outputs", MANIFEST_CASES)
     def test_config_file_matches_flags(self, root, line, inputs, outputs, capsys):

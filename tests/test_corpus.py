@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import os
 import stat
 
@@ -11,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from draftkit.corpus import (
-    CHARACTER_CLASSES,
     MASK_TOKEN,
     CorpusFilterConfig,
     DraftPair,
@@ -121,10 +119,6 @@ class TestFilterConfig:
         with pytest.raises(ValueError):
             CorpusFilterConfig(min_tokens=9, max_tokens=2)
 
-    def test_rejects_unknown_character_class(self):
-        with pytest.raises(ValueError):
-            CorpusFilterConfig(forbidden_char_classes=frozenset({"klingon"}))
-
     def test_rejects_bad_alpha_ratio(self):
         with pytest.raises(ValueError):
             CorpusFilterConfig(min_alpha_ratio=1.5)
@@ -160,15 +154,6 @@ class TestFinalFilter:
         s = Sentence.from_text(text)
         assert 70 <= s.char_len <= 120
         assert list(filter_final_sentences([s], CorpusFilterConfig())) == []
-
-    def test_classes_can_be_disabled(self):
-        text = "the α parameter padding" + " word" * 12 + "."
-        s = Sentence.from_text(text)
-        cfg = CorpusFilterConfig(forbidden_char_classes=frozenset({"math"}))
-        assert list(filter_final_sentences([s], cfg)) == [s]
-
-    def test_every_class_has_a_pattern(self):
-        assert set(CorpusFilterConfig().forbidden_char_classes) <= set(CHARACTER_CLASSES)
 
     def test_preserves_order_and_is_lazy(self):
         cfg = CorpusFilterConfig()
@@ -257,33 +242,6 @@ class TestPairIO:
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_pairs(tmp_path / "nope.tsv")
-
-    def test_jsonl_round_trip(self, tmp_path):
-        pairs = [DraftPair(Sentence.from_text("a <*> ."), Sentence.from_text("a b ."))]
-        path = tmp_path / "pairs.jsonl"
-        write_pairs(path, pairs, fmt="jsonl")
-        with open(path, encoding="utf-8") as handle:
-            record = json.loads(handle.readline())
-        assert record == {"draft": "a <*> .", "reference": "a b ."}
-        assert load_pairs(path, fmt="jsonl") == pairs
-
-    def test_jsonl_missing_key_reports_line(self, tmp_path):
-        path = tmp_path / "bad.jsonl"
-        path.write_text('{"draft": "a"}\n', encoding="utf-8")
-        with pytest.raises(RecordError) as exc:
-            load_pairs(path, fmt="jsonl")
-        assert exc.value.line_no == 1
-
-    def test_jsonl_invalid_json_reports_line(self, tmp_path):
-        path = tmp_path / "bad.jsonl"
-        path.write_text('{"draft": "a", "reference": "b"}\nnot json\n', encoding="utf-8")
-        with pytest.raises(RecordError) as exc:
-            load_pairs(path, fmt="jsonl")
-        assert exc.value.line_no == 2
-
-    def test_unknown_format_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            load_pairs(tmp_path / "x.bin", fmt="parquet")
 
     def test_tabs_and_newlines_sanitized_on_write(self, tmp_path):
         pair = DraftPair(Sentence.from_text("a\tb"), Sentence.from_text("c d"))

@@ -20,7 +20,6 @@ from draftkit.corpus import Sentence
 from draftkit.metrics import (
     EDIT_KINDS,
     EditSpan,
-    RuleErrorDetector,
     apply_edits,
     bleu,
     edit_prf,
@@ -415,7 +414,7 @@ class TestEditPrf:
 
 class TestRuleErrorDetector:
     def count(self, rule: str, *tokens: str) -> int:
-        return RuleErrorDetector(rules=(rule,))(Sentence.from_tokens(tokens))
+        return getattr(metrics, "_" + rule)(tokens)
 
     def test_duplicate_word(self):
         assert self.count("duplicate_word", "the", "the", "cat") == 1
@@ -452,10 +451,6 @@ class TestRuleErrorDetector:
         assert self.count("terminal_punct", "Really", "?") == 0
         assert self.count("terminal_punct", "Wow", "!") == 0
 
-    def test_unknown_rule_rejected(self):
-        with pytest.raises(ValueError):
-            RuleErrorDetector(rules=("no_such_rule",))
-
 
 class TestGrammaticality:
     def test_clean_sentence(self):
@@ -464,7 +459,9 @@ class TestGrammaticality:
     def test_duplicate_and_bracket_detector(self):
         # 5 tokens, and a detector limited to these two rules sees two
         # errors: "the the" and the unclosed bracket.
-        detector = RuleErrorDetector(rules=("duplicate_word", "unbalanced_pairs"))
+        def detector(s):
+            return metrics._duplicate_word(s.tokens) + metrics._unbalanced_pairs(s.tokens)
+
         s = Sentence.from_text("the the model (works")
         assert grammaticality(s, detector) == pytest.approx(0.6)
 
@@ -584,20 +581,11 @@ class TestWordRepetition:
         assert word_repetition(inside) is True
         assert word_repetition(outside) is False
 
-    def test_small_window(self):
-        s = sent("model", "x", "y", "model")
-        assert word_repetition(s, window=3) is True
-        assert word_repetition(s, window=2) is False
-
     def test_stopwords_ignored(self):
         assert word_repetition(Sentence.from_text("the cat likes the dog")) is False
 
     def test_case_insensitive(self):
         assert word_repetition(sent("Model", "x", "model")) is True
-
-    def test_window_must_be_positive(self):
-        with pytest.raises(ValueError):
-            word_repetition(sent("a"), window=0)
 
 
 class FixedPerplexity:

@@ -289,9 +289,6 @@ class TestLanguageHeuristics:
     def test_no_alphabetic_tokens(self):
         assert is_english("12 34 . <*>") is False
 
-    def test_threshold_configurable(self):
-        assert is_english("model zzqx .", threshold=0.6) is False
-
 
 class TestOverlapCoefficient:
     def test_hand_example(self):
