@@ -1,9 +1,9 @@
 """Dataset profiling over draft/reference pairs.
 
-Four views of a parallel dataset: headline statistics (size, mask rate,
+Three views of a parallel dataset: headline statistics (size, mask rate,
 change rate, mean character distance), per-side linguistic profiles under
-a language model, the distribution of coarse edit types between the
-sides, and the terms most characteristic of one side versus the other.
+a language model, and the terms most characteristic of one side versus
+the other.
 All computations are deterministic and order-independent where the
 contract says so; nothing here draws randomness.
 """
@@ -13,11 +13,11 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Container, Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .corpus import DraftPair, Sentence
 from .lm import NGramModel
-from .metrics import extract_edits, fre, levenshtein_char, passive_voice, word_repetition
+from .metrics import fre, levenshtein_char, passive_voice, word_repetition
 
 
 @dataclass(frozen=True, slots=True)
@@ -107,42 +107,6 @@ def linguistic_profile(pairs: Sequence[DraftPair], lm: NGramModel) -> Linguistic
         draft=_side_profile("draft", (p.draft for p in pairs), lm),
         reference=_side_profile("reference", (p.reference for p in pairs), lm),
     )
-
-
-def edit_type_distribution(
-    pairs: Iterable[DraftPair], dictionary: Container[str] | None = None
-) -> dict[str, float]:
-    """Fractions of edit-span kinds over draft-to-reference diffs.
-
-    Returns an empty mapping when no pair differs; otherwise the values
-    sum to 1.  Keys are sorted for stable serialization.
-    """
-    counts: Counter[str] = Counter()
-    for pair in pairs:
-        for span in extract_edits(pair.draft, pair.reference, dictionary):
-            counts[span.kind] += 1
-    total = sum(counts.values())
-    return {kind: counts[kind] / total for kind in sorted(counts)}
-
-
-def kl_divergence(p: Mapping[str, float], q: Mapping[str, float]) -> float:
-    """Kullback-Leibler divergence KL(p || q) in nats.
-
-    Keys absent from a mapping carry zero mass; mass in ``p`` outside the
-    support of ``q`` makes the divergence infinite.
-    """
-    total = 0.0
-    for key in sorted(p):
-        p_mass = p[key]
-        if p_mass < 0.0:
-            raise ValueError(f"negative probability mass for {key!r}")
-        if p_mass == 0.0:
-            continue
-        q_mass = q.get(key, 0.0)
-        if q_mass == 0.0:
-            return math.inf
-        total += p_mass * math.log(p_mass / q_mass)
-    return total
 
 
 @dataclass(frozen=True, slots=True)

@@ -41,7 +41,7 @@ from .corpus import (
 from .lm import SMOOTHINGS, load_arpa, save_arpa, train
 from .metrics import evaluate
 from .noising import NoiseConfig, ReplacementVocab, noise_corpus, noise_sentence
-from .quality import FilterConfig, filter_pairs, load_submissions, score_worker, spell_check
+from .quality import FilterConfig, filter_pairs, load_submissions, score_worker, spell_check_all
 
 SCHEMA_VERSION = 1
 
@@ -275,9 +275,7 @@ def _cmd_eval_run(args) -> None:
     hypotheses = [Sentence.from_text(t) for t in texts["hyp"]]
     references = [Sentence.from_text(t) for t in texts["ref"]]
     if args.spellcheck_hyp:
-        hypotheses = [
-            Sentence.from_text(spell_check(h).corrected_text) for h in hypotheses
-        ]
+        hypotheses = spell_check_all(hypotheses)
     model = None if args.lm is None else load_arpa(args.lm)
     report = evaluate(sources, hypotheses, references, lm=model)
     payload = {

@@ -50,9 +50,16 @@ def tokenize(text: str) -> list[str]:
     attached; ``<*>`` always comes through as a single token.  The output is
     in normal form: joining with single spaces and re-tokenizing yields the
     same list.
+
+    A chunk that starts and ends with a letter or digit is kept whole
+    without looking up any character category: no code point is both
+    ``str.isalnum`` and punctuation.
     """
     tokens: list[str] = []
     for chunk in text.split():
+        if chunk[0].isalnum() and chunk[-1].isalnum():
+            tokens.append(chunk)
+            continue
         leading: list[str] = []
         trailing: list[str] = []
         while chunk and chunk != MASK_TOKEN and _is_punct(chunk[0]):

@@ -1,13 +1,13 @@
 """Sentence- and corpus-level measures for judging revised drafts.
 
 Surface metrics (character edit distance, BLEU, ROUGE-L) sit next to
-edit-level precision/recall, a rule-based grammaticality score, Flesch
+typed edit extraction, a rule-based grammaticality score, Flesch
 reading ease, and boolean style flags for passive voice and close word
 repetition.  ``evaluate`` runs everything over aligned sentence lists
-and returns one report with per-pair records plus corpus aggregates.
-It scores each pair once, the corpus BLEU from the sums of the pairs'
-n-gram statistics; ``evaluate`` and ``edit_prf`` match untyped edit runs
-and take no dictionary.
+and returns one report with per-pair records plus corpus aggregates,
+edit precision/recall/F0.5 among them.  It scores each pair once, the
+corpus BLEU from the sums of the pairs' n-gram statistics; it matches
+untyped edit runs and takes no dictionary.
 
 Every result depends on the arguments alone.  Character edit distance
 and the LCS behind ROUGE-L are bit-parallel kernels; edit distance keeps
@@ -303,7 +303,10 @@ def _squash(tokens: Iterable[str]) -> str:
 
 
 def _is_punct_token(token: str) -> bool:
-    return bool(token) and all(unicodedata.category(ch).startswith("P") for ch in token)
+    # A letter or digit is never punctuation, and most tokens start with one.
+    return bool(token) and not token[0].isalnum() and all(
+        unicodedata.category(ch).startswith("P") for ch in token
+    )
 
 
 def _classify(src_side: tuple[str, ...], repl: tuple[str, ...], dictionary: Container[str]) -> str:
@@ -398,17 +401,6 @@ def _edit_counts(src: Sentence, hyp: Sentence, ref: Sentence) -> tuple[int, int,
     proposed = set(_edit_runs(src.tokens, hyp.tokens))
     gold = set(_edit_runs(src.tokens, ref.tokens))
     return len(proposed & gold), len(proposed), len(gold)
-
-
-def edit_prf(
-    source: Sentence, hypothesis: Sentence, reference: Sentence
-) -> tuple[float, float, float]:
-    """Precision, recall, F0.5 of hypothesis edits against reference edits.
-
-    An edit matches when its source range and replacement are identical;
-    edits are compared untyped, so no dictionary is needed.
-    """
-    return _prf_from_counts(*_edit_counts(source, hypothesis, reference))
 
 
 _BRACKET_PAIRS = (("(", ")"), ("[", "]"), ("{", "}"))

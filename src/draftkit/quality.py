@@ -18,7 +18,10 @@ collision, and each candidate is verified exactly.  The keys are the
 crc32 of the delete packed with the entry id into one sorted
 ``array('q')``, searched with :mod:`bisect`.  The index is built on
 first use; the bundled word list's is kept, any other dictionary's lives
-for one :func:`spell_check` call.
+for one call.  A call also keeps each lowercased out-of-dictionary type's
+correction, so :func:`filter_pairs` and :func:`spell_check_all` look
+each type up once per call and treat the dictionary as fixed while they
+run; drafts repeat their misspellings.
 
 Criterion identifiers are stable strings (``worker.time`` and friends) so
 downstream reports can key on them.
@@ -182,6 +185,49 @@ def _best_correction(word: str, dictionary: Mapping[str, int], index: _DeleteInd
     return None if best is None else best[2]
 
 
+class _Speller:
+    """Spell check against one dictionary, looking each out-of-dictionary
+    type up once.
+
+    The candidate index is built on the first out-of-dictionary token and
+    each lowercased type's correction (or ``None``) is kept, so the
+    dictionary is treated as fixed for the speller's life.
+    """
+
+    __slots__ = ("dictionary", "index", "found")
+
+    def __init__(self, dictionary: Mapping[str, int] | None) -> None:
+        self.dictionary = load_wordlist() if dictionary is None else dictionary
+        self.index: _DeleteIndex | None = None
+        self.found: dict[str, str | None] = {}
+
+    def correct(self, tokens: Iterable[str]) -> tuple[list[str], bool]:
+        """The tokens with each correction applied, and whether every
+        replacement is alphanumeric.  When it is, the list is what
+        :func:`~draftkit.corpus.tokenize` gives for its join, so it need
+        not be tokenized again."""
+        dictionary = self.dictionary
+        if not dictionary:
+            raise ValueError("spell check needs a non-empty dictionary")
+        corrected = []
+        normal = True
+        for token in tokens:
+            if token.isalpha() and not token.isupper() and token != MASK_TOKEN:
+                lowered = token.lower()
+                if lowered not in dictionary:
+                    try:
+                        found = self.found[lowered]
+                    except KeyError:
+                        if self.index is None:
+                            self.index = _index_for(dictionary)
+                        found = self.found[lowered] = _best_correction(lowered, dictionary, self.index)
+                    if found is not None:
+                        token = found.capitalize() if token.istitle() else found
+                        normal = normal and token.isalnum()
+            corrected.append(token)
+        return corrected, normal
+
+
 def spell_check(s: Sentence, dictionary: Mapping[str, int] | None = None) -> SpellCheckResult:
     """Correct out-of-dictionary tokens in ``s``.
 
@@ -194,27 +240,27 @@ def spell_check(s: Sentence, dictionary: Mapping[str, int] | None = None) -> Spe
     that meets an out-of-dictionary token, which at the bundled list's
     size (835 entries) costs about 40 ms.
     """
-    if dictionary is None:
-        dictionary = load_wordlist()
-    if not dictionary:
-        raise ValueError("spell check needs a non-empty dictionary")
-    index = None
-    corrected = []
-    corrections = []
-    for token in s.tokens:
-        replacement = token
-        if token.isalpha() and not token.isupper() and token != MASK_TOKEN:
-            lowered = token.lower()
-            if lowered not in dictionary:
-                if index is None:
-                    index = _index_for(dictionary)
-                found = _best_correction(lowered, dictionary, index)
-                if found is not None:
-                    replacement = found.capitalize() if token.istitle() else found
-        if replacement != token:
-            corrections.append((token, replacement))
-        corrected.append(replacement)
-    return SpellCheckResult(" ".join(corrected), tuple(corrections))
+    corrected, _ = _Speller(dictionary).correct(s.tokens)
+    corrections = tuple((old, new) for old, new in zip(s.tokens, corrected) if old != new)
+    return SpellCheckResult(" ".join(corrected), corrections)
+
+
+def spell_check_all(
+    sentences: Iterable[Sentence], dictionary: Mapping[str, int] | None = None
+) -> list[Sentence]:
+    """Each sentence with its corrected text and that text's tokens.
+
+    For a sentence made by ``Sentence.from_text`` this is
+    ``Sentence.from_text(spell_check(s, dictionary).corrected_text)``, but
+    the whole call shares one index and looks each out-of-dictionary type
+    up once, so ``dictionary`` must not change during the call.
+    """
+    speller = _Speller(dictionary)
+    checked = []
+    for s in sentences:
+        tokens, normal = speller.correct(s.tokens)
+        checked.append(Sentence.from_tokens(tokens) if normal else Sentence.from_text(" ".join(tokens)))
+    return checked
 
 
 def contains_japanese(text: str) -> bool:
@@ -250,8 +296,16 @@ class FilterConfig:
             raise ValueError("the mask token cannot also be a stopword")
 
 
-def _content_tokens(s: Sentence, cfg: FilterConfig) -> set[str]:
-    return {t.lower() for t in s.tokens} - cfg.stopwords - {MASK_TOKEN}
+def _content_tokens(tokens: Iterable[str], cfg: FilterConfig) -> set[str]:
+    return {t.lower() for t in tokens} - cfg.stopwords - {MASK_TOKEN}
+
+
+def _overlap(x: Iterable[str], y: Iterable[str], cfg: FilterConfig) -> float:
+    ux = _content_tokens(x, cfg)
+    uy = _content_tokens(y, cfg)
+    if not ux or not uy:
+        raise UndefinedOverlapError("a sentence has no content tokens")
+    return len(ux & uy) / min(len(ux), len(uy))
 
 
 def overlap_coefficient(x: Sentence, y: Sentence, cfg: FilterConfig | None = None) -> float:
@@ -261,12 +315,7 @@ def overlap_coefficient(x: Sentence, y: Sentence, cfg: FilterConfig | None = Non
     token.  Raises :class:`UndefinedOverlapError` when either side has
     none, since the ratio has no meaningful value there.
     """
-    cfg = FilterConfig() if cfg is None else cfg
-    ux = _content_tokens(x, cfg)
-    uy = _content_tokens(y, cfg)
-    if not ux or not uy:
-        raise UndefinedOverlapError("a sentence has no content tokens")
-    return len(ux & uy) / min(len(ux), len(uy))
+    return _overlap(x.tokens, y.tokens, FilterConfig() if cfg is None else cfg)
 
 
 def filter_pairs(
@@ -280,15 +329,23 @@ def filter_pairs(
     overlap; the reference is trusted as written.  Pairs whose overlap is
     undefined or strictly below ``cfg.alpha`` land in the removed list
     with a human-readable reason.
+
+    The call shares one spell-check index and looks each
+    out-of-dictionary type up once, so ``dictionary`` must not change
+    during the call.  The overlap is taken on the corrected tokens; they
+    are tokenized again only when a replacement is not alphanumeric,
+    which only a caller's dictionary can cause.
     """
     cfg = FilterConfig() if cfg is None else cfg
+    speller = _Speller(dictionary)
     kept: list[DraftPair] = []
     removed: list[tuple[DraftPair, str]] = []
     for pair in pairs:
-        checked = spell_check(pair.draft, dictionary)
-        draft = Sentence.from_text(checked.corrected_text)
+        draft, normal = speller.correct(pair.draft.tokens)
+        if not normal:
+            draft = tokenize(" ".join(draft))
         try:
-            score = overlap_coefficient(draft, pair.reference, cfg)
+            score = _overlap(draft, pair.reference.tokens, cfg)
         except UndefinedOverlapError:
             removed.append((pair, "overlap with reference undefined (no content tokens)"))
             continue
@@ -428,8 +485,11 @@ def load_submissions(path: Path | str) -> list[WorkerSubmission]:
             # bool is a subclass of int, but true is not a duration.
             if not isinstance(seconds, int) or isinstance(seconds, bool):
                 raise ValueError(f"seconds must be an integer, got {seconds!r}")
+            worker_id = record["worker_id"]
+            if not isinstance(worker_id, str):
+                raise ValueError(f"worker_id must be a string, got {worker_id!r}")
             submission = WorkerSubmission(
-                worker_id=str(record["worker_id"]),
+                worker_id=worker_id,
                 answers=answers,
                 seconds_worked=seconds,
                 mt_references=references,

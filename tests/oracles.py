@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import functools
 import re
+import unicodedata
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
@@ -128,6 +129,26 @@ def align_reference(src: Sequence[str], tgt: Sequence[str]) -> tuple[str, ...]:
             j -= 1
     ops.reverse()
     return tuple(ops)
+
+
+def tokenize_reference(text: str) -> list[str]:
+    """Whitespace split, then peel punctuation (Unicode category P*) off
+    each chunk's ends one character at a time; ``<*>`` is never peeled."""
+    tokens: list[str] = []
+    for chunk in text.split():
+        leading: list[str] = []
+        trailing: list[str] = []
+        while chunk and chunk != "<*>" and unicodedata.category(chunk[0]).startswith("P"):
+            leading.append(chunk[0])
+            chunk = chunk[1:]
+        while chunk and chunk != "<*>" and unicodedata.category(chunk[-1]).startswith("P"):
+            trailing.append(chunk[-1])
+            chunk = chunk[:-1]
+        tokens.extend(leading)
+        if chunk:
+            tokens.append(chunk)
+        tokens.extend(reversed(trailing))
+    return tokens
 
 
 def nearest_entry_scan(word: str, dictionary: Mapping[str, int]) -> str | None:

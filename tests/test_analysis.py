@@ -5,8 +5,6 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from draftkit import lm, metrics
 from draftkit.analysis import (
@@ -14,12 +12,9 @@ from draftkit.analysis import (
     TermContrast,
     characteristic_terms,
     dataset_stats,
-    edit_type_distribution,
-    kl_divergence,
     linguistic_profile,
 )
 from draftkit.corpus import DraftPair, Sentence
-from draftkit.noising import NoiseConfig, noise_corpus
 from synth import academic_sentences
 
 
@@ -101,71 +96,6 @@ class TestLinguisticProfile:
     def test_empty_rejected(self, tiny_lm):
         with pytest.raises(ValueError):
             linguistic_profile([], tiny_lm)
-
-
-class TestEditTypeDistribution:
-    def test_identical_pairs_have_no_edits(self):
-        assert edit_type_distribution([pair("a model", "a model")]) == {}
-
-    def test_pure_substitution(self):
-        dist = edit_type_distribution([pair("the cat sat .", "the dog sat .")])
-        assert dist == {"substitution": 1.0}
-
-    def test_two_kinds_split_evenly(self):
-        pairs = [
-            pair("the cat sat .", "the dog sat ."),
-            pair("the cat sat on mat .", "the cat sat ."),
-        ]
-        dist = edit_type_distribution(pairs)
-        assert dist == {"deletion": 0.5, "substitution": 0.5}
-
-    def test_fractions_sum_to_one_on_noised_data(self):
-        sentences = academic_sentences(40, seed=9)
-        pairs = list(noise_corpus(sentences, NoiseConfig(replace_p=0.0, seed=4), None))
-        dist = edit_type_distribution(pairs)
-        assert dist
-        assert abs(sum(dist.values()) - 1.0) < 1e-9
-        assert set(dist) <= metrics.EDIT_KINDS
-
-
-class TestKLDivergence:
-    def test_self_divergence_is_zero(self):
-        p = {"a": 0.3, "b": 0.7}
-        assert kl_divergence(p, p) == 0.0
-
-    def test_hand_value(self):
-        p = {"a": 0.5, "b": 0.5}
-        q = {"a": 0.25, "b": 0.75}
-        assert kl_divergence(p, q) == pytest.approx(0.5 * math.log(4 / 3))
-
-    def test_missing_support_is_infinite(self):
-        assert kl_divergence({"a": 1.0}, {"b": 1.0}) == math.inf
-
-    def test_zero_mass_keys_ignored(self):
-        assert kl_divergence({"a": 1.0, "b": 0.0}, {"a": 1.0}) == 0.0
-
-    def test_negative_mass_rejected(self):
-        with pytest.raises(ValueError):
-            kl_divergence({"a": -0.5, "b": 1.5}, {"a": 0.5, "b": 0.5})
-
-    @settings(max_examples=50, deadline=None)
-    @given(
-        weights=st.tuples(
-            st.floats(min_value=0.01, max_value=1.0),
-            st.floats(min_value=0.01, max_value=1.0),
-            st.floats(min_value=0.01, max_value=1.0),
-        ),
-        other=st.tuples(
-            st.floats(min_value=0.01, max_value=1.0),
-            st.floats(min_value=0.01, max_value=1.0),
-            st.floats(min_value=0.01, max_value=1.0),
-        ),
-    )
-    def test_nonnegative_on_shared_support(self, weights, other):
-        keys = ("a", "b", "c")
-        p = {k: w / sum(weights) for k, w in zip(keys, weights)}
-        q = {k: w / sum(other) for k, w in zip(keys, other)}
-        assert kl_divergence(p, q) >= -1e-12
 
 
 DRAFTS = ["Will go", "will stay"]

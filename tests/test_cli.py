@@ -18,7 +18,7 @@ import draftkit
 from draftkit import cli, lm
 from draftkit.cli import dispatch
 from draftkit.corpus import Sentence, load_pairs
-from draftkit.quality import score_worker, load_submissions
+from draftkit.quality import load_submissions, score_worker, spell_check
 from synth import academic_sentences
 from test_lm import MALFORMED_ARPA
 
@@ -432,6 +432,9 @@ class TestQualityCommands:
             ("seconds", 12.7),
             ("seconds", True),
             ("seconds", "300"),
+            ("worker_id", None),
+            ("worker_id", True),
+            ("worker_id", 7),
         ],
     )
     def test_score_workers_wrong_value_type(self, tmp_path, key, value, capsys):
@@ -569,6 +572,24 @@ class TestEvalRun:
         checked_bleu = json.loads(checked.read_text())["aggregates"]["corpus_bleu"]
         assert plain_bleu < 1.0
         assert checked_bleu == 1.0
+
+    def test_spellcheck_hyp_matches_spell_check_then_retokenize(self, tmp_path, monkeypatch):
+        # Repeated typos, a Title-case typo, an ALL-CAPS token and the mask.
+        hyps = ["the modle and the modle agian .", "Teh Modle beats the NASA modle .",
+                "a <*> coupus , teh coupus ."]
+        refs = ["the more and the more again .", "The More years the NASA more .",
+                "a <*> corpus , the corpus ."]
+        src, hyp, ref = self.files(tmp_path, hyps, hyps, refs)
+        argv = ["eval", "run", "--src", str(src), "--hyp", str(hyp), "--ref", str(ref),
+                "--spellcheck-hyp", "--report"]
+        assert dispatch(argv + [str(tmp_path / "new.json")]) == 0
+        monkeypatch.setattr(cli, "spell_check_all", lambda sentences: [
+            Sentence.from_text(spell_check(s).corrected_text) for s in sentences
+        ])
+        assert dispatch(argv + [str(tmp_path / "old.json")]) == 0
+        new = (tmp_path / "new.json").read_bytes()
+        assert new == (tmp_path / "old.json").read_bytes()
+        assert [p["levenshtein_char"] for p in json.loads(new)["pairs"]] == [0, 0, 0]
 
     def test_with_lm_reports_ppl(self, tmp_path, sentences_file):
         model_path = tmp_path / "model.arpa"

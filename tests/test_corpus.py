@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import os
 import stat
+import sys
+import unicodedata
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +26,17 @@ from draftkit.corpus import (
     read_checked_lines,
     tokenize,
     write_pairs,
+)
+from oracles import tokenize_reference
+
+
+# Letters, digits, punctuation of every P* category, Unicode whitespace,
+# the mask token and its non-punctuation characters.
+TOKENIZER_PIECES = st.one_of(
+    st.characters(categories=["L", "N"]),
+    st.characters(categories=["P"]),
+    st.sampled_from(" \t\n\x0b\x0c\r\x1c\x1f\x85\xa0\u1680\u2003\u2028\u3000"),
+    st.sampled_from(["<*>", "<", ">"]),
 )
 
 
@@ -65,6 +78,28 @@ class TestTokenize:
     def test_idempotent_under_join_and_retokenize(self, text):
         once = tokenize(text)
         assert tokenize(" ".join(once)) == once
+
+    @given(st.lists(TOKENIZER_PIECES, max_size=40).map("".join))
+    @settings(max_examples=500)
+    def test_matches_reference_on_letters_digits_punctuation_and_spaces(self, text):
+        assert tokenize(text) == tokenize_reference(text)
+
+    @given(st.text(max_size=80))
+    @settings(max_examples=300)
+    def test_matches_reference_on_any_text(self, text):
+        assert tokenize(text) == tokenize_reference(text)
+
+
+def test_no_code_point_is_both_alphanumeric_and_punctuation_or_space():
+    # tokenize keeps a chunk whole when both its ends are alphanumeric,
+    # metrics._is_punct_token rejects a token that starts with one, and
+    # quality.filter_pairs does not tokenize an alphanumeric replacement.
+    clashes = [
+        hex(i) for i in range(sys.maxunicode + 1)
+        if chr(i).isalnum()
+        and (unicodedata.category(chr(i)).startswith("P") or chr(i).isspace())
+    ]
+    assert clashes == []
 
 
 class TestSentence:

@@ -22,7 +22,6 @@ from draftkit.metrics import (
     EditSpan,
     apply_edits,
     bleu,
-    edit_prf,
     evaluate,
     extract_edits,
     fre,
@@ -377,19 +376,25 @@ class TestEditSpan:
             EditSpan(0, 1, ("x",), "typo")
 
 
-class TestEditPrf:
+class TestEvaluateEditPrf:
+    """Edit precision, recall and F0.5 of a one-pair evaluation."""
+
+    def prf(self, src, hyp, ref):
+        report = evaluate([src], [hyp], [ref])
+        return report.edit_precision, report.edit_recall, report.edit_f05
+
     def test_hypothesis_equals_reference(self):
         src = sent("a", "b", "c")
         ref = sent("a", "X", "c")
-        assert edit_prf(src, ref, ref) == (1.0, 1.0, 1.0)
+        assert self.prf(src, ref, ref) == (1.0, 1.0, 1.0)
 
     def test_unedited_hypothesis_scores_zero(self):
         src = sent("a", "b", "c")
-        assert edit_prf(src, src, sent("a", "X", "c")) == (0.0, 0.0, 0.0)
+        assert self.prf(src, src, sent("a", "X", "c")) == (0.0, 0.0, 0.0)
 
     def test_everything_unedited(self):
         src = sent("a", "b", "c")
-        assert edit_prf(src, src, src) == (1.0, 1.0, 1.0)
+        assert self.prf(src, src, src) == (1.0, 1.0, 1.0)
 
     def test_half_matching_edits(self):
         # H = {a->A at 0, e->X at 4}, G = {a->A at 0, d->D at 3}: one of
@@ -398,7 +403,7 @@ class TestEditPrf:
         src = sent("a", "b", "c", "d", "e")
         hyp = sent("A", "b", "c", "d", "X")
         ref = sent("A", "b", "c", "D", "e")
-        assert edit_prf(src, hyp, ref) == (0.5, 0.5, 0.5)
+        assert self.prf(src, hyp, ref) == (0.5, 0.5, 0.5)
 
     @given(token_list, token_list, token_list)
     @settings(max_examples=60)
@@ -406,7 +411,7 @@ class TestEditPrf:
         s = Sentence.from_tokens(src)
         h = Sentence.from_tokens(hyp)
         r = Sentence.from_tokens(ref)
-        p, rec, f = edit_prf(s, h, r)
+        p, rec, f = self.prf(s, h, r)
         assert 0.0 <= p <= 1.0 and 0.0 <= rec <= 1.0 and 0.0 <= f <= 1.0
         same_edits = extract_edits(s, h, dictionary=set()) == extract_edits(s, r, dictionary=set())
         assert (f == 1.0) == same_edits

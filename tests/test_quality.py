@@ -347,6 +347,17 @@ class TestFilterConfig:
             FilterConfig(stopwords=frozenset({"the", "<*>"}))
 
 
+# Words, typos of them in three casings, tokens spell check leaves alone,
+# and near misses of the caller dictionary's entries that hold a period or
+# a space.
+FILTER_WORDS = st.sampled_from(
+    ["the", "model", "modle", "Modle", "MODLE", "data", "dta", "corpus", "coupus", "Coupus",
+     "results", "reslts", "teh", "Teh", "2019", ",", ".", "(", ")", "<*>", "qqzz", "us", "Us",
+     "newyork", "Newyork", "new", "york", "u.s."]
+)
+CALLER_DICTIONARY = {"model": 50, "data": 40, "results": 30, "the": 20, "u.s.": 10, "new york": 5}
+
+
 class TestFilterPairs:
     def pair(self, draft: str, reference: str) -> DraftPair:
         return DraftPair.from_texts(draft, reference)
@@ -392,6 +403,77 @@ class TestFilterPairs:
         assert len(kept) + len(removed) == len(pairs)
         removed_pairs = [p for p, _ in removed]
         assert all((p in kept) != (p in removed_pairs) for p in pairs)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        texts=st.lists(
+            st.tuples(st.lists(FILTER_WORDS, max_size=10), st.lists(FILTER_WORDS, max_size=10)),
+            max_size=6,
+        ),
+        dictionary=st.sampled_from([None, CALLER_DICTIONARY]),
+        alpha=st.sampled_from([0.0, 0.4, 1.0]),
+    )
+    def test_matches_spell_check_then_retokenize(self, texts, dictionary, alpha):
+        pairs = [
+            DraftPair.from_texts(" ".join(draft), " ".join(w for w in reference if w != "<*>"))
+            for draft, reference in texts
+        ]
+        cfg = FilterConfig(alpha=alpha)
+        assert filter_pairs(pairs, cfg, dictionary) == filter_pairs_by_spell_check(pairs, cfg, dictionary)
+
+    def test_replacement_that_splits_is_tokenized_again(self):
+        # "newyork" corrects to "new york" and "us" to "u.s.": the draft's
+        # content tokens become new, york and u.s.
+        pair = self.pair("newyork us", "new york u.s report")
+        cfg = FilterConfig(alpha=0.75)
+        assert filter_pairs([pair], cfg, CALLER_DICTIONARY) == ([pair], [])
+        assert filter_pairs_by_spell_check([pair], cfg, CALLER_DICTIONARY) == ([pair], [])
+
+    def test_caller_dictionary_indexed_once_per_call(self, monkeypatch):
+        built = []
+        init = quality._DeleteIndex.__init__
+        monkeypatch.setattr(
+            quality._DeleteIndex, "__init__", lambda self, d: built.append(d) or init(self, d)
+        )
+        pairs = [self.pair(f"the modle {w} Modle", "a model") for w in ("dta", "modle", "reslts")]
+        kept, _ = filter_pairs(pairs, dictionary=CALLER_DICTIONARY)
+        assert kept == pairs
+        assert built == [CALLER_DICTIONARY]
+        filter_pairs(pairs, dictionary=CALLER_DICTIONARY)
+        assert built == [CALLER_DICTIONARY] * 2
+
+    def test_each_out_of_dictionary_type_looked_up_once(self, monkeypatch):
+        looked_up = []
+        best = quality._best_correction
+        monkeypatch.setattr(
+            quality, "_best_correction", lambda w, d, i: looked_up.append(w) or best(w, d, i)
+        )
+        pairs = [self.pair("teh modle", "the model"), self.pair("Teh MODLE coupus", "the corpus")] * 3
+        filter_pairs(pairs)
+        assert sorted(looked_up) == ["coupus", "modle", "teh"]
+
+    def test_empty_dictionary_rejected_on_first_pair(self):
+        with pytest.raises(ValueError, match="non-empty dictionary"):
+            filter_pairs([self.pair("the model", "a model")], dictionary={})
+        assert filter_pairs([], dictionary={}) == ([], [])
+
+
+def filter_pairs_by_spell_check(pairs, cfg, dictionary):
+    """filter_pairs as spell check, then tokenizing the corrected text,
+    then the overlap coefficient, one pair at a time."""
+    kept, removed = [], []
+    for pair in pairs:
+        draft = Sentence.from_text(spell_check(pair.draft, dictionary).corrected_text)
+        try:
+            score = overlap_coefficient(draft, pair.reference, cfg)
+        except UndefinedOverlapError:
+            removed.append((pair, "overlap with reference undefined (no content tokens)"))
+            continue
+        if score < cfg.alpha:
+            removed.append((pair, f"overlap {score:.4f} below alpha {cfg.alpha}"))
+        else:
+            kept.append(pair)
+    return kept, removed
 
 
 ENGLISH_ANSWERS = (
