@@ -245,22 +245,17 @@ def spell_check(s: Sentence, dictionary: Mapping[str, int] | None = None) -> Spe
     return SpellCheckResult(" ".join(corrected), corrections)
 
 
-def spell_check_all(
-    sentences: Iterable[Sentence], dictionary: Mapping[str, int] | None = None
-) -> list[Sentence]:
-    """Each sentence with its corrected text and that text's tokens.
+def spell_check_all(sentences: Iterable[Sentence]) -> list[Sentence]:
+    """Each sentence spell-checked against the bundled word list.
 
     For a sentence made by ``Sentence.from_text`` this is
-    ``Sentence.from_text(spell_check(s, dictionary).corrected_text)``, but
-    the whole call shares one index and looks each out-of-dictionary type
-    up once, so ``dictionary`` must not change during the call.
+    ``Sentence.from_text(spell_check(s).corrected_text)``: every bundled
+    entry is alphanumeric, so the corrected tokens are what tokenizing
+    their join gives.  The whole call looks each out-of-dictionary type
+    up once.
     """
-    speller = _Speller(dictionary)
-    checked = []
-    for s in sentences:
-        tokens, normal = speller.correct(s.tokens)
-        checked.append(Sentence.from_tokens(tokens) if normal else Sentence.from_text(" ".join(tokens)))
-    return checked
+    speller = _Speller(None)
+    return [Sentence.from_tokens(speller.correct(s.tokens)[0]) for s in sentences]
 
 
 def contains_japanese(text: str) -> bool:

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import draftkit
 from draftkit import quality
-from draftkit.corpus import DraftPair, RecordError, Sentence
+from draftkit.corpus import DraftPair, RecordError, Sentence, tokenize
 from draftkit.quality import (
     CRITERION_ALL_SHORT,
     CRITERION_ENGLISH,
@@ -41,6 +41,7 @@ from draftkit.quality import (
     overlap_coefficient,
     score_worker,
     spell_check,
+    spell_check_all,
 )
 from draftkit.resources import load_wordlist
 from oracles import nearest_entry_scan
@@ -116,6 +117,21 @@ class TestSpellCheck:
     def test_empty_dictionary_rejected(self):
         with pytest.raises(ValueError):
             spell_check(sent("a"), {})
+
+    def test_bundled_entries_tokenize_to_themselves(self):
+        # spell_check_all keeps the corrected tokens without tokenizing
+        # their join again; that holds because every bundled replacement,
+        # title-cased or not, is one alphanumeric token.
+        for entry in load_wordlist():
+            assert entry.isalnum() and entry.capitalize().isalnum()
+            assert tokenize(entry) == [entry]
+
+    def test_spell_check_all_matches_spell_check_then_retokenize(self):
+        texts = ["the modle and the modle agian .", "Teh Modle beats the NASA modle .",
+                 "a <*> coupus , teh coupus .", "nothing to fix here ."]
+        sentences = [Sentence.from_text(t) for t in texts]
+        expected = [Sentence.from_text(spell_check(s).corrected_text) for s in sentences]
+        assert spell_check_all(sentences) == expected
 
 
 def edited(word: str, edits: list[tuple[int, int, str]]) -> str:
