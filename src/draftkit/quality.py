@@ -10,13 +10,12 @@ Three layers, applied in pipeline order:
 3. :func:`filter_pairs` drops draft/reference pairs whose content-word
    overlap falls below a threshold after spell checking the draft.
 
-Spell check finds candidates with a symmetric-delete index (SymSpell,
-Garbe 2012): every string made by deleting at most two characters of a
-dictionary entry is a key, so an out-of-dictionary word looks up its own
-deletes and gets every entry within distance two, plus the odd hash
-collision, and each candidate is verified exactly.  The keys are the
-crc32 of the delete packed with the entry id into one sorted
-``array('q')``, searched with :mod:`bisect`.  The index is built on
+Spell check matches a word against every dictionary entry at once with
+the k-differences recurrences of Wu and Manber (CACM 1992): each entry
+is one lane of a wide Python int, one bit per character plus a guard
+bit, and each character of the word updates one such int per edit
+distance up to two, so the entries within distance one and two fall out
+of a single pass with no candidate to verify.  The packing is built on
 first use; the bundled word list's is kept, any other dictionary's lives
 for one call.  A call also keeps each lowercased out-of-dictionary type's
 correction, so :func:`filter_pairs` and :func:`spell_check_all` look
@@ -31,13 +30,10 @@ from __future__ import annotations
 
 import json
 import re
-from array import array
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Mapping
-from zlib import crc32
 
 from .corpus import MASK_TOKEN, DraftPair, RecordError, Sentence, iter_checked_lines, tokenize
 from .metrics import levenshtein_char
@@ -91,114 +87,142 @@ class SpellCheckResult:
     corrections: tuple[tuple[str, str], ...]
 
 
-def _deletes(word: str) -> set[str]:
-    """Every string made by deleting at most ``_MAX_EDITS`` characters of
-    ``word``, ``word`` itself included."""
-    found = frontier = {word}
-    for _ in range(_MAX_EDITS):
-        frontier = {w[:i] + w[i + 1 :] for w in frontier for i in range(len(w))}
-        found = found | frontier
-    return found
+def _bits(positions: list[int]) -> int:
+    """The int whose set bits are ``positions`` (ascending), built in one
+    pass: OR-ing each bit into a growing int would take quadratic time."""
+    if not positions:
+        return 0
+    buf = bytearray(positions[-1] // 8 + 1)
+    for pos in positions:
+        buf[pos >> 3] |= 1 << (pos & 7)
+    return int.from_bytes(buf, "little")
 
 
-def _key(delete: str) -> int:
-    return crc32(delete.encode("utf-8", "surrogatepass"))
+class _PackedWords:
+    """The entries of a dictionary as lanes of one wide int, matched
+    against a word all at once.
 
-
-class _DeleteIndex:
-    """Symmetric-delete candidate index over the entries of a dictionary.
-
-    Two strings within edit distance ``_MAX_EDITS`` share a string that
-    each reaches by at most ``_MAX_EDITS`` deletes (delete a substituted
-    character from both, an inserted one from the string that has it), so
-    the entries sharing a delete with a word are a superset of those
-    within reach.  Each entry id is packed below the crc32 of each of its
-    deletes, in a field as wide as the entry count needs (a signed 64-bit
-    key leaves room for 2**31 entries); a crc32 collision only adds a
-    candidate, and the candidates of a word depend on nothing but the
-    word and the dictionary.
+    An entry of length m owns m lane bits, bit i standing for its prefix
+    of length i + 1, and a guard bit above them that keeps a shift from
+    carrying into the next lane.  ``masks[ch]`` has the lane bits where an
+    entry has ``ch``; ``full`` has every lane bit, ``low`` the lowest of
+    each lane and ``top`` the highest.  ``entries`` maps the position of a
+    lane's top bit to its entry.  The empty entry has no lane: its
+    distance to a word is the word's length.  A mask reaches up to the
+    last entry with its character, so the masks together take at most
+    (distinct characters) x (lane bits) bits.
     """
 
-    __slots__ = ("entries", "keys", "shift", "min_len", "max_len")
+    __slots__ = ("masks", "full", "low", "top", "start", "entries", "has_empty", "min_len", "max_len")
 
     def __init__(self, dictionary: Mapping[str, int]) -> None:
-        self.entries = list(dictionary)
-        self.shift = len(self.entries).bit_length()
-        # Sorting one sixteenth of the 32-bit crc range at a time keeps the
-        # list of Python ints that sorting needs (32 bytes per key) small.
-        parts = [array("q") for _ in range(16)]
-        for entry_id, entry in enumerate(self.entries):
-            for delete in _deletes(entry):
-                key = _key(delete)
-                parts[key >> 28].append(key << self.shift | entry_id)
-        self.keys = array("q")
-        for part in parts:
-            self.keys.extend(sorted(part))
-        self.min_len = min(map(len, self.entries))
-        self.max_len = max(map(len, self.entries))
+        positions: dict[str, list[int]] = {}
+        self.entries: dict[int, str] = {}
+        guards = []
+        pos = 0
+        for entry in dictionary:
+            for ch in entry:
+                positions.setdefault(ch, []).append(pos)
+                pos += 1
+            if entry:
+                self.entries[pos - 1] = entry
+                guards.append(pos)
+                pos += 1
+        self.masks = {ch: _bits(bits) for ch, bits in positions.items()}
+        guard = _bits(guards)
+        self.full = full = ((1 << pos) - 1) ^ guard
+        self.low = low = (guard << 1 | 1) & full
+        self.top = guard >> 1
+        # Before any character of the word, a prefix of length i is
+        # within distance d when i <= d: row d has the low d bits of a lane.
+        rows = [0]
+        for _ in range(_MAX_EDITS):
+            rows.append((rows[-1] << 1 | low) & full)
+        self.start = tuple(rows)
+        self.has_empty = "" in dictionary
+        self.min_len = min(map(len, dictionary))
+        self.max_len = max(map(len, dictionary))
 
-    def candidates(self, word: str) -> set[int]:
-        """Ids of the entries that share a delete (or its crc32) with ``word``."""
-        keys, shift = self.keys, self.shift
-        mask = (1 << shift) - 1
-        found = set()
-        for delete in _deletes(word):
-            key = _key(delete)
-            i = bisect_left(keys, key << shift)
-            while i < len(keys) and keys[i] >> shift == key:
-                found.add(keys[i] & mask)
-                i += 1
-        return found
+    def rows(self, word: str) -> list[int]:
+        """``rows[d]`` has the top bit of each lane whose entry is within
+        edit distance d of ``word``, for d up to ``_MAX_EDITS``.
+
+        The anchored k-differences recurrences of Wu and Manber (CACM
+        1992), one per distance, stepped over the characters of ``word``:
+        after j characters, bit i of a lane is set in row d when the
+        entry's prefix of length i + 1 is within distance d of the word's
+        first j characters.  A lane's empty prefix is within distance d
+        while j <= d; that bit lies below the lane, so it is injected at
+        ``low``.
+        """
+        masks, full, low = self.masks, self.full, self.low
+        rows = list(self.start)
+        for j, ch in enumerate(word, 1):
+            eq = masks.get(ch, 0)
+            below_old = rows[0]
+            below = rows[0] = (below_old << 1 | (low if j == 1 else 0)) & eq
+            for d in range(1, _MAX_EDITS + 1):
+                here = rows[d]
+                rows[d] = below = (
+                    (here << 1 | (low if j <= d + 1 else 0)) & eq  # match
+                    | below_old  # the word's character inserted
+                    # substituted, or an entry character deleted
+                    | ((below_old | below) << 1 | (low if j <= d else 0)) & full
+                )
+                below_old = here
+        top = self.top
+        return [row & top for row in rows]
 
 
 @lru_cache(maxsize=None)
-def _bundled_index() -> _DeleteIndex:
-    return _DeleteIndex(load_wordlist())
+def _bundled_packed() -> _PackedWords:
+    return _PackedWords(load_wordlist())
 
 
-def _index_for(dictionary: Mapping[str, int]) -> _DeleteIndex:
-    # The bundled word list is read-only, so its index is kept; a caller's
-    # dictionary may change between calls and gets a fresh one.
+def _packed_for(dictionary: Mapping[str, int]) -> _PackedWords:
+    # The bundled word list is read-only, so its packing is kept; a
+    # caller's dictionary may change between calls and is packed afresh.
     if dictionary is load_wordlist():
-        return _bundled_index()
-    return _DeleteIndex(dictionary)
+        return _bundled_packed()
+    return _PackedWords(dictionary)
 
 
-def _best_correction(word: str, dictionary: Mapping[str, int], index: _DeleteIndex) -> str | None:
-    """Nearest dictionary entry: smallest edit distance up to two, then
-    highest frequency, then lexicographic order."""
+def _best_correction(word: str, dictionary: Mapping[str, int], packed: _PackedWords) -> str | None:
+    """Nearest dictionary entry to ``word``, which is not one: smallest
+    edit distance up to two, then highest frequency, then lexicographic
+    order."""
     # A word this much longer or shorter than every entry is out of reach;
-    # rejecting it here also keeps a very long token from generating its
-    # quadratic number of deletes.
-    if not index.min_len - _MAX_EDITS <= len(word) <= index.max_len + _MAX_EDITS:
+    # rejecting it here also keeps a very long token from being stepped.
+    if not packed.min_len - _MAX_EDITS <= len(word) <= packed.max_len + _MAX_EDITS:
         return None
-    best = None
-    for entry_id in index.candidates(word):
-        entry = index.entries[entry_id]
-        if abs(len(entry) - len(word)) > _MAX_EDITS:
-            continue  # a crc32 collision
-        distance = levenshtein_char(word, entry)
-        if 0 < distance <= _MAX_EDITS:
-            key = (distance, -dictionary[entry], entry)
-            if best is None or key < best:
-                best = key
-    return None if best is None else best[2]
+    rows = packed.rows(word)
+    for distance in range(1, _MAX_EDITS + 1):
+        # No entry is nearer, so the row holds those at this distance.
+        lanes = rows[distance]
+        near = [""] if packed.has_empty and len(word) == distance else []
+        while lanes:
+            bit = lanes & -lanes
+            near.append(packed.entries[bit.bit_length() - 1])
+            lanes ^= bit
+        if near:
+            return min(near, key=lambda entry: (-dictionary[entry], entry))
+    return None
 
 
 class _Speller:
     """Spell check against one dictionary, looking each out-of-dictionary
     type up once.
 
-    The candidate index is built on the first out-of-dictionary token and
+    The dictionary is packed on the first out-of-dictionary token and
     each lowercased type's correction (or ``None``) is kept, so the
     dictionary is treated as fixed for the speller's life.
     """
 
-    __slots__ = ("dictionary", "index", "found")
+    __slots__ = ("dictionary", "packed", "found")
 
     def __init__(self, dictionary: Mapping[str, int] | None) -> None:
         self.dictionary = load_wordlist() if dictionary is None else dictionary
-        self.index: _DeleteIndex | None = None
+        self.packed: _PackedWords | None = None
         self.found: dict[str, str | None] = {}
 
     def correct(self, tokens: Iterable[str]) -> tuple[list[str], bool]:
@@ -218,9 +242,9 @@ class _Speller:
                     try:
                         found = self.found[lowered]
                     except KeyError:
-                        if self.index is None:
-                            self.index = _index_for(dictionary)
-                        found = self.found[lowered] = _best_correction(lowered, dictionary, self.index)
+                        if self.packed is None:
+                            self.packed = _packed_for(dictionary)
+                        found = self.found[lowered] = _best_correction(lowered, dictionary, self.packed)
                     if found is not None:
                         token = found.capitalize() if token.istitle() else found
                         normal = normal and token.isalnum()
@@ -235,10 +259,12 @@ def spell_check(s: Sentence, dictionary: Mapping[str, int] | None = None) -> Spe
     mask token, and all-uppercase tokens (acronyms) pass through.  Title
     case is restored on the replacement.  The token count never changes.
 
-    The candidate index of the bundled word list is built once per
-    process.  Any other ``dictionary`` gets a fresh index on each call
-    that meets an out-of-dictionary token, which at the bundled list's
-    size (835 entries) costs about 40 ms.
+    The bundled word list (835 entries) is packed once per process, in
+    about 1.5 ms.  Any other ``dictionary`` is packed afresh on each call
+    that meets an out-of-dictionary token.  Packing and each
+    out-of-dictionary word cost time linear in the total length of the
+    entries: on a 2-CPU host, 7 ms and 53 us a word at 5,000 entries
+    (32k characters), 29 ms and 190 us a word at 20,000.
     """
     corrected, _ = _Speller(dictionary).correct(s.tokens)
     corrections = tuple((old, new) for old, new in zip(s.tokens, corrected) if old != new)
@@ -325,7 +351,7 @@ def filter_pairs(
     undefined or strictly below ``cfg.alpha`` land in the removed list
     with a human-readable reason.
 
-    The call shares one spell-check index and looks each
+    The call shares one packed dictionary and looks each
     out-of-dictionary type up once, so ``dictionary`` must not change
     during the call.  The overlap is taken on the corrected tokens; they
     are tokenized again only when a replacement is not alphanumeric,

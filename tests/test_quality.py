@@ -43,8 +43,9 @@ from draftkit.quality import (
     spell_check,
     spell_check_all,
 )
+from draftkit.metrics import levenshtein_char
 from draftkit.resources import load_wordlist
-from oracles import nearest_entry_scan
+from oracles import all_strings, nearest_entry_scan
 
 
 def sent(*tokens: str) -> Sentence:
@@ -152,11 +153,30 @@ def edited(word: str, edits: list[tuple[int, int, str]]) -> str:
 def expected_pick(word: str, dictionary) -> str:
     if word in dictionary:
         return word
-    return nearest_entry_scan(word, dictionary) or word
+    pick = nearest_entry_scan(word, dictionary)
+    return word if pick is None else pick
+
+
+def one_edit_variants(word: str, letter: str) -> set[str]:
+    """Every string one deletion of ``word``, or one insertion or
+    substitution of ``letter`` into it, away."""
+    found = set()
+    for i in range(len(word) + 1):
+        found.add(word[:i] + letter + word[i:])
+        if i < len(word):
+            found.add(word[:i] + word[i + 1 :])
+            found.add(word[:i] + letter + word[i + 1 :])
+    return found
+
+
+# Lowercase letters, one of them outside the BMP; entries may also hold a
+# combining accent, which no token is made of alone.
+WORD_LETTERS = "abeé\U0001D4B6"
+ENTRY_CHARS = WORD_LETTERS + "\u0301"
 
 
 class TestSpellCheckIndex:
-    """The candidate index must pick exactly what a scan of every entry picks."""
+    """The packed matcher must pick exactly what a scan of every entry picks."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -190,10 +210,54 @@ class TestSpellCheckIndex:
         result = spell_check(sent(word))
         assert result.corrected_text == expected_pick(word, load_wordlist())
 
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_matches_scan_with_empty_short_and_combining_entries(self, data):
+        entries = data.draw(st.lists(st.text(alphabet=ENTRY_CHARS, max_size=5), min_size=1, max_size=12))
+        entries += data.draw(st.lists(st.sampled_from(["", *WORD_LETTERS]), max_size=3))
+        dictionary = {entry: data.draw(st.integers(1, 3)) for entry in entries}
+        longest = max(map(len, dictionary))
+        words = data.draw(st.lists(st.text(alphabet=WORD_LETTERS, min_size=1, max_size=6), max_size=3))
+        # Words 0-3 characters longer than every entry: the longest lane's
+        # top bit, and the length bound that skips the matcher.
+        for extra in data.draw(st.lists(st.integers(0, 3), min_size=1, max_size=3)):
+            size = max(longest + extra, 1)
+            words.append(data.draw(st.text(alphabet=WORD_LETTERS, min_size=size, max_size=size)))
+        result = spell_check(sent(*words), dictionary)
+        assert result.corrected_text.split(" ") == [expected_pick(w, dictionary) for w in words]
+
+    def test_matches_scan_on_every_short_word(self):
+        dictionary = {"": 2, "a": 5, "c": 1, "ab": 3, "ba": 3, "abc": 4, "cab": 4,
+                      "bbbb": 2, "acca": 6, "abcab": 1, "ccccc": 9}
+        words = all_strings("abc", 5)[1:]
+        result = spell_check(sent(*words), dictionary)
+        assert result.corrected_text.split(" ") == [expected_pick(w, dictionary) for w in words]
+
+    def test_matches_scan_on_near_variants_of_bundled_entries(self):
+        # Every string one or two edits from each of 50 bundled entries,
+        # with one letter per entry to insert or substitute.
+        wordlist = load_wordlist()
+        entries = sorted(wordlist)[:: len(wordlist) // 50][:50]
+        for n, entry in enumerate(entries):
+            letter = "etaoinsrz"[n % 9]
+            once = one_edit_variants(entry, letter)
+            variants = sorted((once | {v for w in once for v in one_edit_variants(w, letter)}) - {""})
+            # An entry within distance 2 of a variant is within distance 4
+            # of ``entry``.  The metrics kernel, which spell check does not
+            # use, narrows each variant's scan to the entries within 2 of
+            # it; the scan measures them again with the textbook recurrence.
+            near: dict[str, dict[str, int]] = {v: {} for v in variants}
+            for other in wordlist:
+                if levenshtein_char(entry, other) <= 4:
+                    for v in variants:
+                        if abs(len(other) - len(v)) <= 2 and levenshtein_char(other, v) <= 2:
+                            near[v][other] = wordlist[other]
+            result = spell_check(sent(*variants))
+            assert result.corrected_text.split(" ") == [expected_pick(v, near[v]) for v in variants]
+
     @pytest.mark.parametrize("size", [1, 2, 255, 256, 257, 1025])
     def test_entry_ids_at_every_field_width(self, size):
-        # The id field is as wide as the entry count needs; the last entry
-        # holds the largest id at each width.
+        # The last entry has the highest lane of the packed int.
         letters = "vwxyz"
         entries = [
             "q" + "".join(letters[i // 5**k % 5] for k in range(5)) for i in range(size)
@@ -219,27 +283,14 @@ class TestSpellCheckIndex:
         assert picks == ["cart", "bat", "cart", "cat"]
 
     def test_overlong_token_rejected_before_any_lookup(self, monkeypatch):
-        lookups, distances = [], []
-        candidates = quality._DeleteIndex.candidates
-        deletes = quality._deletes
-        longest = max(map(len, load_wordlist()))
-
-        def bounded_deletes(word):
-            # Fail fast: the deletes of the long token would not fit in memory.
-            if len(word) > longest:
-                raise AssertionError(f"deletes of a {len(word)}-letter word")
-            return deletes(word)
-
-        monkeypatch.setattr(
-            quality._DeleteIndex, "candidates", lambda self, w: lookups.append(w) or candidates(self, w)
-        )
-        monkeypatch.setattr(quality, "levenshtein_char", lambda a, b: distances.append(a) or 0)
-        monkeypatch.setattr(quality, "_deletes", bounded_deletes)
+        stepped = []
+        rows = quality._PackedWords.rows
+        monkeypatch.setattr(quality._PackedWords, "rows", lambda self, w: stepped.append(w) or rows(self, w))
         word = "a" * 5_000
         for dictionary in ({"the": 100, "cat": 5}, None):
-            result = spell_check(sent("the", word), dictionary)
-            assert result.corrections == ()
-        assert lookups == [] and distances == []
+            result = spell_check(sent("the", "cst", word), dictionary)
+            assert [old for old, _ in result.corrections] == ["cst"]
+        assert stepped == ["cst", "cst"]
 
     def test_import_and_wordlist_load_build_no_index(self):
         probe = """
@@ -248,9 +299,9 @@ from draftkit import quality
 from draftkit.corpus import Sentence
 from draftkit.resources import load_wordlist
 load_wordlist()
-before = quality._bundled_index.cache_info().currsize
+before = quality._bundled_packed.cache_info().currsize
 quality.spell_check(Sentence.from_text("the modle"))
-print(before, quality._bundled_index.cache_info().currsize)
+print(before, quality._bundled_packed.cache_info().currsize)
 """
         src = Path(draftkit.__file__).resolve().parent.parent
         proc = subprocess.run(
@@ -447,9 +498,9 @@ class TestFilterPairs:
 
     def test_caller_dictionary_indexed_once_per_call(self, monkeypatch):
         built = []
-        init = quality._DeleteIndex.__init__
+        init = quality._PackedWords.__init__
         monkeypatch.setattr(
-            quality._DeleteIndex, "__init__", lambda self, d: built.append(d) or init(self, d)
+            quality._PackedWords, "__init__", lambda self, d: built.append(d) or init(self, d)
         )
         pairs = [self.pair(f"the modle {w} Modle", "a model") for w in ("dta", "modle", "reslts")]
         kept, _ = filter_pairs(pairs, dictionary=CALLER_DICTIONARY)
