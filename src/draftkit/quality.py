@@ -159,10 +159,8 @@ class _PackedWords:
         rows = list(self.start)
         for j, ch in enumerate(word, 1):
             eq = masks.get(ch, 0)
-            below_old = rows[0]
-            below = rows[0] = (below_old << 1 | (low if j == 1 else 0)) & eq
-            for d in range(1, _MAX_EDITS + 1):
-                here = rows[d]
+            below_old = below = 0  # row -1: nothing is within distance -1
+            for d, here in enumerate(rows):
                 rows[d] = below = (
                     (here << 1 | (low if j <= d + 1 else 0)) & eq  # match
                     | below_old  # the word's character inserted

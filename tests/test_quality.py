@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import draftkit
 from draftkit import quality
 from draftkit.corpus import DraftPair, RecordError, Sentence, tokenize
+from draftkit.metrics import levenshtein_char
 from draftkit.quality import (
     CRITERION_ALL_SHORT,
     CRITERION_ENGLISH,
@@ -43,7 +44,6 @@ from draftkit.quality import (
     spell_check,
     spell_check_all,
 )
-from draftkit.metrics import levenshtein_char
 from draftkit.resources import load_wordlist
 from oracles import all_strings, nearest_entry_scan
 
