@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 from .corpus import DraftPair, Sentence
 from .lm import NGramModel
-from .metrics import fre, levenshtein_char, passive_voice, word_repetition
+from .metrics import fre, levenshtein_pairs, passive_voice, word_repetition
 
 
 @dataclass(frozen=True, slots=True)
@@ -38,7 +38,7 @@ def dataset_stats(pairs: Sequence[DraftPair]) -> DatasetStats:
     n = len(pairs)
     masked = sum(p.has_mask for p in pairs)
     changed = sum(p.draft.text != p.reference.text for p in pairs)
-    distance_total = sum(levenshtein_char(p.draft.text, p.reference.text) for p in pairs)
+    distance_total = sum(levenshtein_pairs((p.draft.text, p.reference.text) for p in pairs))
     return DatasetStats(
         pair_count=n,
         pct_with_mask=100.0 * masked / n,

@@ -41,7 +41,7 @@ from .corpus import (
 from .lm import SMOOTHINGS, load_arpa, save_arpa, train
 from .metrics import evaluate
 from .noising import NoiseConfig, ReplacementVocab, noise_corpus, noise_sentence
-from .quality import FilterConfig, filter_pairs, load_submissions, score_worker, spell_check_all
+from .quality import FilterConfig, filter_pairs, load_submissions, score_workers, spell_check_all
 
 SCHEMA_VERSION = 1
 
@@ -236,12 +236,14 @@ def _cmd_noise_run(args) -> None:
 
 
 def _cmd_quality_score_workers(args) -> None:
-    lines = []
-    for sub in load_submissions(args.input):
-        verdict = score_worker(sub)
-        record = {"worker_id": sub.worker_id, **verdict.to_json_dict()}
-        lines.append(json.dumps(record, sort_keys=True))
-    _write_lines(args.out, lines)
+    subs = load_submissions(args.input)
+    _write_lines(
+        args.out,
+        (
+            json.dumps({"worker_id": sub.worker_id, **verdict.to_json_dict()}, sort_keys=True)
+            for sub, verdict in zip(subs, score_workers(subs))
+        ),
+    )
 
 
 def _cmd_quality_filter_pairs(args) -> None:

@@ -10,9 +10,12 @@ corpus BLEU from the sums of the pairs' n-gram statistics; it matches
 untyped edit runs and takes no dictionary.
 
 Every result depends on the arguments alone.  Character edit distance
-and the LCS behind ROUGE-L are bit-parallel kernels; edit distance keeps
-a small bounded state for its last first argument, so comparing one
-string against many reuses work between calls.
+and the LCS behind ROUGE-L are bit-parallel kernels.  ``levenshtein_pairs``
+takes many distances in one pass, each pair one lane of a wide int, and
+is what ``evaluate``, ``analysis.dataset_stats`` and
+``quality.score_workers`` use; ``levenshtein_char`` takes one, and keeps a
+small bounded state for its last first argument, so comparing one string
+against many reuses work between calls.
 """
 
 from __future__ import annotations
@@ -21,7 +24,8 @@ import math
 import re
 import unicodedata
 from collections import Counter
-from dataclasses import asdict, dataclass, fields
+from itertools import islice, repeat, zip_longest
+from dataclasses import dataclass, fields
 from typing import Callable, Container, Iterable, Sequence
 
 from .corpus import Sentence
@@ -30,6 +34,10 @@ from .resources import load_participles, load_stopwords, load_wordlist
 #: Bound on the transitions kept for one first argument, and so on the
 #: columns they lead to.
 _MAX_MOVES = 4096
+
+#: Most pairs one lane-packed pass of ``levenshtein_pairs`` steps at once,
+#: which bounds the width of its ints and the iterators it holds.
+_PACK_LANES = 128
 
 #: BLEU's highest n-gram order and its stand-in for a zero match count;
 #: ROUGE-L's recall weight (the common summarization setting).
@@ -49,19 +57,26 @@ def _match_masks(seq: Sequence) -> tuple[dict, int]:
     return masks, bit - 1
 
 
-def _advance(masks: dict[str, int], full: int, pv: int, mv: int, text: str) -> tuple[int, int]:
-    """Step a DP column over ``text``, one bit-parallel update per character.
+def _advance(eqs: Iterable[int], full: int, bottom: int, pv: int, mv: int) -> tuple[int, int]:
+    """Step DP columns over ``eqs``, one bit-parallel update per match mask.
 
     Myers (JACM 1999) in the edit-distance form of Hyyrö (2001): bit i - 1
     of ``pv`` (``mv``) is set where D[i][j] - D[i-1][j] is +1 (-1), for the
-    pattern whose match masks are ``masks`` and whose bits are ``full``.
-    ``x ^ full`` stands for ``~x``: bits at and above the pattern length
-    are never read, and non-negative ints stay small.
+    pattern whose bits are ``full``; each ``eq`` has the pattern bits that
+    match the next character of the text.  ``x ^ full`` stands for ``~x``:
+    bits outside ``full`` are never read, and non-negative ints stay small.
+
+    ``full`` may hold several patterns, each a lane with at least one
+    unused guard bit above it, and ``bottom`` has the lowest bit of each
+    lane (1 for a single pattern), where D[0][j] - D[0][j-1] = +1 enters.
+    No lane reaches the next: the addition's carry stops at the guard bit,
+    which ``pv`` and ``eq`` leave clear; the one shift that can move a
+    guard bit lands it on the next lane's bottom bit, which ``| bottom``
+    sets anyway; and the kept state is masked by ``full``.
     """
-    for ch in text:
-        eq = masks.get(ch, 0)
+    for eq in eqs:
         d0 = (((eq & pv) + pv) ^ pv) | eq | mv
-        hp = (mv | (d0 | pv) ^ full) << 1 | 1
+        hp = (mv | (d0 | pv) ^ full) << 1 | bottom
         mv = hp & d0 & full
         pv = ((d0 & pv) << 1 | (d0 | hp) ^ full) & full
     return pv, mv
@@ -92,7 +107,7 @@ class _Pattern:
 
     def follow(self, col: tuple, ch: str) -> tuple:
         """The column after ``col`` and ``ch``, kept while within bound."""
-        key = pv, mv = _advance(self.masks, self.full, col[0], col[1], ch)
+        key = pv, mv = _advance((self.masks.get(ch, 0),), self.full, 1, col[0], col[1])
         nxt = self.columns.get(key)
         if nxt is None:
             nxt = (pv, mv, {}, pv.bit_count() - mv.bit_count())
@@ -106,6 +121,21 @@ class _Pattern:
 # so concurrent threads never share one; a thread that finds the list
 # empty starts from a fresh state.
 _kept_patterns = [_Pattern("")]
+
+
+def _unshared(a: str, b: str) -> tuple[int, int, int]:
+    """(lo, m, n) such that ``a[lo:m]`` and ``b[lo:n]`` are what is left of
+    ``a`` and ``b`` once their shared prefix and suffix, which never change
+    the optimum, are cut off."""
+    m, n = len(a), len(b)
+    while m and n and a[m - 1] == b[n - 1]:
+        m -= 1
+        n -= 1
+    lo = 0
+    end = min(m, n)
+    while lo < end and a[lo] == b[lo]:
+        lo += 1
+    return lo, m, n
 
 
 def levenshtein_char(a: str, b: str) -> int:
@@ -135,21 +165,94 @@ def levenshtein_char(a: str, b: str) -> int:
     pat = _Pattern(a)
     _kept_patterns.append(pat)
     # A first call runs the kernel on what lies between the shared prefix
-    # and the shared suffix, which never change the optimum.  Along the
-    # prefix the columns are known in closed form, D[i][j] = |i - j|, and
-    # the distance is read from the pattern row before the suffix.
-    m, n = len(a), len(b)
-    while m and n and a[m - 1] == b[n - 1]:
-        m -= 1
-        n -= 1
-    lo = 0
-    end = min(m, n)
-    while lo < end and a[lo] == b[lo]:
-        lo += 1
+    # and the shared suffix.  Along the prefix the columns are known in
+    # closed form, D[i][j] = |i - j|, and the distance is read from the
+    # pattern row before the suffix.
+    lo, m, n = _unshared(a, b)
     below = (1 << lo) - 1
-    pv, mv = _advance(pat.masks, pat.full, pat.full ^ below, below, b[lo:n])
+    pv, mv = _advance(map(pat.masks.get, b[lo:n], repeat(0)), pat.full, 1, pat.full ^ below, below)
     low = (1 << m) - 1
     return n + (pv & low).bit_count() - (mv & low).bit_count()
+
+
+def _pack_distances(lanes: Sequence[tuple[str, str, int]]) -> list[int]:
+    """Distances of (text, pattern, index) lanes, both strings non-empty
+    and listed by descending text length, from one ``_advance`` over all
+    of them.
+
+    Each pattern is a lane of whole bytes with at least one guard bit, the
+    first lane lowest, and each step's match mask is the join of every
+    lane's byte mask for its text's next character.  The texts end in
+    reverse lane order: when the top lanes' texts end, their distances are
+    read from their bits and they are cut off, so the ints shrink as the
+    pass goes on.
+    """
+    columns = []
+    fulls = []
+    bottoms = []
+    offsets = []
+    width = 0
+    for text, pattern, _ in lanes:
+        masks, full = _match_masks(pattern)
+        size = len(pattern) // 8 + 1
+        zero = bytes(size)
+        masks = {ch: mask.to_bytes(size, "little") for ch, mask in masks.items()}
+        columns.append(map(masks.get, text, repeat(zero)))
+        fulls.append(full.to_bytes(size, "little"))
+        bottoms.append(b"\1".ljust(size, b"\0"))
+        offsets.append(width)
+        width += 8 * size
+    full = int.from_bytes(b"".join(fulls), "little")
+    bottom = int.from_bytes(b"".join(bottoms), "little")
+    # An ended text's lane is the top one and gives b"", so it adds no bits.
+    eqs = (
+        int.from_bytes(b"".join(column), "little")
+        for column in zip_longest(*columns, fillvalue=b"")
+    )
+    pv, mv = full, 0
+    stepped = 0
+    distances = [0] * len(lanes)
+    for k in reversed(range(len(lanes))):
+        n = len(lanes[k][0])
+        pv, mv = _advance(islice(eqs, n - stepped), full, bottom, pv, mv)
+        stepped = n
+        offset = offsets[k]
+        distances[k] = n + (pv >> offset).bit_count() - (mv >> offset).bit_count()
+        below = (1 << offset) - 1
+        pv &= below
+        mv &= below
+        full &= below
+        bottom &= below
+    return distances
+
+
+def levenshtein_pairs(pairs: Iterable[tuple[str, str]]) -> list[int]:
+    """``levenshtein_char(a, b)`` for each pair, in one lane-packed pass.
+
+    Each pair is trimmed of its shared prefix and suffix; a pair left with
+    an empty side is settled there.  Otherwise the shorter side becomes
+    one lane of a wide int and the longer one the text stepped over it.
+    The pairs are sorted by text length and cut into packs of at most
+    ``_PACK_LANES`` lanes, and one ``_advance`` steps every lane of a pack
+    at once, reading each lane's distance after its own text's last
+    character.  No state is kept between calls.
+    """
+    distances = []
+    lanes = []
+    for i, (a, b) in enumerate(pairs):
+        lo, m, n = _unshared(a, b)
+        a, b = a[lo:m], b[lo:n]
+        if not a or not b:
+            distances.append(len(a) + len(b))
+            continue
+        distances.append(0)
+        lanes.append((b, a, i) if len(a) <= len(b) else (a, b, i))
+    lanes.sort(key=lambda lane: len(lane[0]), reverse=True)
+    for start in range(0, len(lanes), _PACK_LANES):
+        pack = lanes[start : start + _PACK_LANES]
+        for (_, _, i), distance in zip(pack, _pack_distances(pack)):
+            distances[i] = distance
+    return distances
 
 
 def _ngram_counts(tokens: Sequence[str], order: int) -> Counter:
@@ -606,8 +709,11 @@ class EvalReport:
     skipped_ppl: int
 
     def to_json_dict(self) -> dict:
+        # Every field is a number, a bool or None, so the records need no
+        # deep copy (``dataclasses.asdict``), only their fields read.
+        names = [f.name for f in fields(PairEval)]
         return {
-            "pairs": [asdict(record) for record in self.per_pair],
+            "pairs": [{name: getattr(record, name) for name in names} for record in self.per_pair],
             "aggregates": {
                 f.name: getattr(self, f.name) for f in fields(self) if f.name != "per_pair"
             },
@@ -635,7 +741,8 @@ def evaluate(
         raise ValueError("nothing to evaluate")
     records = []
     bleu_rows = []
-    for src, hyp, ref in zip(sources, hypotheses, references):
+    distances = levenshtein_pairs((hyp.text, ref.text) for hyp, ref in zip(hypotheses, references))
+    for src, hyp, ref, distance in zip(sources, hypotheses, references, distances):
         matched, proposed, gold = _edit_counts(src, hyp, ref)
         bleu_rows.append(_bleu_stats(hyp.tokens, ref.tokens))
         try:
@@ -646,7 +753,7 @@ def evaluate(
             PairEval(
                 bleu=_bleu_score(bleu_rows[-1]),
                 rouge_l=rouge_l(hyp, ref),
-                levenshtein_char=levenshtein_char(hyp.text, ref.text),
+                levenshtein_char=distance,
                 grammaticality=grammaticality(hyp) if hyp.tokens else 0.0,
                 fre=fre_value,
                 ppl=float(lm.perplexity(hyp.tokens)) if lm is not None else None,

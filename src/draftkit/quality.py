@@ -4,9 +4,12 @@ Three layers, applied in pipeline order:
 
 1. :func:`spell_check` repairs misspelled tokens against a frequency
    dictionary before any text is compared or filtered.
-2. :func:`score_worker` turns one worker submission (three rewritten
+2. :func:`score_workers` turns each worker submission (three rewritten
    answers plus the machine translations shown alongside them) into a
    :class:`WorkerVerdict` with per-criterion score deltas and rejections.
+   It takes every answer's distance to its translation in one
+   lane-packed pass (:func:`~draftkit.metrics.levenshtein_pairs`);
+   :func:`score_worker` scores one submission.
 3. :func:`filter_pairs` drops draft/reference pairs whose content-word
    overlap falls below a threshold after spell checking the draft.
 
@@ -33,10 +36,10 @@ import re
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .corpus import MASK_TOKEN, DraftPair, RecordError, Sentence, iter_checked_lines, tokenize
-from .metrics import levenshtein_char
+from .metrics import levenshtein_pairs
 from .resources import load_stopwords, load_wordlist
 
 #: Marker used in a verdict instead of a numeric delta.
@@ -417,16 +420,34 @@ class WorkerVerdict:
         }
 
 
-def score_worker(
-    sub: WorkerSubmission, dictionary: Mapping[str, int] | None = None
-) -> WorkerVerdict:
-    """Apply every scoring and rejection criterion to one submission.
+def score_workers(
+    subs: Sequence[WorkerSubmission], dictionary: Mapping[str, int] | None = None
+) -> list[WorkerVerdict]:
+    """Apply every scoring and rejection criterion to each submission.
 
     Deltas come first in ``triggered`` (length and type penalties, the
     per-answer distance bands in answer order, then the bonuses), followed
     by rejections.  The score is always the sum of the numeric deltas,
-    even when a rejection makes it moot.
+    even when a rejection makes it moot.  The distances of every answer
+    to its machine translation are taken in one
+    :func:`~draftkit.metrics.levenshtein_pairs` pass.
     """
+    distances = levenshtein_pairs(
+        pair for sub in subs for pair in zip(sub.answers, sub.mt_references)
+    )
+    return [_verdict(sub, distances[3 * i : 3 * i + 3], dictionary) for i, sub in enumerate(subs)]
+
+
+def score_worker(
+    sub: WorkerSubmission, dictionary: Mapping[str, int] | None = None
+) -> WorkerVerdict:
+    """:func:`score_workers` of one submission."""
+    return score_workers([sub], dictionary)[0]
+
+
+def _verdict(
+    sub: WorkerSubmission, distances: Sequence[int], dictionary: Mapping[str, int] | None
+) -> WorkerVerdict:
     triggered: list[tuple[str, float | str]] = []
     words = [answer.split() for answer in sub.answers]
 
@@ -437,8 +458,7 @@ def score_worker(
 
     # Answers too close to the displayed machine translation were likely
     # copied rather than rewritten; the bands grade how close.
-    for answer, reference in zip(sub.answers, sub.mt_references):
-        distance = levenshtein_char(answer, reference)
+    for distance in distances:
         if distance <= 10:
             triggered.append((CRITERION_LD_CLOSE, REJECT))
         elif distance < 20:

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import draftkit
-from draftkit import cli, lm, quality
+from draftkit import cli, lm, metrics, quality
 from draftkit.cli import dispatch
 from draftkit.corpus import Sentence, load_pairs
 from draftkit.quality import load_submissions, score_worker, spell_check
@@ -415,6 +415,48 @@ class TestQualityCommands:
             verdict = score_worker(sub)
             assert record["score"] == verdict.score
             assert record["triggered"] == [[cid, delta] for cid, delta in verdict.triggered]
+
+    def test_score_workers_many_submissions_match_one_per_file(self, tmp_path):
+        # More answers than one lane-packed pass holds, each at a distance
+        # on either side of a band edge from its machine translation: d
+        # characters that the answer lacks, substituted or inserted at
+        # spread positions, put it exactly d edits away.
+        sentences = [s.text for s in academic_sentences(40, seed=5)]
+        distances = (10, 11, 19, 20, 30, 31)
+        count = metrics._PACK_LANES // 3 + 8
+        lines, bands = [], []
+        for k in range(count):
+            answers, refs = [], []
+            for slot in range(3):
+                answer = " ".join(sentences[(3 * k + slot + i) % 40] for i in range(2))
+                d = distances[(3 * k + slot) % len(distances)]
+                cut = [len(answer) * (i + 1) // (d + 1) for i in range(d)]
+                if slot == 1:  # insertions: the text is longer than the pattern
+                    pieces = [answer[a:b] for a, b in zip([0, *cut], [*cut, len(answer)])]
+                    ref = "#".join(pieces)
+                else:
+                    ref = "".join("#" if i in cut else ch for i, ch in enumerate(answer))
+                answers.append(answer)
+                refs.append(ref)
+                bands.append("worker.ld_le_10" if d <= 10 else "worker.ld_10_20" if d < 20
+                             else "worker.ld_20_30" if d <= 30 else None)
+            lines.append(json.dumps({"worker_id": f"w{k}", "answers": answers,
+                                     "seconds": 300, "mt_references": refs}))
+        subs = write_lines(tmp_path / "subs.jsonl", lines)
+        out = tmp_path / "verdicts.jsonl"
+        assert dispatch(["quality", "score-workers", "--input", str(subs), "--out", str(out)]) == 0
+        singles = []
+        for k, line in enumerate(lines):
+            one = write_lines(tmp_path / f"sub{k}.jsonl", [line])
+            one_out = tmp_path / f"verdict{k}.jsonl"
+            assert dispatch(["quality", "score-workers", "--input", str(one),
+                             "--out", str(one_out)]) == 0
+            singles.append(one_out.read_bytes())
+        assert out.read_bytes() == b"".join(singles)
+        records = [json.loads(line) for line in out.read_text().splitlines()]
+        got = [c for r in records for c, _ in r["triggered"] if c.startswith("worker.ld_")]
+        assert got == [band for band in bands if band is not None]
+        assert len(bands) > metrics._PACK_LANES
 
     def test_score_workers_bad_record(self, tmp_path, capsys):
         subs = write_lines(tmp_path / "subs.jsonl", ["{broken"])

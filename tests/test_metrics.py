@@ -8,6 +8,7 @@ tables written out in comments next to the assertions.
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +28,7 @@ from draftkit.metrics import (
     fre,
     grammaticality,
     levenshtein_char,
+    levenshtein_pairs,
     passive_voice,
     rouge_l,
     syllable_count,
@@ -128,6 +130,74 @@ class TestLevenshteinChar:
                 assert state.moves <= bound
                 assert len(state.columns) <= state.moves + 1
                 assert len(state.masks) <= len(state.text)
+
+
+# Letters, a non-BMP letter, a combining accent and its precomposed form.
+lane_text = st.text(alphabet="ab\U0001d49c\u0301\u00e9", max_size=12)
+
+
+def recursive_distances(pairs):
+    return [levenshtein_recursive(a, b) for a, b in pairs]
+
+
+class TestLevenshteinPairs:
+    @given(st.lists(st.tuples(lane_text | short_text, lane_text | short_text), max_size=40))
+    def test_matches_recursive_oracle(self, pairs):
+        assert levenshtein_pairs(pairs) == recursive_distances(pairs)
+
+    def test_pairs_that_trim_to_an_empty_side(self):
+        pairs = [
+            ("", ""),
+            ("", "abc"),
+            ("abc", ""),
+            ("draft", "draft"),
+            ("abc", "abxc"),  # only an insertion is left
+            ("abxc", "abc"),
+            ("aab", "ab"),
+            ("ab", "aab"),
+            ("abc", "xabc"),
+            ("\U0001d49cb", "b"),
+        ]
+        assert levenshtein_pairs(pairs) == recursive_distances(pairs)
+
+    def test_more_pairs_than_one_pack(self):
+        rng = random.Random(13)
+        pairs = [
+            ("".join(rng.choices("abcde", k=rng.randint(0, 15))),
+             "".join(rng.choices("abcde", k=rng.randint(0, 15))))
+            for _ in range(3 * metrics._PACK_LANES + 7)
+        ]
+        assert levenshtein_pairs(pairs) == recursive_distances(pairs)
+
+    def test_texts_ending_at_every_step(self):
+        # One pack whose lanes' texts have every length from 1 to 40, so
+        # lanes end (and are cut off) at every step of the pass.
+        pairs = [("x" + "ab" * (n // 4) + "y", "q" + "ba" * (n // 2) + "abc"[: n % 2] + "r")
+                 for n in range(1, 41)]
+        assert levenshtein_pairs(pairs) == recursive_distances(pairs)
+
+    def test_repeated_character_lanes_side_by_side(self):
+        # Runs of one character make the addition carry through a whole
+        # lane; lengths 7, 15 and 23 leave a lane exactly one guard bit.
+        # The first and last characters differ, so nothing is trimmed.
+        pairs = [("b" + "a" * i + "c", "d" + "a" * j + "e") for i in range(25) for j in range(25)]
+        assert levenshtein_pairs(pairs) == recursive_distances(pairs)
+        pairs = [("a" * i + "b", "c" + "a" * j) for i in range(1, 25) for j in range(1, 25)]
+        assert levenshtein_pairs(pairs) == recursive_distances(pairs)
+
+    @given(
+        st.lists(st.tuples(short_text, short_text), min_size=1, max_size=30),
+        st.randoms(use_true_random=False),
+    )
+    def test_independent_of_input_order(self, pairs, rng):
+        order = list(range(len(pairs)))
+        rng.shuffle(order)
+        distances = levenshtein_pairs(pairs)
+        assert levenshtein_pairs([pairs[i] for i in order]) == [distances[i] for i in order]
+
+    def test_accepts_any_iterable(self):
+        assert levenshtein_pairs(iter([("kitten", "sitting"), ("a", "b")])) == [3, 1]
+        assert levenshtein_pairs([]) == []
 
 
 class TestBleu:
