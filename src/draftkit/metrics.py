@@ -24,8 +24,8 @@ import math
 import re
 import unicodedata
 from collections import Counter
-from itertools import islice, repeat, zip_longest
 from dataclasses import dataclass, fields
+from itertools import islice, repeat, zip_longest
 from typing import Callable, Container, Iterable, Sequence
 
 from .corpus import Sentence
@@ -69,10 +69,10 @@ def _advance(eqs: Iterable[int], full: int, bottom: int, pv: int, mv: int) -> tu
     ``full`` may hold several patterns, each a lane with at least one
     unused guard bit above it, and ``bottom`` has the lowest bit of each
     lane (1 for a single pattern), where D[0][j] - D[0][j-1] = +1 enters.
-    No lane reaches the next: the addition's carry stops at the guard bit,
-    which ``pv`` and ``eq`` leave clear; the one shift that can move a
-    guard bit lands it on the next lane's bottom bit, which ``| bottom``
-    sets anyway; and the kept state is masked by ``full``.
+    No lane reaches the next: the addition's carry stops at the first
+    guard bit, which ``pv`` and ``eq`` leave clear; the shift in ``hp``
+    moves that bit at most onto the next lane's bottom bit, which
+    ``| bottom`` sets anyway; and ``pv`` and ``mv`` are masked by ``full``.
     """
     for eq in eqs:
         d0 = (((eq & pv) + pv) ^ pv) | eq | mv
@@ -195,9 +195,8 @@ def _pack_distances(lanes: Sequence[tuple[str, str, int]]) -> list[int]:
     for text, pattern, _ in lanes:
         masks, full = _match_masks(pattern)
         size = len(pattern) // 8 + 1
-        zero = bytes(size)
-        masks = {ch: mask.to_bytes(size, "little") for ch, mask in masks.items()}
-        columns.append(map(masks.get, text, repeat(zero)))
+        lane_masks = {ch: mask.to_bytes(size, "little") for ch, mask in masks.items()}
+        columns.append(map(lane_masks.get, text, repeat(bytes(size))))
         fulls.append(full.to_bytes(size, "little"))
         bottoms.append(b"\1".ljust(size, b"\0"))
         offsets.append(width)

@@ -170,8 +170,8 @@ class TestLevenshteinPairs:
         assert levenshtein_pairs(pairs) == recursive_distances(pairs)
 
     def test_texts_ending_at_every_step(self):
-        # One pack whose lanes' texts have every length from 1 to 40, so
-        # lanes end (and are cut off) at every step of the pass.
+        # One pack whose lanes' texts have every length from 3 to 42, so
+        # a lane ends (and is cut off) at each of those steps.
         pairs = [("x" + "ab" * (n // 4) + "y", "q" + "ba" * (n // 2) + "abc"[: n % 2] + "r")
                  for n in range(1, 41)]
         assert levenshtein_pairs(pairs) == recursive_distances(pairs)
