@@ -67,7 +67,7 @@ class NGramModel:
         return sorted(gram for gram in self._logprob if len(gram) == order)
 
     def _as_known(self, token: str) -> str:
-        return token if (token,) in self._logprob else UNK
+        return token if token in self.vocab else UNK
 
     def logprob(self, word: str, history: Sequence[str] = ()) -> float:
         """Log10 P(word | history), history trimmed to the model order."""
@@ -76,12 +76,25 @@ class NGramModel:
         return _backoff_logprob(self._logprob, self._backoff, context, self._as_known(word))
 
     def sentence_logprob(self, tokens: Sequence[str]) -> float:
-        """Log10 probability of the token sequence plus its end event."""
-        known = tuple(self._as_known(t) for t in (BOS, *tokens, EOS))
+        """Log10 probability of the token sequence plus its end event.
+
+        Each event walks the chain of ``_backoff_logprob`` inline, with the
+        same additions in the same order.
+        """
+        vocab = self.vocab
+        known = tuple([t if t in vocab else UNK for t in (BOS, *tokens, EOS)])
         logp, bows, width = self._logprob, self._backoff, self.order - 1
         total = 0.0
         for i in range(1, len(known)):
-            total += _backoff_logprob(logp, bows, known[max(0, i - width) : i], known[i])
+            context = known[i - width : i] if i > width else known[:i]
+            word = known[i : i + 1]
+            acc = 0.0
+            while (stored := logp.get(context + word)) is None:
+                if not context:
+                    raise ValueError(f"model has no unigram entry for {word[0]!r}")
+                acc += bows.get(context, 0.0)
+                context = context[1:]
+            total += acc + stored
         return total
 
     def perplexity(self, tokens: Sequence[str]) -> float:
@@ -300,11 +313,16 @@ def _read_section(
     n: int,
     logp: dict[tuple[str, ...], float],
     bows: dict[tuple[str, ...], float],
+    bow_values: dict[str, float],
 ) -> int:
     """Store the entries of the ``n``-grams section whose first entry is
     ``lines[start]``, replacing each stored line by ``None``; return the
     index of the blank or ``\\``-led line that ends the section, or
     ``len(lines)``.
+
+    ``bow_values`` maps each backoff string already read to its float:
+    few distinct weights recur across a model's contexts, while its
+    probabilities are mostly distinct and are parsed each time.
 
     Neither kind of line parses as an entry (``float`` rejects a first
     field that is blank or starts with ``\\``), so one is looked for only
@@ -328,7 +346,10 @@ def _read_section(
         try:
             logp[gram] = float(value)
             if bow is not None:
-                bows[gram] = float(bow)
+                weight = bow_values.get(bow)
+                if weight is None:
+                    weight = bow_values[bow] = float(bow)
+                bows[gram] = weight
         except ValueError:
             fault = "malformed entry"
             break
@@ -372,6 +393,7 @@ def load_arpa(path: str | Path) -> NGramModel:
     seen_sections: set[int] = set()
     logp: dict[tuple[str, ...], float] = {}
     bows: dict[tuple[str, ...], float] = {}
+    bow_values: dict[str, float] = {}
     i = skip_blanks(i)
     # Lines after \end\ are ignored; the decode has checked them.
     while i < n_lines and (text := lines[i].strip()) != "\\end\\":
@@ -381,7 +403,7 @@ def load_arpa(path: str | Path) -> NGramModel:
         n = int(match[1])
         if n not in declared:
             raise ArpaFormatError(path, i + 1, f"section {n}-grams not declared in header")
-        end = _read_section(path, lines, i + 1, n, logp, bows)
+        end = _read_section(path, lines, i + 1, n, logp, bows, bow_values)
         entries = end - i - 1
         # If the file ends inside the section, the fault is the missing \end\.
         if end < n_lines and entries != declared[n]:

@@ -9,13 +9,15 @@ edit precision/recall/F0.5 among them.  It scores each pair once, the
 corpus BLEU from the sums of the pairs' n-gram statistics; it matches
 untyped edit runs and takes no dictionary.
 
-Every result depends on the arguments alone.  Character edit distance
-and the LCS behind ROUGE-L are bit-parallel kernels.  ``levenshtein_pairs``
-takes many distances in one pass, each pair one lane of a wide int, and
-is what ``evaluate``, ``analysis.dataset_stats`` and
-``quality.score_workers`` use; ``levenshtein_char`` takes one, and keeps a
-small bounded state for its last first argument, so comparing one string
-against many reuses work between calls.
+Every result depends on the arguments alone.  Character edit distance,
+the LCS behind ROUGE-L and token alignment are bit-parallel kernels; the
+alignment keeps each DP column's bits and backtracks from them.  BLEU
+counts the n-grams of each side once, all orders together.
+``levenshtein_pairs`` takes many distances in one pass, each pair one
+lane of a wide int, and is what ``evaluate``, ``analysis.dataset_stats``
+and ``quality.score_workers`` use; ``levenshtein_char`` takes one, and
+keeps a small bounded state for its last first argument, so comparing
+one string against many reuses work between calls.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import re
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass, fields
-from itertools import islice, repeat, zip_longest
+from itertools import chain, islice, repeat, zip_longest
 from typing import Callable, Container, Iterable, Sequence
 
 from .corpus import Sentence
@@ -57,7 +59,9 @@ def _match_masks(seq: Sequence) -> tuple[dict, int]:
     return masks, bit - 1
 
 
-def _advance(eqs: Iterable[int], full: int, bottom: int, pv: int, mv: int) -> tuple[int, int]:
+def _advance(
+    eqs: Iterable[int], full: int, bottom: int, pv: int, mv: int, columns: list | None = None
+) -> tuple[int, int]:
     """Step DP columns over ``eqs``, one bit-parallel update per match mask.
 
     Myers (JACM 1999) in the edit-distance form of Hyyrö (2001): bit i - 1
@@ -73,12 +77,17 @@ def _advance(eqs: Iterable[int], full: int, bottom: int, pv: int, mv: int) -> tu
     guard bit, which ``pv`` and ``eq`` leave clear; the shift in ``hp``
     moves that bit at most onto the next lane's bottom bit, which
     ``| bottom`` sets anyway; and ``pv`` and ``mv`` are masked by ``full``.
+
+    Given a list ``columns``, each step appends its ``(d0, pv)``: bit
+    i - 1 of ``d0`` is set where D[i][j] = D[i-1][j-1].
     """
     for eq in eqs:
         d0 = (((eq & pv) + pv) ^ pv) | eq | mv
         hp = (mv | (d0 | pv) ^ full) << 1 | bottom
         mv = hp & d0 & full
         pv = ((d0 & pv) << 1 | (d0 | hp) ^ full) & full
+        if columns is not None:
+            columns.append((d0, pv))
     return pv, mv
 
 
@@ -254,19 +263,24 @@ def levenshtein_pairs(pairs: Iterable[tuple[str, str]]) -> list[int]:
     return distances
 
 
-def _ngram_counts(tokens: Sequence[str], order: int) -> Counter:
-    if len(tokens) < order:
-        return Counter()
-    return Counter(zip(*(tokens[i:] for i in range(order))))
+def _ngram_counts(tokens: Sequence[str]) -> Counter:
+    """Counts of the n-grams of every order 1.._BLEU_ORDER, each a tuple."""
+    shifted = [tokens[i:] for i in range(_BLEU_ORDER)]
+    return Counter(chain(*[zip(*shifted[:order]) for order in range(1, _BLEU_ORDER + 1)]))
 
 
 def _bleu_stats(hyp: Sequence[str], ref: Sequence[str]) -> list[int]:
     """BLEU's sufficient statistics for one pair: both lengths, then the
     matched (clipped) and total hypothesis n-grams of each order."""
+    ref_counts = _ngram_counts(ref)
+    matched = [0] * (_BLEU_ORDER + 1)
+    for gram, count in _ngram_counts(hyp).items():
+        found = ref_counts.get(gram)
+        if found:
+            matched[len(gram)] += count if count < found else found
     stats = [len(hyp), len(ref)]
     for order in range(1, _BLEU_ORDER + 1):
-        h_counts = _ngram_counts(hyp, order)
-        stats += (sum((h_counts & _ngram_counts(ref, order)).values()), h_counts.total())
+        stats += (matched[order], max(0, len(hyp) - order + 1))
     return stats
 
 
@@ -355,6 +369,15 @@ class EditSpan:
 def _align(src: Sequence[str], tgt: Sequence[str]) -> tuple[str, ...]:
     """Unit-cost token alignment; ties prefer substitution, then deletion.
 
+    ``_advance`` steps the DP columns with ``src`` as the pattern and
+    keeps each one's bits, and the backtrace reads them (Hyyrö 2004, "A
+    Note on Bit-Parallel Alignment Computation").  Under unit costs
+    D[i][j] - D[i-1][j-1] is 0 or 1, so going back diagonally from
+    D[i][j] is optimal when the tokens match, or when that difference is
+    1, which is where bit i - 1 of column j's ``d0`` is clear.  Otherwise
+    the step is a deletion where the column's ``pv`` has bit i - 1
+    (D[i][j] = D[i-1][j] + 1), and an insertion elsewhere.
+
     The common suffix is matched without the DP: for unit costs, equal
     last tokens give D[n][m] = D[n-1][m-1], which the backtrace takes.  The
     common prefix is not trimmed, as that can move an edit: src ``a a``
@@ -365,37 +388,25 @@ def _align(src: Sequence[str], tgt: Sequence[str]) -> tuple[str, ...]:
         n -= 1
         m -= 1
     ops = ["match"] * (len(src) - n)  # built backwards, reversed at the end
-    tgt = tgt[:m]
-    dist = [list(range(m + 1))]
-    above = dist[0]
-    for i in range(1, n + 1):
-        token = src[i - 1]
-        row = [i]
-        left = i
-        for j, word in enumerate(tgt):
-            best = above[j] if token == word else above[j] + 1
-            up = above[j + 1] + 1
-            best = up if up < best else best
-            left = left + 1 if left + 1 < best else best
-            row.append(left)
-        dist.append(row)
-        above = row
+    masks, full = _match_masks(src[:n])
+    columns: list[tuple[int, int]] = []
+    _advance(map(masks.get, tgt[:m], repeat(0)), full, 1, full, 0, columns)
     i, j = n, m
-    while i > 0 or j > 0:
-        if (
-            i > 0
-            and j > 0
-            and dist[i][j] == dist[i - 1][j - 1] + (src[i - 1] != tgt[j - 1])
-        ):
+    while i and j:
+        d0, pv = columns[j - 1]
+        bit = 1 << (i - 1)
+        if src[i - 1] == tgt[j - 1] or not d0 & bit:
             ops.append("match" if src[i - 1] == tgt[j - 1] else "sub")
             i -= 1
             j -= 1
-        elif i > 0 and dist[i][j] == dist[i - 1][j] + 1:
+        elif pv & bit:
             ops.append("del")
             i -= 1
         else:
             ops.append("ins")
             j -= 1
+    ops += ["del"] * i
+    ops += ["ins"] * j
     ops.reverse()
     return tuple(ops)
 
@@ -589,7 +600,7 @@ def fre(s: Sentence) -> float:
     count fixed at one the formula is
     206.835 - 1.015 * words - 84.6 * (syllables / words).
     """
-    words = [t for t in s.tokens if any(ch.isalpha() for ch in t)]
+    words = [t for t in s.tokens if t.isalpha() or any(ch.isalpha() for ch in t)]
     if not words:
         raise ValueError("no word tokens to score")
     syllables = sum(syllable_count(w) for w in words)
@@ -657,7 +668,7 @@ def word_repetition(s: Sentence) -> bool:
     stopwords = load_stopwords()
     last_seen: dict[str, int] = {}
     for idx, token in enumerate(s.tokens):
-        if not any(ch.isalpha() for ch in token):
+        if not (token.isalpha() or any(ch.isalpha() for ch in token)):
             continue
         lowered = token.lower()
         if lowered in stopwords:

@@ -9,6 +9,7 @@ from __future__ import annotations
 import functools
 import re
 import unicodedata
+from collections import Counter
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
@@ -129,6 +130,42 @@ def align_reference(src: Sequence[str], tgt: Sequence[str]) -> tuple[str, ...]:
             j -= 1
     ops.reverse()
     return tuple(ops)
+
+
+def bleu_stats_reference(hyp: Sequence[str], ref: Sequence[str]) -> list[int]:
+    """BLEU's per-pair statistics from one n-gram count per order and
+    side: both lengths, then each order's clipped matches (the count
+    intersection) and hypothesis n-gram total, orders 1 to 4."""
+    stats = [len(hyp), len(ref)]
+    for order in range(1, 5):
+        h_counts = Counter(tuple(hyp[i : i + order]) for i in range(len(hyp) - order + 1))
+        r_counts = Counter(tuple(ref[i : i + order]) for i in range(len(ref) - order + 1))
+        stats += (sum((h_counts & r_counts).values()), sum(h_counts.values()))
+    return stats
+
+
+def sentence_logprob_reference(model, tokens: Sequence[str]) -> float:
+    """Log10 probability of ``tokens`` plus the end event under a backoff
+    model, read from its tables (``order``, ``_logprob``, ``_backoff``).
+
+    A token without a unigram entry becomes ``<unk>``.  Each event looks
+    up its longest n-gram first and, while none is stored, adds the
+    context's backoff weight (0.0 when absent) and drops the context's
+    first token; the event adds the weights' sum plus the stored value.
+    """
+    logp, bows = model._logprob, model._backoff
+    known = [t if (t,) in logp else "<unk>" for t in ("<s>", *tokens, "</s>")]
+    total = 0.0
+    for i in range(1, len(known)):
+        context = tuple(known[max(0, i - model.order + 1) : i])
+        weight = 0.0
+        while (*context, known[i]) not in logp:
+            if not context:
+                raise ValueError(f"no unigram entry for {known[i]!r}")
+            weight += bows.get(context, 0.0)
+            context = context[1:]
+        total += weight + logp[(*context, known[i])]
+    return total
 
 
 def tokenize_reference(text: str) -> list[str]:

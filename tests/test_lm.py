@@ -21,7 +21,7 @@ from draftkit.lm import (
     save_arpa,
     train,
 )
-from oracles import read_arpa_reference
+from oracles import read_arpa_reference, sentence_logprob_reference
 from synth import academic_sentences
 
 
@@ -235,6 +235,27 @@ class TestDistributionInvariants:
         lp = model.sentence_logprob(s.tokens)
         assert math.isfinite(lp) and lp <= 0.0
         assert model.perplexity(s.tokens) >= 1.0
+
+
+_SCORED_WORDS = ["the", "model", "draft", "a", ".", "zzzz", "qq", "<unk>", "</s>", "<s>"]
+
+
+class TestSentenceLogprobAgainstReference:
+    @pytest.mark.parametrize("smoothing", ["add-k", "interpolated-kneser-ney"])
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    @settings(max_examples=40, deadline=None)
+    @given(tokens=st.lists(st.sampled_from(_SCORED_WORDS), max_size=10))
+    def test_exactly_equal(self, smoothing, order, tokens):
+        # Exact equality: report bytes depend on every addition's order.
+        # "zzzz" and "qq" are out of vocabulary; sentences run past the order.
+        model = _model(smoothing, order)
+        assert model.sentence_logprob(tokens) == sentence_logprob_reference(model, tokens)
+
+    def test_missing_unknown_unigram_is_an_error(self):
+        model = NGramModel(2, {("a",): -0.5, ("</s>",): -0.5}, {})
+        for score in (model.sentence_logprob, lambda t: sentence_logprob_reference(model, t)):
+            with pytest.raises(ValueError, match="no unigram entry for '<unk>'"):
+                score(["b"])
 
 
 class TestUnknownFloor:
@@ -526,6 +547,65 @@ class TestArpaErrors:
             self._load(tmp_path, MALFORMED_ARPA[name])
         with pytest.raises(ValueError, match="no unigram entry"):
             read_arpa_reference(tmp_path / "bad.arpa")
+
+
+def _arpa(bigrams: list[str], unigram_bows: dict[str, str]) -> str:
+    """A bigram model over a, b, c with the markers; ``unigram_bows``
+    gives some unigrams a backoff field, verbatim."""
+    words = ["a", "b", "c", "</s>", "<unk>"]
+    lines = ["\\data\\", f"ngram 1={len(words) + 1}", f"ngram 2={len(bigrams)}", "", "\\1-grams:"]
+    lines.append("-99\t<s>" + (f"\t{unigram_bows['<s>']}" if "<s>" in unigram_bows else ""))
+    for word in words:
+        bow = unigram_bows.get(word)
+        lines.append(f"-0.7\t{word}" + (f"\t{bow}" if bow is not None else ""))
+    lines += ["", "\\2-grams:", *bigrams, "", "\\end\\", ""]
+    return "\n".join(lines)
+
+
+class TestBackoffMemo:
+    """``load_arpa`` parses each distinct backoff string once per load."""
+
+    def _load_both(self, tmp_path, text):
+        path = tmp_path / "memo.arpa"
+        path.write_text(text, encoding="utf-8")
+        model = load_arpa(path)
+        assert read_arpa_reference(path) == (model.order, model._logprob, model._backoff)
+        return model
+
+    def test_repeated_strings(self, tmp_path):
+        bows = {"<s>": "-0.25", "a": "-0.25", "b": "-0.5", "c": "-0.25"}
+        model = self._load_both(tmp_path, _arpa(["-0.3\t<s> a", "-0.3\ta b"], bows))
+        assert model._backoff == {("<s>",): -0.25, ("a",): -0.25, ("b",): -0.5, ("c",): -0.25}
+        assert model.sentence_logprob(["a", "b"]) == sentence_logprob_reference(model, ["a", "b"])
+
+    def test_signed_zeros_stay_distinct(self, tmp_path):
+        bows = {"a": "0.0", "b": "-0.0", "c": "0.0", "<s>": "-0.0"}
+        model = self._load_both(tmp_path, _arpa(["-0.3\t<s> a"], bows))
+        signs = {gram[0]: math.copysign(1.0, value) for gram, value in model._backoff.items()}
+        assert signs == {"<s>": -1.0, "a": 1.0, "b": -1.0, "c": 1.0}
+
+    def test_add_k_infinite_backoffs(self, tmp_path):
+        # "a" and "<unk>" are each followed by every predicted word, so
+        # add-k leaves their contexts no mass to back off with.
+        corpus = [sent("a", "a"), sent("a", "<unk>"), sent("a"), sent("<unk>", "a"),
+                  sent("<unk>", "<unk>"), sent("<unk>")]
+        path = tmp_path / "addk.arpa"
+        save_arpa(train(corpus, order=2, smoothing="add-k"), path)
+        assert path.read_text(encoding="utf-8").count("\t-inf\n") == 2
+        model = self._load_both(tmp_path, path.read_text(encoding="utf-8"))
+        assert model._backoff[("a",)] == model._backoff[("<unk>",)] == -math.inf
+        for tokens in (["a", "zz", "a"], ["<unk>"], []):
+            assert model.sentence_logprob(tokens) == sentence_logprob_reference(model, tokens)
+
+    def test_malformed_string_names_its_first_line(self, tmp_path):
+        # The bad string is on lines 7 and 9; the fault is named at the first.
+        bows = {"a": "-0.5x", "c": "-0.5x"}
+        path = tmp_path / "bad.arpa"
+        path.write_text(_arpa(["-0.3\ta b"], bows), encoding="utf-8")
+        with pytest.raises(ArpaFormatError, match=r":7: malformed entry in 1-grams section"):
+            load_arpa(path)
+        with pytest.raises(ValueError):
+            read_arpa_reference(path)
 
 
 @lru_cache(maxsize=None)

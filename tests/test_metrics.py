@@ -14,7 +14,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import align_reference, lcs_length_recursive, levenshtein_recursive
+from oracles import (
+    align_reference,
+    bleu_stats_reference,
+    lcs_length_recursive,
+    levenshtein_recursive,
+)
 
 from draftkit import metrics
 from draftkit.corpus import Sentence
@@ -267,6 +272,13 @@ class TestBleu:
         ref = [Sentence.from_tokens(r) for _, r in pairs]
         assert 0.0 <= bleu(hyp, ref) <= 1.0
 
+    @settings(max_examples=300)
+    @given(st.lists(st.sampled_from("abc"), max_size=8), st.lists(st.sampled_from("abc"), max_size=8))
+    def test_stats_match_per_order_reference(self, hyp, ref):
+        # Three symbols make n-grams repeat, so clipping is tested, and
+        # sides shorter than four tokens leave the higher orders empty.
+        assert metrics._bleu_stats(hyp, ref) == bleu_stats_reference(hyp, ref)
+
 
 class TestRougeL:
     def test_identical(self):
@@ -423,6 +435,31 @@ class TestAlign:
         # Trimming the prefix would give (match, del) and move the edit.
         assert metrics._align(["a", "a"], ["a"]) == ("del", "match")
         assert align_reference(["a", "a"], ["a"]) == ("del", "match")
+
+    @pytest.mark.parametrize(
+        "src, tgt, ops",
+        [
+            ([], [], ()),
+            ([], ["a", "b"], ("ins", "ins")),
+            (["a", "b"], [], ("del", "del")),
+            (["a", "a"], ["a"], ("del", "match")),
+            (["a"], ["a", "a"], ("ins", "match")),
+        ],
+    )
+    def test_empty_sides_and_repeats(self, src, tgt, ops):
+        assert metrics._align(src, tgt) == ops == align_reference(src, tgt)
+
+    @pytest.mark.parametrize("n, m", [(70, 70), (70, 1), (1, 70), (70, 75), (130, 64)])
+    def test_columns_wider_than_a_machine_word(self, n, m):
+        # The bit vectors are n bits wide; the suffix trim leaves every
+        # token of the repeated side to the DP when the last tokens differ.
+        rng = random.Random(n * 1000 + m)
+        for src, tgt in (
+            (["a"] * n, ["a"] * m),
+            (["a"] * n + ["b"], ["a"] * m + ["c"]),
+            ([rng.choice("ab") for _ in range(n)], [rng.choice("ab") for _ in range(m)]),
+        ):
+            assert metrics._align(src, tgt) == align_reference(src, tgt)
 
 
 class TestApplyEdits:
