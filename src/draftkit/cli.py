@@ -12,21 +12,18 @@ and line where one exists).
 from __future__ import annotations
 
 import argparse
-import functools
 import json
-import math
 import sys
 import time
 from dataclasses import asdict
 from pathlib import Path
-from typing import Callable, Iterable, NoReturn, Sequence
+from typing import Callable, Iterable, Iterator, NoReturn, Sequence
 
 from . import DEFAULT_SEED, __version__
 from .analysis import characteristic_terms, dataset_stats, linguistic_profile
 from .corpus import (
     MASK_TOKEN,
     CorpusFilterConfig,
-    DraftPair,
     RecordError,
     Sentence,
     atomic_writer,
@@ -35,12 +32,13 @@ from .corpus import (
     iter_checked_lines,
     load_pairs,
     read_checked_lines,
+    tokenize,
     tsv_field,
     write_pairs,
 )
 from .lm import SMOOTHINGS, load_arpa, save_arpa, train
 from .metrics import evaluate
-from .noising import NoiseConfig, ReplacementVocab, noise_corpus, noise_sentence
+from .noising import NoiseConfig, ReplacementVocab, noise_corpus
 from .quality import FilterConfig, filter_pairs, load_submissions, score_workers, spell_check_all
 
 SCHEMA_VERSION = 1
@@ -171,14 +169,6 @@ def _cmd_lm_ppl(args) -> None:
     _write_json(args.report, report)
 
 
-def _noise_one(
-    cfg: NoiseConfig, vocab: ReplacementVocab | None, s: Sentence, index: int
-) -> DraftPair:
-    # Pool workers get this private function by reference: the public
-    # noise_sentence may be replaced by a wrapper that cannot be pickled.
-    return noise_sentence(s, cfg, vocab, index=index)
-
-
 def _load_vocab_counts(path: Path | str) -> dict[str, int]:
     counts: dict[str, int] = {}
     for line_no, line in iter_checked_lines(path):
@@ -187,11 +177,31 @@ def _load_vocab_counts(path: Path | str) -> dict[str, int]:
         fields = line.split("\t")
         if len(fields) != 2:
             raise RecordError(path, line_no, f"expected token<TAB>count, got {len(fields)} fields")
+        token, text = fields
+        # A replacement is spliced into a draft as one token.
+        if tokenize(token) != [token]:
+            raise RecordError(path, line_no, f"not a single token: {token!r}")
+        if token == MASK_TOKEN:
+            raise RecordError(path, line_no, "the mask token cannot also be a replacement")
         try:
-            counts[fields[0]] = int(fields[1])
+            count = int(text)
         except ValueError as err:
-            raise RecordError(path, line_no, f"bad count: {fields[1]!r}") from err
+            raise RecordError(path, line_no, f"bad count: {text!r}") from err
+        if count < 0:
+            raise RecordError(path, line_no, f"negative count: {text!r}")
+        counts[token] = count
     return counts
+
+
+def _references(path: Path) -> Iterator[Sentence]:
+    # Lazy: a bad line raises inside write_pairs, whose atomic_writer then
+    # removes the partial output.
+    for line_no, text in iter_checked_lines(path):
+        if text.strip():
+            s = Sentence.from_text(text)
+            if s.has_mask:
+                raise RecordError(path, line_no, "reference sentence contains the mask token")
+            yield s
 
 
 def _cmd_noise_run(args) -> None:
@@ -214,25 +224,7 @@ def _cmd_noise_run(args) -> None:
         vocab = ReplacementVocab.from_wordlist(
             min_count=cfg.replace_vocab_min_count, weighted=args.weighted_vocab
         )
-    sentences = []
-    for line_no, text in iter_checked_lines(args.input):
-        if text.strip():
-            s = Sentence.from_text(text)
-            if s.has_mask:
-                raise RecordError(
-                    args.input, line_no, "reference sentence contains the mask token"
-                )
-            sentences.append(s)
-    if args.jobs > 1 and sentences:
-        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
-
-        chunksize = max(1, math.ceil(len(sentences) / (args.jobs * 4)))
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            noise = functools.partial(_noise_one, cfg, vocab)
-            pairs = list(pool.map(noise, sentences, range(len(sentences)), chunksize=chunksize))
-    else:
-        pairs = list(noise_corpus(sentences, cfg, vocab))
-    write_pairs(args.out, pairs)
+    write_pairs(args.out, noise_corpus(_references(args.input), cfg, vocab))
 
 
 def _cmd_quality_score_workers(args) -> None:
@@ -330,7 +322,7 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     )
     common.add_argument(
         "--jobs", type=int, default=1,
-        help="worker processes (only noise run starts any); output is independent of this",
+        help="accepted for compatibility (at least 1) and ignored; every run is in-process",
     )
     common.add_argument(
         "--config", type=Path, default=None, help="key = value file; explicit flags win"

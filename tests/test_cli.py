@@ -10,6 +10,7 @@ import random
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -252,16 +253,54 @@ class TestNoiseRun:
         assert "qqsub" in drafts
         assert "rare" not in drafts
 
-    @pytest.mark.parametrize("jobs", ["1", "2"])
-    def test_mask_token_in_input_is_data_error(self, tmp_path, sentences_file, jobs, capsys):
+    @pytest.mark.parametrize("jobs", ["1", "3"])
+    @pytest.mark.parametrize("at", [0, 21, 42], ids=["first", "middle", "last"])
+    def test_mask_token_in_input_is_data_error(self, tmp_path, sentences_file, at, jobs, capsys):
         lines = sentences_file.read_text().splitlines()
-        lines[1:1] = ["", "", "a reference sentence with a <*> span in it ."]
+        lines[10:10] = ["", ""]  # skipped, but counted in line numbers
+        lines.insert(at, "a reference sentence with a <*> span in it .")
         src = write_lines(tmp_path / "masked.txt", lines)
-        out = tmp_path / "pairs.tsv"
-        assert self.run(src, out, "--jobs", jobs) == 2
+        before = sorted(os.listdir(tmp_path))
+        assert self.run(src, tmp_path / "pairs.tsv", "--jobs", jobs) == 2
         err = capsys.readouterr().err
-        assert f"{src}:4: reference sentence contains the mask token" in err
-        assert not out.exists()
+        assert err == f"error: {src}:{at + 1}: reference sentence contains the mask token\n"
+        # No output, no leftover .tmp file and no manifest.
+        assert sorted(os.listdir(tmp_path)) == before
+
+    @pytest.mark.parametrize(
+        "row, reason",
+        [("<*>\t20000", "the mask token cannot also be a replacement"),
+         ("\t20000", "not a single token: ''"),
+         ("foo bar\t20000", "not a single token: 'foo bar'"),
+         ("foo.\t20000", "not a single token: 'foo.'"),
+         ("qqsub\t-5", "negative count: '-5'")],
+        ids=["mask", "empty", "space", "punctuation", "negative"],
+    )
+    def test_bad_vocab_counts_row_is_data_error(
+        self, tmp_path, sentences_file, row, reason, capsys
+    ):
+        vocab = write_lines(tmp_path / "vocab.tsv", ["common\t30000", row])
+        before = sorted(os.listdir(tmp_path))
+        code = self.run(sentences_file, tmp_path / "pairs.tsv", "--vocab-counts", str(vocab),
+                        "--replace-p", "0.4", "--mask-fraction-max", "0")
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {vocab}:2: {reason}\n"
+        assert sorted(os.listdir(tmp_path)) == before
+
+    def test_memory_does_not_grow_with_input(self, tmp_path):
+        def peak(n):
+            texts = [s.text for s in academic_sentences(n, seed=5)]
+            src = write_lines(tmp_path / f"in{n}.txt", texts)
+            tracemalloc.start()
+            try:
+                assert self.run(src, tmp_path / f"out{n}.tsv") == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(100)  # loads the word list and builds the parser
+        small, large = peak(5_000), peak(20_000)
+        assert large - small < 1_000_000, (small, large)
 
 
 class TestConfigPrecedence:
@@ -954,14 +993,17 @@ class TestSharedParserTree:
         )
         assert proc.stdout == "True\n", proc.stderr
 
-    def test_import_leaves_multiprocessing_unloaded(self):
-        # Only noise run with --jobs > 1 starts workers; it imports the pool.
-        probe = "import sys, draftkit.cli; print('multiprocessing' in sys.modules)"
+    def test_import_leaves_multiprocessing_unloaded(self, tmp_path, sentences_file):
+        # No subcommand starts worker processes, whatever --jobs is.
+        probe = ("import sys, draftkit.cli; print('multiprocessing' in sys.modules); "
+                 "print(draftkit.cli.dispatch(sys.argv[1:]), 'multiprocessing' in sys.modules)")
+        argv = ["noise", "run", "--input", str(sentences_file),
+                "--out", str(tmp_path / "o.tsv"), "--jobs", "2"]
         proc = subprocess.run(
-            [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": str(SRC)},
+            [sys.executable, "-c", probe, *argv], env={**os.environ, "PYTHONPATH": str(SRC)},
             capture_output=True, text=True, timeout=60,
         )
-        assert proc.stdout == "False\n", proc.stderr
+        assert proc.stdout == "False\n0 False\n", proc.stderr
 
     def test_built_once_per_process(self, tmp_path, extract, monkeypatch):
         monkeypatch.setattr(cli, "_tree", None)
