@@ -171,6 +171,7 @@ def _cmd_lm_ppl(args) -> None:
 
 def _load_vocab_counts(path: Path | str) -> dict[str, int]:
     counts: dict[str, int] = {}
+    first_line: dict[str, int] = {}
     for line_no, line in iter_checked_lines(path):
         if not line.strip():
             continue
@@ -189,6 +190,11 @@ def _load_vocab_counts(path: Path | str) -> dict[str, int]:
             raise RecordError(path, line_no, f"bad count: {text!r}") from err
         if count < 0:
             raise RecordError(path, line_no, f"negative count: {text!r}")
+        if token in first_line:
+            raise RecordError(
+                path, line_no, f"repeated token {token!r}, first on line {first_line[token]}"
+            )
+        first_line[token] = line_no
         counts[token] = count
     return counts
 

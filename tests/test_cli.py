@@ -273,8 +273,9 @@ class TestNoiseRun:
          ("\t20000", "not a single token: ''"),
          ("foo bar\t20000", "not a single token: 'foo bar'"),
          ("foo.\t20000", "not a single token: 'foo.'"),
-         ("qqsub\t-5", "negative count: '-5'")],
-        ids=["mask", "empty", "space", "punctuation", "negative"],
+         ("qqsub\t-5", "negative count: '-5'"),
+         ("common\t5", "repeated token 'common', first on line 1")],
+        ids=["mask", "empty", "space", "punctuation", "negative", "repeated"],
     )
     def test_bad_vocab_counts_row_is_data_error(
         self, tmp_path, sentences_file, row, reason, capsys
