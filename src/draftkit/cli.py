@@ -31,7 +31,6 @@ from .corpus import (
     filter_training_sentences,
     iter_checked_lines,
     load_pairs,
-    read_checked_lines,
     tokenize,
     tsv_field,
     write_pairs,
@@ -104,7 +103,7 @@ def _write_lines(path: Path | str, lines: Iterable[str]) -> None:
 def _cmd_corpus_extract(args) -> None:
     excluded: frozenset[str] = frozenset()
     if args.exclude is not None:
-        excluded = frozenset(line for line in read_checked_lines(args.exclude) if line.strip())
+        excluded = frozenset(t for _, t in iter_checked_lines(args.exclude) if t.strip())
     cfg = CorpusFilterConfig(
         min_chars=args.min_chars,
         max_chars=args.max_chars,
@@ -121,10 +120,13 @@ def _cmd_corpus_extract(args) -> None:
 
 
 def _cmd_lm_train(args) -> None:
-    lines = read_checked_lines(args.input)
-    sentences = [Sentence.from_text(text) for text in lines if text.strip()]
+    sentences = []
+    line_no = 0
+    for line_no, text in iter_checked_lines(args.input):
+        if text.strip():
+            sentences.append(Sentence.from_text(text))
     if not sentences:
-        raise RecordError(args.input, len(lines) + 1, "no non-blank lines to train on")
+        raise RecordError(args.input, line_no + 1, "no non-blank lines to train on")
     model = train(
         sentences,
         order=args.order,
@@ -169,9 +171,11 @@ def _cmd_lm_ppl(args) -> None:
     _write_json(args.report, report)
 
 
-def _load_vocab_counts(path: Path | str) -> dict[str, int]:
+def _load_vocab_counts(path: Path | str) -> tuple[dict[str, int], int]:
+    """The file's counts by token, and its number of lines."""
     counts: dict[str, int] = {}
     first_line: dict[str, int] = {}
+    line_no = 0
     for line_no, line in iter_checked_lines(path):
         if not line.strip():
             continue
@@ -196,7 +200,7 @@ def _load_vocab_counts(path: Path | str) -> dict[str, int]:
             )
         first_line[token] = line_no
         counts[token] = count
-    return counts
+    return counts, line_no
 
 
 def _references(path: Path) -> Iterator[Sentence]:
@@ -220,16 +224,21 @@ def _cmd_noise_run(args) -> None:
         seed=args.seed,
     )
     vocab: ReplacementVocab | None = None
+    # Checked here, so that no output is opened for a run that cannot replace.
+    empty = f"no token has a count above --replace-vocab-min-count {cfg.replace_vocab_min_count}"
     if args.vocab_counts is not None:
+        counts, n_lines = _load_vocab_counts(args.vocab_counts)
         vocab = ReplacementVocab(
-            _load_vocab_counts(args.vocab_counts),
-            min_count=cfg.replace_vocab_min_count,
-            weighted=args.weighted_vocab,
+            counts, min_count=cfg.replace_vocab_min_count, weighted=args.weighted_vocab
         )
+        if cfg.replace_p > 0 and not vocab:
+            raise RecordError(args.vocab_counts, n_lines + 1, empty)
     elif cfg.replace_p > 0:
         vocab = ReplacementVocab.from_wordlist(
             min_count=cfg.replace_vocab_min_count, weighted=args.weighted_vocab
         )
+        if not vocab:
+            raise ValueError(f"{empty} in the bundled word list")
     write_pairs(args.out, noise_corpus(_references(args.input), cfg, vocab))
 
 
@@ -262,18 +271,15 @@ def _cmd_quality_filter_pairs(args) -> None:
 
 
 def _cmd_eval_run(args) -> None:
-    texts = {}
-    for name, path in (("src", args.src), ("hyp", args.hyp), ("ref", args.ref)):
-        texts[name] = read_checked_lines(path)
-    shortest = min(len(lines) for lines in texts.values())
-    for name, path in (("src", args.src), ("hyp", args.hyp), ("ref", args.ref)):
-        if len(texts[name]) != shortest:
+    paths = (args.src, args.hyp, args.ref)
+    texts = [[text for _, text in iter_checked_lines(path)] for path in paths]
+    shortest = min(map(len, texts))
+    for path, lines in zip(paths, texts):
+        if len(lines) != shortest:
             raise RecordError(path, shortest + 1, "line counts differ across src/hyp/ref")
     if not shortest:
         raise RecordError(args.src, 1, "no lines to evaluate")
-    sources = [Sentence.from_text(t) for t in texts["src"]]
-    hypotheses = [Sentence.from_text(t) for t in texts["hyp"]]
-    references = [Sentence.from_text(t) for t in texts["ref"]]
+    sources, hypotheses, references = ([Sentence.from_text(t) for t in lines] for lines in texts)
     if args.spellcheck_hyp:
         hypotheses = spell_check_all(hypotheses)
     model = None if args.lm is None else load_arpa(args.lm)

@@ -21,7 +21,7 @@ import unicodedata
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import Generator, Iterable, Iterator, Sequence, TextIO
 
 MASK_TOKEN = "<*>"
 
@@ -188,39 +188,58 @@ class RecordError(ValueError):
         self.reason = reason
 
 
-def iter_checked_lines(path: Path | str) -> Iterator[tuple[int, str]]:
-    """Yield ``(line_no, text)`` for each line; an undecodable line raises
-    :class:`RecordError`.  Streams: one line is held at a time."""
-    with open(path, "rb") as handle:
-        for line_no, raw in enumerate(handle, start=1):
-            try:
-                yield line_no, raw.decode("utf-8").rstrip("\r\n")
-            except UnicodeDecodeError as exc:
-                raise RecordError(path, line_no, f"not valid UTF-8 ({exc.reason})") from exc
+#: Bytes :func:`iter_checked_lines` reads at a time.  Loading a 220 KB ARPA
+#: model peaked at 1.27 MB traced with 16 KiB blocks, 1.36 with 32 and 1.41
+#: with 64, against 1.32 when the whole file was decoded at once.
+_BLOCK = 16 * 1024
 
 
-def read_checked_lines(path: Path | str) -> list[str]:
-    """The texts :func:`iter_checked_lines` yields, from one read and one
-    decode of the whole file; line ``k`` is item ``k - 1``.
-
-    ``\\n`` never occurs inside a multi-byte UTF-8 sequence, so an
-    undecodable byte raises the same :class:`RecordError`, line and reason
-    as the streaming reader.
-    """
-    with open(path, "rb") as handle:
-        data = handle.read()
+def _decoded_lines(path: Path | str, data: bytes, line_no: int) -> Generator[list[str], None, int]:
+    """Yield the whole lines in ``data``, from line ``line_no`` on, as one
+    list, and return their number.  ``\\n`` never occurs inside a
+    multi-byte UTF-8 sequence, so a bad byte fails for the same reason as
+    it would in its line alone."""
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line_no = data.count(b"\n", 0, exc.start) + 1
+        good = data.rfind(b"\n", 0, exc.start) + 1
+        line_no += yield from _decoded_lines(path, data[:good], line_no)
         raise RecordError(path, line_no, f"not valid UTF-8 ({exc.reason})") from exc
-    del data  # not held beside the lines
     lines = text.split("\n")
     if not lines[-1]:
         lines.pop()  # the empty tail after a final newline is not a line
     if "\r" in text:
         lines = [line.rstrip("\r") for line in lines]
-    return lines
+    if line_no == 1 and lines and lines[0].startswith("\ufeff"):
+        lines[0] = lines[0][1:]  # a byte-order mark, not text (RFC 3629, section 6)
+    yield lines
+    return len(lines)
+
+
+def _line_blocks(path: Path | str) -> Iterator[list[str]]:
+    """Yield the lines of the file, one list per block read; each block
+    is cut after its last ``\\n`` and decoded once."""
+    line_no = 1
+    rest: list[bytes] = []  # the pieces of a line that no block so far has ended
+    with open(path, "rb") as handle:
+        while block := handle.read(_BLOCK):
+            cut = block.rfind(b"\n") + 1
+            if cut:
+                data = b"".join([*rest, block[:cut]])
+                rest = []
+                line_no += yield from _decoded_lines(path, data, line_no)
+            rest.append(block[cut:])
+    if tail := b"".join(rest):
+        yield from _decoded_lines(path, tail, line_no)
+
+
+def iter_checked_lines(path: Path | str) -> Iterator[tuple[int, str]]:
+    """Yield ``(line_no, text)`` for each line of a UTF-8 file, reading
+    ``_BLOCK`` bytes at a time.  Lines end at ``\\n`` and lose the
+    ``\\r`` characters that end them; a U+FEFF that opens the file is a
+    byte-order mark and is dropped.  An undecodable byte raises
+    :class:`RecordError` after every line before its own is yielded."""
+    return enumerate(itertools.chain.from_iterable(_line_blocks(path)), 1)
 
 
 def load_pairs(path: Path | str) -> list[DraftPair]:

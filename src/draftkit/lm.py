@@ -16,7 +16,7 @@ from collections import Counter, defaultdict
 from collections.abc import Iterable, Sequence
 from pathlib import Path
 
-from .corpus import RecordError, Sentence, atomic_writer, read_checked_lines
+from .corpus import RecordError, Sentence, atomic_writer, iter_checked_lines
 
 BOS = "<s>"
 EOS = "</s>"
@@ -32,6 +32,7 @@ _BOS_PLACEHOLDER = -99.0
 _COUNT_LINE = re.compile(r"ngram\s+(\d+)=(\d+)")
 _SECTION_LINE = re.compile(r"\\(\d+)-grams:")
 _NO_COUNTS = "no n-gram counts declared in \\data\\ section"
+_MISSING_END = "missing \\end\\ marker"
 
 
 class ArpaFormatError(RecordError):
@@ -306,121 +307,100 @@ def save_arpa(model: NGramModel, path: str | Path) -> None:
         handle.write("\n".join(lines))
 
 
-def _read_section(
-    path: str | Path,
-    lines: list[str | None],
-    start: int,
-    n: int,
-    logp: dict[tuple[str, ...], float],
-    bows: dict[tuple[str, ...], float],
-    bow_values: dict[str, float],
-) -> int:
-    """Store the entries of the ``n``-grams section whose first entry is
-    ``lines[start]``, replacing each stored line by ``None``; return the
-    index of the blank or ``\\``-led line that ends the section, or
-    ``len(lines)``.
-
-    ``bow_values`` maps each backoff string already read to its float, as
-    a model's backoff weights take few distinct values (under 7% of a
-    section's, on models trained on real text); its probabilities are
-    mostly distinct, and a memo of them cost more than it saved.
-
-    Neither kind of line parses as an entry (``float`` rejects a first
-    field that is blank or starts with ``\\``), so one is looked for only
-    where an entry fails a check.
-    """
-    for index in range(start, len(lines)):
-        line = lines[index]
-        fields = line.split("\t")
-        if len(fields) == 2:
-            value, words = fields
-            bow = None
-        elif len(fields) == 3:
-            value, words, bow = fields
-        else:
-            fault = "malformed entry"
-            break
-        gram = tuple(words.split(" "))
-        if len(gram) != n or "" in gram:
-            fault = "entry arity mismatch"
-            break
-        try:
-            logp[gram] = float(value)
-            if bow is not None:
-                weight = bow_values.get(bow)
-                if weight is None:
-                    weight = bow_values[bow] = float(bow)
-                bows[gram] = weight
-        except ValueError:
-            fault = "malformed entry"
-            break
-        lines[index] = None  # so the decoded file is not held beside the finished tables
-    else:
-        return len(lines)
-    if not line.strip() or line.startswith("\\"):
-        return index
-    raise ArpaFormatError(path, index + 1, f"{fault} in {n}-grams section: {line!r}")
-
-
 def load_arpa(path: str | Path) -> NGramModel:
-    """Parse an ARPA file from one decode (see :func:`read_checked_lines`),
-    validating section structure and entry counts.
+    """Parse an ARPA file in one pass over its lines (see
+    :func:`iter_checked_lines`), validating section structure and entry
+    counts.
 
-    A fault raises :class:`ArpaFormatError` naming the line where it is
-    found; one found at the end of the file names the line after the last.
+    A fault raises :class:`ArpaFormatError` naming the first line, in file
+    order, where one is found; one found at the end of the file names the
+    line after the last.
     """
-    lines = read_checked_lines(path)
-    n_lines = len(lines)
-
-    def skip_blanks(i: int) -> int:
-        while i < n_lines and not lines[i].strip():
-            i += 1
-        return i
-
-    i = skip_blanks(0)
-    if i == n_lines or lines[i].strip() != "\\data\\":
-        raise ArpaFormatError(path, i + 1, "expected \\data\\ header")
+    lines = iter_checked_lines(path)
+    line_no = 0
+    for line_no, line in lines:
+        if text := line.strip():
+            break
+    else:
+        line_no, text = line_no + 1, None
+    if text != "\\data\\":
+        raise ArpaFormatError(path, line_no, "expected \\data\\ header")
     declared: dict[int, int] = {}
-    i += 1
-    while i < n_lines and (text := lines[i].strip()):
+    for line_no, line in lines:
+        if not (text := line.strip()):
+            break
         match = _COUNT_LINE.fullmatch(text)
         if match is None:
-            reason = f"bad count line in \\data\\ section: {lines[i]!r}"
-            raise ArpaFormatError(path, i + 1, reason)
+            raise ArpaFormatError(path, line_no, f"bad count line in \\data\\ section: {line!r}")
         declared[int(match[1])] = int(match[2])
-        i += 1
+    else:
+        raise ArpaFormatError(path, line_no + 1, _MISSING_END if declared else _NO_COUNTS)
     if not declared:
-        raise ArpaFormatError(path, i + 1, _NO_COUNTS)
+        raise ArpaFormatError(path, line_no, _NO_COUNTS)
     seen_sections: set[int] = set()
     logp: dict[tuple[str, ...], float] = {}
     bows: dict[tuple[str, ...], float] = {}
+    # Backoff weights take few distinct values (under 7% of a section's on
+    # models of real text), so each string is parsed once; probabilities are
+    # mostly distinct, and a memo of them cost more than it saved.
     bow_values: dict[str, float] = {}
-    i = skip_blanks(i)
-    # Lines after \end\ are ignored; the decode has checked them.
-    while i < n_lines and (text := lines[i].strip()) != "\\end\\":
-        match = _SECTION_LINE.fullmatch(text)
-        if match is None:
-            raise ArpaFormatError(path, i + 1, f"unexpected line {text!r}")
-        n = int(match[1])
-        if n not in declared:
-            raise ArpaFormatError(path, i + 1, f"section {n}-grams not declared in header")
-        end = _read_section(path, lines, i + 1, n, logp, bows, bow_values)
-        entries = end - i - 1
-        # If the file ends inside the section, the fault is the missing \end\.
-        if end < n_lines and entries != declared[n]:
-            reason = f"{n}-grams section lists {entries} entries, header promises {declared[n]}"
-            raise ArpaFormatError(path, end + 1, reason)
-        seen_sections.add(n)
-        i = skip_blanks(end)
-    if i == n_lines:
-        raise ArpaFormatError(path, n_lines + 1, "missing \\end\\ marker")
-    end_line = i + 1
+    for line_no, line in lines:
+        # A section ends at a blank line or a \-led one (the next header).
+        # Neither parses as an entry, as ``float`` rejects a first field that
+        # is blank or starts with \, so one is looked for only at a fault.
+        while (text := line.strip()) and text != "\\end\\":
+            match = _SECTION_LINE.fullmatch(text)
+            if match is None:
+                raise ArpaFormatError(path, line_no, f"unexpected line {text!r}")
+            n = int(match[1])
+            if n not in declared:
+                raise ArpaFormatError(path, line_no, f"section {n}-grams not declared in header")
+            header = line_no
+            for line_no, line in lines:
+                fields = line.split("\t")
+                if len(fields) == 2:
+                    value, words = fields
+                    bow = None
+                elif len(fields) == 3:
+                    value, words, bow = fields
+                else:
+                    fault = "malformed entry"
+                    break
+                gram = tuple(words.split(" "))
+                if len(gram) != n or "" in gram:
+                    fault = "entry arity mismatch"
+                    break
+                try:
+                    logp[gram] = float(value)
+                    if bow is not None:
+                        weight = bow_values.get(bow)
+                        if weight is None:
+                            weight = bow_values[bow] = float(bow)
+                        bows[gram] = weight
+                except ValueError:
+                    fault = "malformed entry"
+                    break
+            else:  # the fault is the missing \end\, whatever the count
+                raise ArpaFormatError(path, line_no + 1, _MISSING_END)
+            if line.strip() and not line.startswith("\\"):
+                raise ArpaFormatError(path, line_no, f"{fault} in {n}-grams section: {line!r}")
+            entries = line_no - header - 1
+            if entries != declared[n]:
+                reason = f"{n}-grams section lists {entries} entries, header promises {declared[n]}"
+                raise ArpaFormatError(path, line_no, reason)
+            seen_sections.add(n)
+        if text:
+            break
+    else:
+        raise ArpaFormatError(path, line_no + 1, _MISSING_END)
     missing = [k for k in sorted(declared) if k not in seen_sections and declared[k] > 0]
     if missing:
-        raise ArpaFormatError(path, end_line, f"missing {missing[0]}-grams section")
+        raise ArpaFormatError(path, line_no, f"missing {missing[0]}-grams section")
     if max(declared) < 1:
-        raise ArpaFormatError(path, end_line, "no n-gram order of 1 or more declared")
+        raise ArpaFormatError(path, line_no, "no n-gram order of 1 or more declared")
     for word in (EOS, UNK):  # scoring needs both to end a sentence and to map OOV tokens
         if (word,) not in logp:
-            raise ArpaFormatError(path, end_line, f"model has no unigram entry for {word!r}")
+            raise ArpaFormatError(path, line_no, f"model has no unigram entry for {word!r}")
+    for _ in lines:  # lines after \end\ are ignored, but must still decode
+        pass
     return NGramModel(max(declared), logp, bows)

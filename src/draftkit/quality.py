@@ -289,16 +289,16 @@ def contains_japanese(text: str) -> bool:
     return re.search(_JAPANESE, text) is not None
 
 
-def is_english(text: str, dictionary: Mapping[str, int] | None = None) -> bool:
+def is_english(text: str) -> bool:
     """Heuristic language check: no Japanese script, and at least
-    ``_ENGLISH_SHARE`` of the alphabetic tokens appear in the dictionary."""
-    if dictionary is None:
-        dictionary = load_wordlist()
+    ``_ENGLISH_SHARE`` of the alphabetic tokens appear in the bundled
+    word list."""
     if contains_japanese(text):
         return False
     alphabetic = [t for t in tokenize(text) if t.isalpha()]
     if not alphabetic:
         return False
+    dictionary = load_wordlist()
     hits = sum(t.lower() in dictionary for t in alphabetic)
     return hits / len(alphabetic) >= _ENGLISH_SHARE
 
@@ -420,9 +420,7 @@ class WorkerVerdict:
         }
 
 
-def score_workers(
-    subs: Sequence[WorkerSubmission], dictionary: Mapping[str, int] | None = None
-) -> list[WorkerVerdict]:
+def score_workers(subs: Sequence[WorkerSubmission]) -> list[WorkerVerdict]:
     """Apply every scoring and rejection criterion to each submission.
 
     Deltas come first in ``triggered`` (length and type penalties, the
@@ -435,19 +433,15 @@ def score_workers(
     distances = levenshtein_pairs(
         pair for sub in subs for pair in zip(sub.answers, sub.mt_references)
     )
-    return [_verdict(sub, distances[3 * i : 3 * i + 3], dictionary) for i, sub in enumerate(subs)]
+    return [_verdict(sub, distances[3 * i : 3 * i + 3]) for i, sub in enumerate(subs)]
 
 
-def score_worker(
-    sub: WorkerSubmission, dictionary: Mapping[str, int] | None = None
-) -> WorkerVerdict:
+def score_worker(sub: WorkerSubmission) -> WorkerVerdict:
     """:func:`score_workers` of one submission."""
-    return score_workers([sub], dictionary)[0]
+    return score_workers([sub])[0]
 
 
-def _verdict(
-    sub: WorkerSubmission, distances: Sequence[int], dictionary: Mapping[str, int] | None
-) -> WorkerVerdict:
+def _verdict(sub: WorkerSubmission, distances: Sequence[int]) -> WorkerVerdict:
     triggered: list[tuple[str, float | str]] = []
     words = [answer.split() for answer in sub.answers]
 
@@ -471,7 +465,7 @@ def _verdict(
         triggered.append((CRITERION_TERMINAL, 1.0))
     if any(MASK_TOKEN in answer for answer in sub.answers):
         triggered.append((CRITERION_MASK, 1.0))
-    english = [is_english(answer, dictionary) for answer in sub.answers]
+    english = [is_english(answer) for answer in sub.answers]
     if all(english):
         triggered.append((CRITERION_ENGLISH, 1.0))
 

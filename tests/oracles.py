@@ -205,19 +205,45 @@ def nearest_entry_scan(word: str, dictionary: Mapping[str, int]) -> str | None:
     return None
 
 
+def read_lines_reference(
+    path: str | Path,
+) -> tuple[list[tuple[int, str]], tuple[int, str] | None]:
+    """Each line of a file decoded on its own.
+
+    Returns the ``(line_no, text)`` pairs before the first line that is
+    not valid UTF-8, and that line's number and the decoder's reason (or
+    None when every line decodes).  Lines end at b"\n" and lose their
+    trailing "\r" and "\n"; a U+FEFF that opens line 1 is a byte-order
+    mark and is dropped (RFC 3629, section 6).
+    """
+    lines = []
+    with open(path, "rb") as handle:
+        for line_no, raw in enumerate(handle, start=1):
+            try:
+                text = raw.decode("utf-8").rstrip("\r\n")
+            except UnicodeDecodeError as exc:
+                return lines, (line_no, exc.reason)
+            if line_no == 1 and text.startswith("\ufeff"):
+                text = text[1:]
+            lines.append((line_no, text))
+    return lines, None
+
+
 def read_arpa_reference(
     path: str | Path,
 ) -> tuple[int, dict[tuple[str, ...], float], dict[tuple[str, ...], float]]:
     """ARPA reader that decodes the whole file, then walks line indices.
 
     Returns the order and the log10 probability and backoff tables;
-    raises ValueError on a malformed file, bad UTF-8 included.  Lines
-    split at "\n" only and lose their trailing "\r", as in
-    `read_checked_lines`.
+    raises ValueError on a malformed file, bad UTF-8 anywhere included.
+    Lines split at "\n" only and lose their trailing "\r", and a
+    byte-order mark that opens the file is dropped, as in
+    `read_lines_reference`.
     """
     count_line = re.compile(r"ngram\s+(\d+)=(\d+)")
     section_line = re.compile(r"\\(\d+)-grams:")
-    lines = [line.rstrip("\r") for line in Path(path).read_bytes().decode("utf-8").split("\n")]
+    text = Path(path).read_bytes().decode("utf-8-sig")
+    lines = [line.rstrip("\r") for line in text.split("\n")]
     n_lines = len(lines)
 
     def skip_blanks(i: int) -> int:

@@ -170,6 +170,14 @@ class TestLmCommands:
             assert dispatch(["lm", "train", "--input", str(sentences_file), "--out", str(out)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_train_ignores_a_byte_order_mark(self, tmp_path, sentences_file):
+        marked = tmp_path / "marked.txt"
+        marked.write_bytes(b"\xef\xbb\xbf" + sentences_file.read_bytes())
+        a, b = tmp_path / "a.arpa", tmp_path / "b.arpa"
+        for src, out in ((sentences_file, a), (marked, b)):
+            assert dispatch(["lm", "train", "--input", str(src), "--out", str(out)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
     def test_train_on_blank_input_is_data_error(self, tmp_path, capsys):
         blank = write_lines(tmp_path / "blank.txt", ["", "   "])
         out = tmp_path / "model.arpa"
@@ -287,6 +295,32 @@ class TestNoiseRun:
         assert code == 2
         assert capsys.readouterr().err == f"error: {vocab}:2: {reason}\n"
         assert sorted(os.listdir(tmp_path)) == before
+
+    @pytest.mark.parametrize(
+        "extra, code, message",
+        [
+            (["--vocab-counts", "{vocab}", "--replace-p", "0.5"], 2,
+             "error: {vocab}:2: no token has a count above --replace-vocab-min-count 10000\n"),
+            (["--replace-vocab-min-count", "100000000", "--replace-p", "0.5"], 1,
+             "error: no token has a count above --replace-vocab-min-count 100000000"
+             " in the bundled word list\n"),
+            (["--vocab-counts", "{vocab}", "--replace-p", "0"], 0, ""),
+            (["--replace-vocab-min-count", "100000000", "--replace-p", "0"], 0, ""),
+        ],
+        ids=["file", "bundled", "file-p0", "bundled-p0"],
+    )
+    def test_empty_replacement_vocabulary(
+        self, tmp_path, sentences_file, extra, code, message, capsys
+    ):
+        vocab = write_lines(tmp_path / "vocab.tsv", ["qq\t5"])
+        out = tmp_path / "pairs.tsv"
+        before = sorted(os.listdir(tmp_path))
+        assert self.run(sentences_file, out, *(a.format(vocab=vocab) for a in extra)) == code
+        assert capsys.readouterr().err == message.format(vocab=vocab)
+        if code:
+            assert sorted(os.listdir(tmp_path)) == before
+        else:
+            assert len(load_pairs(out)) == 40
 
     def test_memory_does_not_grow_with_input(self, tmp_path):
         def peak(n):
@@ -704,6 +738,18 @@ class TestEvalRun:
         assert code == 2
         assert f"{src}:1:" in capsys.readouterr().err
         assert sorted(tmp_path.iterdir()) == sorted([src, hyp, ref])
+
+    def test_byte_order_mark_on_hyp_is_ignored(self, tmp_path):
+        texts = ["The cat sat .", "A dog ran ."]
+        src, hyp, ref = self.files(tmp_path, ["The cat sat .", "a dog run ."], texts, texts)
+        marked = tmp_path / "marked.txt"
+        marked.write_bytes(b"\xef\xbb\xbf" + hyp.read_bytes())
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        for hyp_path, report in ((hyp, a), (marked, b)):
+            assert dispatch(["eval", "run", "--src", str(src), "--hyp", str(hyp_path),
+                             "--ref", str(ref), "--report", str(report)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+        assert json.loads(a.read_bytes())["pairs"][0]["bleu"] == 1.0
 
     def test_deterministic_report(self, tmp_path):
         src, hyp, ref = self.files(

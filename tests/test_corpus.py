@@ -5,12 +5,14 @@ from __future__ import annotations
 import os
 import stat
 import sys
+import tracemalloc
 import unicodedata
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from draftkit import corpus
 from draftkit.corpus import (
     MASK_TOKEN,
     CorpusFilterConfig,
@@ -23,11 +25,11 @@ from draftkit.corpus import (
     iter_checked_lines,
     load_pairs,
     normalize_sentence,
-    read_checked_lines,
     tokenize,
     write_pairs,
 )
-from oracles import tokenize_reference
+from oracles import read_lines_reference, tokenize_reference
+from synth import academic_sentences
 
 
 # Letters, digits, punctuation of every P* category, Unicode whitespace,
@@ -286,46 +288,97 @@ class TestPairIO:
         assert text == "a b\tc d\n"
 
 
-# Byte pieces for the reader agreement test: line ends, a stray CR,
-# multi-byte UTF-8, and sequences that are truncated or invalid.
+# Byte pieces for the reader test: line ends, a stray CR, multi-byte
+# UTF-8, sequences that are truncated or invalid, and byte-order marks.
 _LINE_PIECES = (
     b"a", b" ", b"\t", b"\n", b"\r", b"\r\n", b"\r\r\n", b"\xc3\xa9", b"\xe2\x82\xac",
     b"\xf0\x9f\x98\x80", b"\xc3", b"\xe2\x82", b"\xf0\x9f\x98", b"\xff", b"\x80",
-    b"\xed\xa0\x80", b"\xc3\n", b"\xe2\x82\n", b"\xc0\xaf",
+    b"\xed\xa0\x80", b"\xc3\n", b"\xe2\x82\n", b"\xc0\xaf", b"\xef\xbb\xbf", b"\xef\xbb",
 )
 
 
+def checked_lines(path):
+    """What ``iter_checked_lines`` yields before it stops, and the
+    ``(line_no, reason)`` of the error it stops with, or None."""
+    lines = []
+    try:
+        for item in iter_checked_lines(path):
+            lines.append(item)
+    except RecordError as err:
+        assert str(err) == f"{path}:{err.line_no}: {err.reason}"
+        return lines, (err.line_no, err.reason)
+    return lines, None
+
+
 class TestCheckedReaders:
-    @settings(max_examples=500)
-    @given(pieces=st.lists(st.sampled_from(_LINE_PIECES), max_size=12), final_newline=st.booleans())
-    def test_whole_file_reader_agrees_with_streaming(self, tmp_path_factory, pieces, final_newline):
+    @pytest.mark.parametrize("block", [1, 2, 3, 7, corpus._BLOCK])
+    @settings(max_examples=300)
+    @given(
+        pieces=st.lists(st.sampled_from(_LINE_PIECES), max_size=12),
+        final_newline=st.booleans(),
+    )
+    def test_agrees_with_per_line_reference(
+        self, tmp_path_factory, block, pieces, final_newline
+    ):
         blob = b"".join(pieces) + (b"\n" if final_newline else b"")
         path = tmp_path_factory.mktemp("lines") / "input.txt"
         path.write_bytes(blob)
-        try:
-            expected = [text for _, text in iter_checked_lines(path)]
-        except RecordError as err:
-            with pytest.raises(RecordError) as got:
-                read_checked_lines(path)
-            assert (got.value.line_no, got.value.reason) == (err.line_no, err.reason)
-            assert str(got.value) == str(err)
-        else:
-            assert read_checked_lines(path) == expected
+        expected, fault = read_lines_reference(path)
+        if fault is not None:
+            fault = (fault[0], f"not valid UTF-8 ({fault[1]})")
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(corpus, "_BLOCK", block)
+            assert checked_lines(path) == (expected, fault)
+
+    @pytest.mark.parametrize("at", [-1, 0, 1])
+    def test_lines_across_default_blocks(self, tmp_path, at):
+        # The first line's "\n" is the last byte of the first block, the
+        # first of the second or the one after; the next line spans three
+        # blocks, with characters split across their edges.
+        first = "é" * ((corpus._BLOCK - 2) // 2) + "x" * (2 + at)
+        lines = [first, "ab\r" + "€" * corpus._BLOCK, "", "end"]
+        path = tmp_path / "input.txt"
+        path.write_bytes("\n".join(lines).encode("utf-8") + b"\xff\n")
+        expected, fault = read_lines_reference(path)
+        assert [text for _, text in expected] == [lines[0], lines[1], ""]
+        assert fault == (4, "invalid start byte")
+        assert checked_lines(path) == (expected, (4, "not valid UTF-8 (invalid start byte)"))
 
     @pytest.mark.parametrize(
         "blob, lines",
-        [(b"", []), (b"\n", [""]), (b"a", ["a"]), (b"a\r\n\r\nb\r", ["a", "", "b"]), (b"\r", [""])],
+        [(b"", []), (b"\n", [""]), (b"a", ["a"]), (b"a\r\n\r\nb\r", ["a", "", "b"]), (b"\r", [""]),
+         # One byte-order mark that opens the file is dropped; any other
+         # U+FEFF is text.
+         (b"\xef\xbb\xbfa\nb\n", ["a", "b"]), (b"\xef\xbb\xbf", [""]), (b"\xef\xbb\xbf\r\n", [""]),
+         (b"\xef\xbb\xbf\xef\xbb\xbfa\n", ["\ufeffa"]), (b"a\n\xef\xbb\xbfb\n", ["a", "\ufeffb"]),
+         (b"a\xef\xbb\xbf\n", ["a\ufeff"])],
     )
     def test_line_framing(self, tmp_path, blob, lines):
         path = tmp_path / "input.txt"
         path.write_bytes(blob)
-        assert read_checked_lines(path) == lines
+        assert [text for _, text in iter_checked_lines(path)] == lines
 
     def test_undecodable_byte_names_its_line(self, tmp_path):
         path = tmp_path / "input.txt"
         path.write_bytes(b"ok\n\n\xe2\x82\nmore\n")
         with pytest.raises(RecordError, match=r":3: not valid UTF-8 \(invalid continuation byte\)"):
-            read_checked_lines(path)
+            list(iter_checked_lines(path))
+
+    def test_memory_does_not_grow_with_the_file(self, tmp_path):
+        def peak(n):
+            path = tmp_path / f"in{n}.txt"
+            texts = [s.text for s in academic_sentences(n, seed=4)]
+            path.write_text("\n".join(texts) + "\n", encoding="utf-8")
+            tracemalloc.start()
+            try:
+                for _ in iter_checked_lines(path):
+                    pass
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(5_000), peak(20_000)
+        assert large - small <= 64 * 1024, (small, large)
 
 
 class TestAtomicWrite:

@@ -538,6 +538,24 @@ class TestArpaErrors:
             self._load(tmp_path, MALFORMED_ARPA["undeclared_section"])
 
     @pytest.mark.parametrize(
+        "blob, reason",
+        [
+            # A bad count line on line 3 is named before a bad byte on line 8.
+            (b"\\data\\\nngram 1=3\nngram x\n\n\\1-grams:\n-0.5\t</s>\n-0.5\t<unk>\n"
+             b"-0.5\t\xff\n\n\\end\\\n", r":3: bad count line in \\data\\ section: 'ngram x'"),
+            # A bad byte after \end\ is a fault too, found once the rest is read.
+            (b"\\data\\\nngram 1=2\n\n\\1-grams:\n-0.5\t</s>\n-0.5\t<unk>\n\n\\end\\\n\nok\n\xc3",
+             r":11: not valid UTF-8 \(unexpected end of data\)"),
+        ],
+        ids=["count-line-first", "after-end"],
+    )
+    def test_first_fault_in_file_order(self, tmp_path, blob, reason):
+        path = tmp_path / "bad.arpa"
+        path.write_bytes(blob)
+        with pytest.raises(RecordError, match=f"^{re.escape(str(path))}{reason}$"):
+            load_arpa(path)
+
+    @pytest.mark.parametrize(
         "name, word", [("no_eos_unigram", "</s>"), ("no_unk_unigram", "<unk>")]
     )
     def test_missing_marker_unigram_names_end_line(self, tmp_path, name, word):
