@@ -154,8 +154,8 @@ def characteristic_terms(
         raise ValueError("need at least one pair")
     if top_k < 1:
         raise ValueError(f"top_k must be at least 1, got {top_k}")
-    if epsilon <= 0.0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    if not (math.isfinite(epsilon) and epsilon > 0.0):
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     draft_counts, draft_total = _term_frequencies(p.draft for p in pairs)
     ref_counts, ref_total = _term_frequencies(p.reference for p in pairs)
     contrasts = []

@@ -103,6 +103,8 @@ def _write_lines(path: Path | str, lines: Iterable[str]) -> None:
 def _cmd_corpus_extract(args) -> None:
     excluded: frozenset[str] = frozenset()
     if args.exclude is not None:
+        if args.profile != "training":
+            raise ValueError("--exclude applies only to --profile training")
         excluded = frozenset(t for _, t in iter_checked_lines(args.exclude) if t.strip())
     cfg = CorpusFilterConfig(
         min_chars=args.min_chars,

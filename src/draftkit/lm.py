@@ -67,26 +67,25 @@ class NGramModel:
             raise ValueError(f"order must lie in [1, {self.order}]")
         return sorted(gram for gram in self._logprob if len(gram) == order)
 
-    def _as_known(self, token: str) -> str:
-        return token if token in self.vocab else UNK
-
     def logprob(self, word: str, history: Sequence[str] = ()) -> float:
         """Log10 P(word | history), history trimmed to the model order."""
-        keep = max(0, len(history) - self.order + 1)
-        context = tuple(self._as_known(t) for t in tuple(history)[keep:])
-        return _backoff_logprob(self._logprob, self._backoff, context, self._as_known(word))
+        context = tuple(history)[max(0, len(history) - self.order + 1) :]
+        return self._walk((*context, word), len(context))
 
     def sentence_logprob(self, tokens: Sequence[str]) -> float:
-        """Log10 probability of the token sequence plus its end event.
+        """Log10 probability of the token sequence plus its end event."""
+        return self._walk((BOS, *tokens, EOS), 1)
 
-        Each event walks the chain of ``_backoff_logprob`` inline, with the
-        same additions in the same order.
-        """
+    def _walk(self, tokens: Sequence[str], first: int) -> float:
+        """Sum of log10 P(tokens[i] | the tokens before it) for each i from
+        ``first`` on, after mapping tokens outside the vocabulary to the
+        unknown symbol: the longest stored n-gram, plus the backoff weights
+        of the contexts dropped to reach it."""
         vocab = self.vocab
-        known = tuple([t if t in vocab else UNK for t in (BOS, *tokens, EOS)])
+        known = tuple([t if t in vocab else UNK for t in tokens])
         logp, bows, width = self._logprob, self._backoff, self.order - 1
         total = 0.0
-        for i in range(1, len(known)):
+        for i in range(first, len(known)):
             context = known[i - width : i] if i > width else known[:i]
             word = known[i : i + 1]
             acc = 0.0
@@ -102,26 +101,6 @@ class NGramModel:
         tokens = tuple(tokens)
         events = len(tokens) + 1
         return 10.0 ** (-self.sentence_logprob(tokens) / events)
-
-
-def _backoff_logprob(
-    logp: dict[tuple[str, ...], float],
-    bows: dict[tuple[str, ...], float],
-    context: tuple[str, ...],
-    word: str,
-) -> float:
-    """Log10 P(word | context) from the longest stored n-gram plus the
-    backoff weights of the contexts dropped to reach it.  Training runs
-    it over partially built tables."""
-    acc = 0.0
-    while True:
-        stored = logp.get(context + (word,))
-        if stored is not None:
-            return acc + stored
-        if not context:
-            raise ValueError(f"model has no unigram entry for {word!r}")
-        acc += bows.get(context, 0.0)
-        context = context[1:]
 
 
 def train(
@@ -142,8 +121,8 @@ def train(
         raise ValueError("order must be at least 1")
     if smoothing not in SMOOTHINGS:
         raise ValueError(f"unknown smoothing {smoothing!r}; expected one of {SMOOTHINGS}")
-    if smoothing == ADD_K and k <= 0:
-        raise ValueError("k must be positive")
+    if smoothing == ADD_K and not (math.isfinite(k) and k > 0):
+        raise ValueError(f"k must be positive and finite, got {k}")
     if unk_floor is not None and not 0.0 <= unk_floor < 1.0:
         raise ValueError("unk_floor must lie in [0, 1)")
     sentences = [tuple(s.tokens) for s in corpus]
@@ -155,10 +134,9 @@ def train(
     for tokens in sentences:
         words.update(tokens)
         seq = (BOS, *tokens, EOS)
+        shifted = [seq[i:] for i in range(order)]
         for n in range(1, order + 1):
-            counts = raw[n]
-            for i in range(len(seq) - n + 1):
-                counts[seq[i : i + n]] += 1
+            raw[n].update(zip(*shifted[:n]))
 
     vpred = sorted((set(words) | {EOS, UNK}) - {BOS})
     if smoothing == ADD_K:
@@ -216,6 +194,9 @@ def _build_add_k(
     logp = {(w,): math.log10(p) for w, p in unigram.items()}
     logp[(BOS,)] = _BOS_PLACEHOLDER
     bows: dict[tuple[str, ...], float] = {}
+    # The suffix of a counted n-gram is counted one order down and every
+    # predicted word has a unigram, so each lower-order estimate read here
+    # (and in _build_kneser_ney) is already in ``logp``.
     for n in range(2, order + 1):
         for history, seen in _group_by_context(raw[n]).items():
             total = sum(seen.values())
@@ -224,7 +205,7 @@ def _build_add_k(
             # Sorted accumulation keeps float sums independent of corpus order.
             for word in sorted(seen):
                 logp[history + (word,)] = math.log10((seen[word] + k) / denominator)
-                covered += 10.0 ** _backoff_logprob(logp, bows, history[1:], word)
+                covered += 10.0 ** logp[history[1:] + (word,)]
             leftover = k * (v_size - len(seen)) / denominator
             if leftover > 0.0:
                 bows[history] = math.log10(leftover / (1.0 - covered))
@@ -276,7 +257,7 @@ def _build_kneser_ney(
             total = sum(seen.values())
             interp = discount * len(seen) / total
             for word, count in seen.items():
-                lower = 10.0 ** _backoff_logprob(logp, bows, history[1:], word)
+                lower = 10.0 ** logp[history[1:] + (word,)]
                 p = max(count - discount, 0.0) / total + interp * lower
                 logp[history + (word,)] = math.log10(p)
             bows[history] = math.log10(interp)

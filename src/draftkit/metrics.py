@@ -15,9 +15,10 @@ alignment keeps each DP column's bits and backtracks from them.  BLEU
 counts the n-grams of each side once, all orders together.
 ``levenshtein_pairs`` takes many distances in one pass, each pair one
 lane of a wide int, and is what ``evaluate``, ``analysis.dataset_stats``
-and ``quality.score_workers`` use; ``levenshtein_char`` takes one, and
-keeps a small bounded state for its last first argument, so comparing
-one string against many reuses work between calls.
+and ``quality.score_workers`` use.  ``levenshtein_char`` takes one: a
+new first argument goes through ``levenshtein_pairs``, and a small
+bounded state is kept for it, so comparing one string against many
+reuses work between calls.
 """
 
 from __future__ import annotations
@@ -150,14 +151,13 @@ def _unshared(a: str, b: str) -> tuple[int, int, int]:
 def levenshtein_char(a: str, b: str) -> int:
     """Minimal number of character insertions, deletions, substitutions.
 
-    One bit-parallel kernel (``_advance``) with ``a`` as the pattern: each
-    character of ``b`` advances a whole DP column in a few integer
-    operations, and Python's unbounded ints need no blocking at any length.
+    A new first argument is measured by ``levenshtein_pairs`` and kept.
     When ``a`` repeats the previous first argument, its match masks are
     reused and ``b`` walks the columns and transitions kept from earlier
-    calls, stepping the kernel only where no earlier text has been; so
-    comparing one string against many costs little more than a dictionary
-    lookup per character.  Results never depend on earlier calls.
+    calls, stepping the bit-parallel kernel (``_advance``) with ``a`` as
+    the pattern only where no earlier text has been; so comparing one
+    string against many costs little more than a dictionary lookup per
+    character.  Results never depend on earlier calls.
     """
     if not a or not b:
         return len(a) + len(b)
@@ -171,17 +171,8 @@ def levenshtein_char(a: str, b: str) -> int:
             col = col[2].get(ch) or pat.follow(col, ch)
         _kept_patterns.append(pat)
         return len(b) + col[3]
-    pat = _Pattern(a)
-    _kept_patterns.append(pat)
-    # A first call runs the kernel on what lies between the shared prefix
-    # and the shared suffix.  Along the prefix the columns are known in
-    # closed form, D[i][j] = |i - j|, and the distance is read from the
-    # pattern row before the suffix.
-    lo, m, n = _unshared(a, b)
-    below = (1 << lo) - 1
-    pv, mv = _advance(map(pat.masks.get, b[lo:n], repeat(0)), pat.full, 1, pat.full ^ below, below)
-    low = (1 << m) - 1
-    return n + (pv & low).bit_count() - (mv & low).bit_count()
+    _kept_patterns.append(_Pattern(a))
+    return levenshtein_pairs(((a, b),))[0]
 
 
 def _pack_distances(lanes: Sequence[tuple[str, str, int]]) -> list[int]:

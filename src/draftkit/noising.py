@@ -75,11 +75,9 @@ class ReplacementVocab:
         weighted: bool = False,
     ) -> None:
         kept = {token: count for token, count in counts.items() if count > min_count}
-        self.min_count = min_count
         self.weighted = weighted
         self.tokens: tuple[str, ...] = tuple(sorted(kept))
         self.counts: tuple[int, ...] = tuple(kept[t] for t in self.tokens)
-        self._members = frozenset(self.tokens)
         self._cumulative = tuple(accumulate(self.counts))
 
     @classmethod
@@ -90,9 +88,6 @@ class ReplacementVocab:
 
     def __len__(self) -> int:
         return len(self.tokens)
-
-    def __contains__(self, token: str) -> bool:
-        return token in self._members
 
     def sample(self, rng: random.Random) -> str:
         if not self.tokens:

@@ -88,6 +88,25 @@ class TestCorpusExtract:
         assert code == 0
         assert out.read_text(encoding="utf-8") == ""
 
+    @pytest.mark.parametrize("profile", [[], ["--profile", "final"]], ids=["default", "final"])
+    @pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config"])
+    def test_exclude_outside_training_profile_is_usage_error(
+        self, tmp_path, profile, via_config, capsys
+    ):
+        # The input does not exist: the check comes before any file is read.
+        exclude = write_lines(tmp_path / "exclude.txt", ["c" * 100])
+        argv = ["corpus", "extract", "--input", str(tmp_path / "missing.txt"),
+                "--out", str(tmp_path / "kept.txt"), *profile]
+        if via_config:
+            config = write_lines(tmp_path / "run.cfg", [f"exclude = {exclude}"])
+            argv += ["--config", str(config)]
+        else:
+            argv += ["--exclude", str(exclude)]
+        before = sorted(tmp_path.iterdir())
+        assert dispatch(argv) == 1
+        assert capsys.readouterr().err == "error: --exclude applies only to --profile training\n"
+        assert sorted(tmp_path.iterdir()) == before
+
     def test_manifest_written(self, tmp_path):
         src = write_lines(tmp_path / "raw.txt", ["c" * 100])
         out = tmp_path / "kept.txt"
@@ -835,6 +854,26 @@ class TestStatsAndAnalysis:
         assert lines[0] == "term\tdraft_per10k\tref_per10k\tlog_ratio"
         assert lines[1].split("\t")[0] == "will"
         assert lines[2].split("\t")[0] == "can"
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lm", "train", "--input", "in.txt", "--out", "out/model.arpa",
+         "--smoothing", "add-k", "--k"],
+        ["analysis", "terms", "--input", "pairs.tsv", "--out", "out/terms.tsv", "--epsilon"],
+    ],
+    ids=["lm-train-k", "analysis-terms-epsilon"],
+)
+def test_non_finite_number_is_usage_error(tmp_path, argv, value, capsys):
+    write_lines(tmp_path / "in.txt", [s.text for s in academic_sentences(5, seed=1)])
+    write_lines(tmp_path / "pairs.tsv", ["Will go\tcan go", "will stay\tcan stay"])
+    (tmp_path / "out").mkdir()
+    argv = [str(tmp_path / a) if "." in a else a for a in argv]
+    assert dispatch([*argv, value]) == 1
+    assert "must be positive and finite" in capsys.readouterr().err
+    assert list((tmp_path / "out").iterdir()) == []
 
 
 # One call per subcommand, optional inputs both given and left out, flags

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 import re
@@ -168,6 +169,14 @@ def _model(smoothing: str, order: int) -> NGramModel:
     return train(_toy_corpus(), order=order, smoothing=smoothing)
 
 
+@lru_cache(maxsize=None)
+def _loaded_model(smoothing: str, order: int) -> NGramModel:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.arpa"
+        save_arpa(_model(smoothing, order), path)
+        return load_arpa(path)
+
+
 _MODEL_GRID = [
     ("add-k", 1),
     ("add-k", 2),
@@ -251,11 +260,75 @@ class TestSentenceLogprobAgainstReference:
         model = _model(smoothing, order)
         assert model.sentence_logprob(tokens) == sentence_logprob_reference(model, tokens)
 
+    @pytest.mark.parametrize("loaded", [False, True], ids=["trained", "loaded"])
+    @pytest.mark.parametrize("smoothing", ["add-k", "interpolated-kneser-ney"])
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    @settings(max_examples=40, deadline=None)
+    @given(tokens=st.lists(st.sampled_from(_SCORED_WORDS), max_size=10))
+    def test_equals_sum_of_event_logprobs(self, loaded, smoothing, order, tokens):
+        # Exact equality: both walk the same chain, one event at a time.
+        model = (_loaded_model if loaded else _model)(smoothing, order)
+        seq = ("<s>", *tokens, "</s>")
+        total = 0.0
+        for i in range(1, len(seq)):
+            total += model.logprob(seq[i], seq[:i])
+        assert model.sentence_logprob(tokens) == total
+
     def test_missing_unknown_unigram_is_an_error(self):
         model = NGramModel(2, {("a",): -0.5, ("</s>",): -0.5}, {})
         for score in (model.sentence_logprob, lambda t: sentence_logprob_reference(model, t)):
             with pytest.raises(ValueError, match="no unigram entry for '<unk>'"):
                 score(["b"])
+
+
+class TestTrainedTables:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        corpus=st.lists(st.lists(st.sampled_from("abcde"), max_size=7), min_size=1, max_size=8),
+        order=st.integers(1, 5),
+        smoothing=st.sampled_from(["add-k", "interpolated-kneser-ney"]),
+        unk_floor=st.sampled_from([None, 0.3]),
+    )
+    def test_every_stored_suffix_is_stored(self, corpus, order, smoothing, unk_floor):
+        # Training reads each lower-order estimate straight from its table,
+        # which holds only if no stored n-gram lacks its suffix.
+        model = train([sent(*tokens) for tokens in corpus], order, smoothing, unk_floor=unk_floor)
+        for gram in model._logprob:
+            if len(gram) >= 2:
+                assert gram[1:] in model._logprob, gram
+
+
+# sha256 of the saved model of academic_sentences(300, seed=3), keyed by
+# (smoothing, order, unk_floor): a change to training that moves any byte
+# of a model fails here.
+_ARPA_DIGESTS = {
+    ("interpolated-kneser-ney", 1, None):
+        "364a7fec22c59340fdae3dbcc6985bc54b7dca4d19adc8021af929b6557be475",
+    ("interpolated-kneser-ney", 1, 0.05):
+        "95db345580dd70f3a61a8ea96e9d3bcb9eafb677c12e8dadc36a4913ace7e8db",
+    ("interpolated-kneser-ney", 3, None):
+        "ebe3135cf0254391516c73c3358a03b69cac45988fe9f3c79833118799cb14e7",
+    ("interpolated-kneser-ney", 3, 0.05):
+        "1f31ef2c2920acd34e1fa6f3d3d8fe38f01cee04b3c5c11047ec8ad2c1313513",
+    ("interpolated-kneser-ney", 5, None):
+        "23734465f138811f0076617f4594122c84fc70017d75d138c0956fac97e60ef3",
+    ("interpolated-kneser-ney", 5, 0.05):
+        "1b8cf1cb0e0c420172af1276e6bebd2863fb7849d0a2eaceb190ad6eec743741",
+    ("add-k", 1, None): "ca5fe61cac17184b9a71339b6a3d818c30eba3583fae797cc9bc08d32de83b51",
+    ("add-k", 1, 0.05): "e9d3c0845d6718879315f8b33d0f7a1828dfb9656fb871df2fcfda77b8dfa51b",
+    ("add-k", 3, None): "172fb5105d69a2e4e123da5109be6547512aecaff9e7056aeb408eb142a87e23",
+    ("add-k", 3, 0.05): "e79537965feb4e0b112263d50d267925a5874d36f558ecf4c265981c4a40c1e7",
+    ("add-k", 5, None): "e52821a03a642fff7794489ba946f8bf03143712574b9dbf9a8c2e23e1fb2fab",
+    ("add-k", 5, 0.05): "29b745bf7e880b321ab6abef89797b89556c47ca0e21f846e080fee5cd201857",
+}
+
+
+@pytest.mark.parametrize("smoothing, order, unk_floor", sorted(_ARPA_DIGESTS, key=str))
+def test_saved_model_bytes_are_pinned(tmp_path, smoothing, order, unk_floor):
+    path = tmp_path / "model.arpa"
+    save_arpa(train(academic_sentences(300, seed=3), order, smoothing, unk_floor=unk_floor), path)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == _ARPA_DIGESTS[smoothing, order, unk_floor]
 
 
 class TestUnknownFloor:
