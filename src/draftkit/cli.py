@@ -461,6 +461,7 @@ def _read_config(path: Path, sub: _Parser) -> dict[str, object]:
         if action.dest not in _CONFIG_SKIP and action.dest != argparse.SUPPRESS
     }
     overrides: dict[str, object] = {}
+    first_line: dict[str, int] = {}
     for line_no, raw in iter_checked_lines(path):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -471,6 +472,11 @@ def _read_config(path: Path, sub: _Parser) -> dict[str, object]:
         key = key.strip().replace("-", "_")
         if key not in actions:
             raise RecordError(path, line_no, f"unknown configuration key {key!r}")
+        if key in first_line:
+            raise RecordError(
+                path, line_no, f"repeated key {key!r}, first on line {first_line[key]}"
+            )
+        first_line[key] = line_no
         action = actions[key]
         parse = _parse_bool if isinstance(action.const, bool) else action.type or str
         try:

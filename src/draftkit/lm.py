@@ -3,9 +3,9 @@
 Probabilities and backoff weights are stored and reported as log10 values.
 Scoring walks the usual backoff chain: use the longest stored n-gram,
 otherwise multiply in the context's backoff weight and drop to the next
-shorter context.  Out-of-vocabulary tokens are mapped to the unknown
-symbol before lookup, and every sentence is scored including its
-end-of-sentence event.
+shorter context.  Out-of-vocabulary tokens, those with no stored 1-gram,
+are mapped to the unknown symbol before lookup, and every sentence is
+scored including its end-of-sentence event.
 """
 
 from __future__ import annotations
@@ -54,9 +54,6 @@ class NGramModel:
         # The model owns the tables it is given: its callers build them for it.
         self._logprob = logprob_table
         self._backoff = backoff_table
-        self.vocab: frozenset[str] = frozenset(
-            [gram[0] for gram in logprob_table if len(gram) == 1]
-        )
 
     def __repr__(self) -> str:
         return f"NGramModel(order={self.order}, ngrams={len(self._logprob)})"
@@ -78,12 +75,11 @@ class NGramModel:
 
     def _walk(self, tokens: Sequence[str], first: int) -> float:
         """Sum of log10 P(tokens[i] | the tokens before it) for each i from
-        ``first`` on, after mapping tokens outside the vocabulary to the
+        ``first`` on, after mapping tokens with no stored 1-gram to the
         unknown symbol: the longest stored n-gram, plus the backoff weights
         of the contexts dropped to reach it."""
-        vocab = self.vocab
-        known = tuple([t if t in vocab else UNK for t in tokens])
         logp, bows, width = self._logprob, self._backoff, self.order - 1
+        known = tuple([t if (t,) in logp else UNK for t in tokens])
         total = 0.0
         for i in range(first, len(known)):
             context = known[i - width : i] if i > width else known[:i]

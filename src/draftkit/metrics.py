@@ -15,10 +15,9 @@ alignment keeps each DP column's bits and backtracks from them.  BLEU
 counts the n-grams of each side once, all orders together.
 ``levenshtein_pairs`` takes many distances in one pass, each pair one
 lane of a wide int, and is what ``evaluate``, ``analysis.dataset_stats``
-and ``quality.score_workers`` use.  ``levenshtein_char`` takes one: a
-new first argument goes through ``levenshtein_pairs``, and a small
-bounded state is kept for it, so comparing one string against many
-reuses work between calls.
+and ``quality.score_workers`` use.  ``levenshtein_char`` takes one by
+walking a small bounded automaton kept for its first argument, so
+comparing one string against many reuses work between calls.
 """
 
 from __future__ import annotations
@@ -151,28 +150,25 @@ def _unshared(a: str, b: str) -> tuple[int, int, int]:
 def levenshtein_char(a: str, b: str) -> int:
     """Minimal number of character insertions, deletions, substitutions.
 
-    A new first argument is measured by ``levenshtein_pairs`` and kept.
-    When ``a`` repeats the previous first argument, its match masks are
-    reused and ``b`` walks the columns and transitions kept from earlier
-    calls, stepping the bit-parallel kernel (``_advance``) with ``a`` as
-    the pattern only where no earlier text has been; so comparing one
-    string against many costs little more than a dictionary lookup per
-    character.  Results never depend on earlier calls.
+    Every call walks the automaton kept for ``a`` (``_Pattern``), built
+    afresh for a new first argument: ``b`` follows the columns and
+    transitions kept from earlier calls, stepping the bit-parallel kernel
+    (``_advance``) with ``a`` as the pattern only where no earlier text
+    has been; so comparing one string against many costs little more
+    than a dictionary lookup per character.  Results never depend on
+    earlier calls.
     """
-    if not a or not b:
-        return len(a) + len(b)
     try:
         pat = _kept_patterns.pop()
     except IndexError:
         pat = None
-    if pat is not None and pat.text == a:
-        col = pat.root
-        for ch in b:
-            col = col[2].get(ch) or pat.follow(col, ch)
-        _kept_patterns.append(pat)
-        return len(b) + col[3]
-    _kept_patterns.append(_Pattern(a))
-    return levenshtein_pairs(((a, b),))[0]
+    if pat is None or pat.text != a:
+        pat = _Pattern(a)
+    col = pat.root
+    for ch in b:
+        col = col[2].get(ch) or pat.follow(col, ch)
+    _kept_patterns.append(pat)
+    return len(b) + col[3]
 
 
 def _pack_distances(lanes: Sequence[tuple[str, str, int]]) -> list[int]:

@@ -4,6 +4,7 @@ precedence, and byte-level determinism of the file-producing commands."""
 from __future__ import annotations
 
 import gc
+import hashlib
 import json
 import os
 import random
@@ -464,6 +465,17 @@ class TestConfigPrecedence:
         assert code == 2
         assert ":1:" in capsys.readouterr().err
 
+    def test_repeated_config_key_is_data_error(self, tmp_path, sentences_file, capsys):
+        # The same rule as a repeated --vocab-counts token: no later line
+        # silently overrides an earlier one.
+        cfg = write_lines(tmp_path / "run.cfg", ["order = 2", "# comment", "order = 3"])
+        before = sorted(os.listdir(tmp_path))
+        code = dispatch(["lm", "train", "--input", str(sentences_file),
+                         "--out", str(tmp_path / "model.arpa"), "--config", str(cfg)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {cfg}:3: repeated key 'order', first on line 1\n"
+        assert sorted(os.listdir(tmp_path)) == before
+
 
 SUBMISSION_LINES = [
     json.dumps(
@@ -874,6 +886,47 @@ def test_non_finite_number_is_usage_error(tmp_path, argv, value, capsys):
     assert dispatch([*argv, value]) == 1
     assert "must be positive and finite" in capsys.readouterr().err
     assert list((tmp_path / "out").iterdir()) == []
+
+
+# sha256 of each report on tests/synth.py sentences, scored with an
+# order-3 model trained on others: a change that moves any byte of a
+# distance, an edit, a score or a perplexity fails here.  Some hypotheses
+# carry words the model has no 1-gram for, so scoring through <unk> is
+# pinned too.
+_REPORT_DIGESTS = {
+    "eval run --lm": "9bd89be33aa619bb0916917aeea0e63b709d38794a00e773c53338da8e6b1f5d",
+    "lm ppl": "4a606f396209a2c17ecda99081345c768815dbe42ff64fd40bc6de8a69a58f1c",
+    "stats dataset --lm": "c180b8e12d5a0dd16146db633e8c8deb0eea440c80705755aa02f057b98ccb6c",
+}
+
+
+@pytest.mark.parametrize("command", sorted(_REPORT_DIGESTS))
+def test_report_bytes_are_pinned(tmp_path, monkeypatch, command):
+    # Reports name their model file, so every path is relative.
+    monkeypatch.chdir(tmp_path)
+    refs = [s.text for s in academic_sentences(30, seed=6)]
+    # Every third hypothesis ends in an unseen word; of the rest, every
+    # other one misspells its first "the".
+    hyps = [
+        text[:-2] + " indeed ." if i % 3 == 0 else text.replace("the", "teh", i % 2)
+        for i, text in enumerate(refs)
+    ]
+    write_lines(Path("train.txt"), [s.text for s in academic_sentences(80, seed=5)])
+    write_lines(Path("src.txt"), [s.text for s in academic_sentences(30, seed=7)])
+    write_lines(Path("hyp.txt"), hyps)
+    write_lines(Path("ref.txt"), refs)
+    write_lines(Path("pairs.tsv"), [f"{h}\t{r}" for h, r in zip(hyps, refs)])
+    assert dispatch(["lm", "train", "--input", "train.txt", "--out", "model.arpa",
+                     "--order", "3"]) == 0
+    argv = {
+        "eval run --lm": ["eval", "run", "--src", "src.txt", "--hyp", "hyp.txt",
+                          "--ref", "ref.txt", "--lm", "model.arpa"],
+        "lm ppl": ["lm", "ppl", "--model", "model.arpa", "--input", "hyp.txt"],
+        "stats dataset --lm": ["stats", "dataset", "--input", "pairs.tsv", "--lm", "model.arpa"],
+    }[command]
+    assert dispatch([*argv, "--report", "report.json"]) == 0
+    digest = hashlib.sha256(Path("report.json").read_bytes()).hexdigest()
+    assert digest == _REPORT_DIGESTS[command]
 
 
 # One call per subcommand, optional inputs both given and left out, flags

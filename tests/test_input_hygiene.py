@@ -1,0 +1,126 @@
+"""Input hygiene: one rejected line in a checked input makes the command
+exit 2 naming exactly that ``path:line``, whether its lines end in LF or
+CRLF and whether a byte-order mark opens the file, and leaves neither
+the output nor its manifest behind."""
+
+from __future__ import annotations
+
+import io
+import json
+import os
+import string
+import tempfile
+from contextlib import redirect_stderr
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from draftkit.cli import dispatch
+from draftkit.lm import save_arpa, train
+from synth import academic_sentences
+
+TEXTS = [s.text for s in academic_sentences(12, seed=4)]
+
+# Settings a noise run accepts, each key once, then comment lines.
+_SETTINGS = ["seed = 3", "delete-p = 0.1", "replace_p = 0.2", "shuffle-k = 2", ""]
+
+
+def _submission(i: int) -> str:
+    return json.dumps({"worker_id": f"w{i}", "answers": TEXTS[:3], "seconds": 300 + i,
+                       "mt_references": TEXTS[3:6]})
+
+
+def _config_line(i: int) -> str:
+    return _SETTINGS[i] if i < len(_SETTINGS) else f"# note {i}"
+
+
+# name: (the i-th valid line, lines the reader rejects, the command given
+# the tested file, a file of sentences and the directory of its outputs)
+CASES = {
+    "pairs": (
+        lambda i: f"{TEXTS[i % len(TEXTS)]}\t{TEXTS[(i + 1) % len(TEXTS)]}",
+        ["a draft with no reference", "a draft\twith an embedded\ttab", ""],
+        lambda tested, texts, out: ["quality", "filter-pairs", "--input", tested,
+                                    "--kept", out / "kept.tsv", "--removed", out / "removed.tsv"],
+    ),
+    "submissions": (
+        _submission,
+        ['{"worker_id": "w", "answers": ', "[1, 2]", _submission(0).replace("300", '"300"')],
+        lambda tested, texts, out: ["quality", "score-workers", "--input", tested,
+                                    "--out", out / "verdicts.jsonl"],
+    ),
+    "vocab-counts": (
+        lambda i: f"sub{string.ascii_lowercase[i]}\t{20000 + i}",
+        ["qqbad\tlots", "qqbad", "qq bad\t5", "qqbad\t-1"],
+        lambda tested, texts, out: ["noise", "run", "--input", texts, "--out", out / "pairs.tsv",
+                                    "--vocab-counts", tested, "--replace-p", "0.4"],
+    ),
+    "config": (
+        _config_line,
+        ["delte_p = 0.5", "delete_p 0.5", "delete_p = lots"],
+        lambda tested, texts, out: ["noise", "run", "--input", texts, "--out", out / "pairs.tsv",
+                                    "--config", tested],
+    ),
+}
+
+line_endings = st.sampled_from(["\n", "\r\n"])
+
+
+def assert_rejected(lines, bad_line, newline, bom, command):
+    """Write ``lines`` as the tested file and check that ``command`` exits
+    2 at line ``bad_line + 1`` and writes nothing."""
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        tested = root / "tested"
+        tested.write_bytes(("\ufeff" * bom + newline.join(lines) + newline).encode("utf-8"))
+        texts = root / "texts.txt"
+        texts.write_text("\n".join(TEXTS) + "\n", encoding="utf-8")
+        before = sorted(os.listdir(root))
+        argv = [str(arg) for arg in command(tested, texts, root)]
+        with redirect_stderr(io.StringIO()) as stderr:
+            code = dispatch(argv)
+        err = stderr.getvalue()
+        assert code == 2, err
+        assert err.startswith(f"error: {tested}:{bad_line + 1}: "), err
+        assert sorted(os.listdir(root)) == before
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), valid=st.integers(0, 12), newline=line_endings, bom=st.booleans())
+def test_rejected_line_is_named(name, data, valid, newline, bom):
+    make_line, rejected, command = CASES[name]
+    at = data.draw(st.integers(0, valid), label="at")
+    lines = [make_line(i) for i in range(valid)]
+    lines.insert(at, data.draw(st.sampled_from(rejected), label="bad"))
+    assert_rejected(lines, at, newline, bom, command)
+
+
+def _arpa_lines() -> list[str]:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.arpa"
+        save_arpa(train(academic_sentences(20, seed=4), order=2), path)
+        return path.read_text(encoding="utf-8").splitlines()
+
+
+ARPA_LINES = _arpa_lines()
+ARPA_ENTRIES = [i for i, line in enumerate(ARPA_LINES) if "\t" in line]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    at=st.sampled_from(ARPA_ENTRIES),
+    bad=st.sampled_from(["oops", "-1.0\ta b c", "x\tword", "-1.0\tword\t-0.5\textra"]),
+    newline=line_endings,
+    bom=st.booleans(),
+)
+def test_rejected_arpa_entry_is_named(at, bad, newline, bom):
+    lines = list(ARPA_LINES)
+    lines[at] = bad
+    assert_rejected(
+        lines, at, newline, bom,
+        lambda tested, texts, out: ["lm", "ppl", "--model", tested, "--input", texts,
+                                    "--report", out / "ppl.json"],
+    )

@@ -93,9 +93,9 @@ class TestLevenshteinChar:
     @settings(max_examples=60)
     def test_both_internal_paths_agree(self, a, b):
         # Pairs of up to 40 x 40 = 1,600 DP cells.  The first call after
-        # another first argument runs the kernel on what lies between the
-        # shared prefix and suffix; repeating the first argument walks the
-        # columns kept from the calls before.
+        # another first argument steps the kernel over every column of a
+        # fresh automaton; repeating the first argument walks the columns
+        # and transitions that call kept.
         levenshtein_char("\0" * 41, "x")
         first = levenshtein_char(a, b)
         repeated = levenshtein_char(a, b)
