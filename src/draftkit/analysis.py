@@ -12,16 +12,14 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .corpus import DraftPair, Sentence
 from .lm import NGramModel
 from .metrics import fre, levenshtein_pairs, passive_voice, word_repetition
 
 
-@dataclass(frozen=True, slots=True)
-class DatasetStats:
+class DatasetStats(NamedTuple):
     """Headline numbers for a paired dataset.  Percentages are 0..100."""
 
     pair_count: int
@@ -47,8 +45,7 @@ def dataset_stats(pairs: Sequence[DraftPair]) -> DatasetStats:
     )
 
 
-@dataclass(frozen=True, slots=True)
-class SideProfile:
+class SideProfile(NamedTuple):
     """Per-sentence measures averaged over one side of the dataset.
 
     A sentence whose measures are undefined (for example, no word tokens
@@ -63,8 +60,7 @@ class SideProfile:
     skipped: int
 
 
-@dataclass(frozen=True, slots=True)
-class LinguisticProfile:
+class LinguisticProfile(NamedTuple):
     draft: SideProfile
     reference: SideProfile
 
@@ -109,8 +105,7 @@ def linguistic_profile(pairs: Sequence[DraftPair], lm: NGramModel) -> Linguistic
     )
 
 
-@dataclass(frozen=True, slots=True)
-class TermContrast:
+class TermContrast(NamedTuple):
     """How lopsided one term's usage is between the two sides.
 
     Frequencies are occurrences per 10,000 tokens of that side; the

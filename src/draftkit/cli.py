@@ -15,7 +15,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NoReturn, Sequence
 
@@ -300,7 +299,7 @@ def _cmd_stats_dataset(args) -> None:
     if not pairs:
         raise RecordError(args.input, 1, "need at least one pair")
     stats = dataset_stats(pairs)
-    payload = {"schema_version": SCHEMA_VERSION, **asdict(stats)}
+    payload = {"schema_version": SCHEMA_VERSION, **stats._asdict()}
     if args.lm is not None:
         model = load_arpa(args.lm)
         try:
@@ -308,8 +307,8 @@ def _cmd_stats_dataset(args) -> None:
         except ValueError as err:
             # pairs is not empty, so only a side with no scoreable sentence gets here.
             raise RecordError(args.input, len(pairs) + 1, str(err)) from err
-        payload["draft_profile"] = asdict(profile.draft)
-        payload["reference_profile"] = asdict(profile.reference)
+        payload["draft_profile"] = profile.draft._asdict()
+        payload["reference_profile"] = profile.reference._asdict()
     _write_json(args.report, payload)
 
 

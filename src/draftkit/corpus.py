@@ -19,9 +19,8 @@ import os
 import re
 import unicodedata
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Generator, Iterable, Iterator, Sequence, TextIO
+from typing import Generator, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 MASK_TOKEN = "<*>"
 
@@ -80,8 +79,7 @@ def normalize_sentence(text: str) -> str:
     return " ".join(text.lower().split())
 
 
-@dataclass(frozen=True, slots=True)
-class Sentence:
+class Sentence(NamedTuple):
     """A sentence with its token sequence and character length."""
 
     text: str
@@ -102,49 +100,78 @@ class Sentence:
         return MASK_TOKEN in self.tokens
 
 
-@dataclass(frozen=True, slots=True)
-class DraftPair:
+class _DraftPair(NamedTuple):
+    draft: Sentence
+    reference: Sentence
+    has_mask: bool
+
+
+class DraftPair(_DraftPair):
     """A rough draft aligned with its clean reference.
 
     References are the ground truth a revision system aims for, so a mask
     token in one is a data error and is rejected at construction time.
+    ``has_mask`` is derived from the draft, not passed.
     """
 
-    draft: Sentence
-    reference: Sentence
-    has_mask: bool = field(init=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if MASK_TOKEN in self.reference.tokens:
+    def __new__(cls, draft: Sentence, reference: Sentence) -> "DraftPair":
+        if MASK_TOKEN in reference.tokens:
             raise ValueError("reference sentence contains the mask token")
-        object.__setattr__(self, "has_mask", self.draft.has_mask)
+        return super().__new__(cls, draft, reference, draft.has_mask)
+
+    def __getnewargs__(self) -> tuple[Sentence, Sentence]:
+        # pickle and copy rebuild through __new__, which derives has_mask.
+        return self.draft, self.reference
+
+    @classmethod
+    def _make(cls, values: Iterable) -> "DraftPair":
+        # _replace builds its copy here: check it and derive has_mask again.
+        draft, reference, _ = values
+        return cls(draft, reference)
 
     @classmethod
     def from_texts(cls, draft: str, reference: str) -> "DraftPair":
         return cls(Sentence.from_text(draft), Sentence.from_text(reference))
 
 
-@dataclass(frozen=True)
-class CorpusFilterConfig:
+class _CorpusFilterConfig(NamedTuple):
+    min_chars: int
+    max_chars: int
+    min_tokens: int
+    max_tokens: int
+    min_alpha_ratio: float
+    excluded: frozenset[str]
+
+
+class CorpusFilterConfig(_CorpusFilterConfig):
     """Bounds for both filtering passes.  All bounds are inclusive."""
 
-    min_chars: int = 70
-    max_chars: int = 120
-    min_tokens: int = 5
-    max_tokens: int = 35
-    min_alpha_ratio: float = 0.5
-    excluded: frozenset[str] = frozenset()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 0 < self.min_chars <= self.max_chars:
-            raise ValueError(f"need 0 < min_chars <= max_chars, got {self.min_chars}..{self.max_chars}")
-        if not 0 < self.min_tokens <= self.max_tokens:
-            raise ValueError(f"need 0 < min_tokens <= max_tokens, got {self.min_tokens}..{self.max_tokens}")
-        if not 0.0 <= self.min_alpha_ratio <= 1.0:
-            raise ValueError(f"min_alpha_ratio must be in [0, 1], got {self.min_alpha_ratio}")
-        object.__setattr__(
-            self, "excluded", frozenset(normalize_sentence(s) for s in self.excluded)
+    def __new__(
+        cls,
+        min_chars: int = 70,
+        max_chars: int = 120,
+        min_tokens: int = 5,
+        max_tokens: int = 35,
+        min_alpha_ratio: float = 0.5,
+        excluded: Iterable[str] = frozenset(),
+    ) -> "CorpusFilterConfig":
+        if not 0 < min_chars <= max_chars:
+            raise ValueError(f"need 0 < min_chars <= max_chars, got {min_chars}..{max_chars}")
+        if not 0 < min_tokens <= max_tokens:
+            raise ValueError(f"need 0 < min_tokens <= max_tokens, got {min_tokens}..{max_tokens}")
+        if not 0.0 <= min_alpha_ratio <= 1.0:
+            raise ValueError(f"min_alpha_ratio must be in [0, 1], got {min_alpha_ratio}")
+        excluded = frozenset(normalize_sentence(s) for s in excluded)
+        return super().__new__(
+            cls, min_chars, max_chars, min_tokens, max_tokens, min_alpha_ratio, excluded
         )
+
+    # _replace builds its copy through _make: check it too.
+    _make = classmethod(lambda cls, values: cls(*values))
 
 
 def passes_final_filter(sentence: Sentence, cfg: CorpusFilterConfig) -> bool:

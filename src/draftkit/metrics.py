@@ -26,9 +26,8 @@ import math
 import re
 import unicodedata
 from collections import Counter
-from dataclasses import dataclass, fields
 from itertools import chain, islice, repeat, zip_longest
-from typing import Callable, Container, Iterable, Sequence
+from typing import Callable, Container, Iterable, NamedTuple, Sequence
 
 from .corpus import Sentence
 from .resources import load_participles, load_stopwords, load_wordlist
@@ -337,20 +336,27 @@ EDIT_KINDS = frozenset(
 )
 
 
-@dataclass(frozen=True, slots=True)
-class EditSpan:
-    """One contiguous rewrite: source tokens [start, end) become `replacement`."""
-
+class _EditSpan(NamedTuple):
     start: int
     end: int
     replacement: tuple[str, ...]
     kind: str
 
-    def __post_init__(self) -> None:
-        if self.start < 0 or self.start > self.end:
-            raise ValueError(f"bad span range [{self.start}, {self.end})")
-        if self.kind not in EDIT_KINDS:
-            raise ValueError(f"unknown edit kind {self.kind!r}")
+
+class EditSpan(_EditSpan):
+    """One contiguous rewrite: source tokens [start, end) become `replacement`."""
+
+    __slots__ = ()
+
+    def __new__(cls, start: int, end: int, replacement: tuple[str, ...], kind: str) -> "EditSpan":
+        if start < 0 or start > end:
+            raise ValueError(f"bad span range [{start}, {end})")
+        if kind not in EDIT_KINDS:
+            raise ValueError(f"unknown edit kind {kind!r}")
+        return super().__new__(cls, start, end, replacement, kind)
+
+    # _replace builds its copy through _make: check it too.
+    _make = classmethod(lambda cls, values: cls(*values))
 
 
 def _align(src: Sequence[str], tgt: Sequence[str]) -> tuple[str, ...]:
@@ -666,8 +672,7 @@ def word_repetition(s: Sentence) -> bool:
     return False
 
 
-@dataclass(frozen=True, slots=True)
-class PairEval:
+class PairEval(NamedTuple):
     """Metric record for one sentence pair; None marks an unscorable value."""
 
     bleu: float
@@ -683,8 +688,7 @@ class PairEval:
     edit_gold: int
 
 
-@dataclass(frozen=True, slots=True)
-class EvalReport:
+class EvalReport(NamedTuple):
     """Per-pair records plus corpus aggregates.
 
     Every aggregate except corpus_bleu (corpus-level by definition) is
@@ -706,15 +710,11 @@ class EvalReport:
     skipped_ppl: int
 
     def to_json_dict(self) -> dict:
-        # Every field is a number, a bool or None, so the records need no
-        # deep copy (``dataclasses.asdict``), only their fields read.
-        names = [f.name for f in fields(PairEval)]
-        return {
-            "pairs": [{name: getattr(record, name) for name in names} for record in self.per_pair],
-            "aggregates": {
-                f.name: getattr(self, f.name) for f in fields(self) if f.name != "per_pair"
-            },
-        }
+        # Every field of a record is a number, a bool or None, so the
+        # shallow ``_asdict`` of each is already JSON-ready.
+        aggregates = self._asdict()
+        del aggregates["per_pair"]
+        return {"pairs": [record._asdict() for record in self.per_pair], "aggregates": aggregates}
 
 
 def evaluate(

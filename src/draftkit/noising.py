@@ -17,9 +17,8 @@ import bisect
 import hashlib
 import random
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
-from dataclasses import dataclass
 from itertools import accumulate
-from typing import TypeVar
+from typing import NamedTuple, TypeVar
 
 from . import DEFAULT_SEED
 from .corpus import MASK_TOKEN, DraftPair, Sentence
@@ -28,35 +27,62 @@ from .resources import load_wordlist
 H = TypeVar("H")
 
 
-@dataclass(frozen=True, slots=True)
-class NoiseConfig:
-    delete_p: float = 0.1
-    replace_p: float = 0.1
-    replace_vocab_min_count: int = 10_000
-    shuffle_k: int = 3
-    mask_fraction_max: float = 0.5
-    seed: int = DEFAULT_SEED
+class _NoiseConfig(NamedTuple):
+    delete_p: float
+    replace_p: float
+    replace_vocab_min_count: int
+    shuffle_k: int
+    mask_fraction_max: float
+    seed: int
 
-    def __post_init__(self) -> None:
+
+class NoiseConfig(_NoiseConfig):
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        delete_p: float = 0.1,
+        replace_p: float = 0.1,
+        replace_vocab_min_count: int = 10_000,
+        shuffle_k: int = 3,
+        mask_fraction_max: float = 0.5,
+        seed: int = DEFAULT_SEED,
+    ) -> "NoiseConfig":
+        self = super().__new__(
+            cls, delete_p, replace_p, replace_vocab_min_count, shuffle_k, mask_fraction_max, seed
+        )
         for name in ("delete_p", "replace_p", "mask_fraction_max"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {value}")
         if self.shuffle_k < 0:
             raise ValueError(f"shuffle_k must be non-negative, got {self.shuffle_k}")
+        return self
+
+    # _replace builds its copy through _make: check it too.
+    _make = classmethod(lambda cls, values: cls(*values))
 
 
-@dataclass(frozen=True, slots=True)
-class BeamNoiseConfig:
-    beam_width: int = 5
-    beta: float = 5.0
-    seed: int = DEFAULT_SEED
+class _BeamNoiseConfig(NamedTuple):
+    beam_width: int
+    beta: float
+    seed: int
 
-    def __post_init__(self) -> None:
-        if self.beam_width < 1:
-            raise ValueError(f"beam_width must be at least 1, got {self.beam_width}")
-        if self.beta < 0:
-            raise ValueError(f"beta must be non-negative, got {self.beta}")
+
+class BeamNoiseConfig(_BeamNoiseConfig):
+    __slots__ = ()
+
+    def __new__(
+        cls, beam_width: int = 5, beta: float = 5.0, seed: int = DEFAULT_SEED
+    ) -> "BeamNoiseConfig":
+        if beam_width < 1:
+            raise ValueError(f"beam_width must be at least 1, got {beam_width}")
+        if beta < 0:
+            raise ValueError(f"beta must be non-negative, got {beta}")
+        return super().__new__(cls, beam_width, beta, seed)
+
+    # _replace builds its copy through _make: check it too.
+    _make = classmethod(lambda cls, values: cls(*values))
 
 
 class ReplacementVocab:

@@ -33,10 +33,9 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .corpus import MASK_TOKEN, DraftPair, RecordError, Sentence, iter_checked_lines, tokenize
 from .metrics import levenshtein_pairs
@@ -82,8 +81,7 @@ class UndefinedOverlapError(ValueError):
     """Raised when a sentence has no content tokens to compare."""
 
 
-@dataclass(frozen=True, slots=True)
-class SpellCheckResult:
+class SpellCheckResult(NamedTuple):
     """Corrected text plus the substitutions applied, in token order."""
 
     corrected_text: str
@@ -303,19 +301,27 @@ def is_english(text: str) -> bool:
     return hits / len(alphabetic) >= _ENGLISH_SHARE
 
 
-@dataclass(frozen=True)
-class FilterConfig:
-    """Knobs for the overlap filter."""
+class _FilterConfig(NamedTuple):
+    alpha: float
+    stopwords: frozenset[str]
 
-    alpha: float = 0.4
-    stopwords: frozenset[str] = field(default_factory=load_stopwords)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "stopwords", frozenset(self.stopwords))
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
-        if MASK_TOKEN in self.stopwords:
+class FilterConfig(_FilterConfig):
+    """Knobs for the overlap filter.  ``stopwords`` defaults to the
+    bundled list."""
+
+    __slots__ = ()
+
+    def __new__(cls, alpha: float = 0.4, stopwords: Iterable[str] | None = None) -> "FilterConfig":
+        stopwords = load_stopwords() if stopwords is None else frozenset(stopwords)
+        if not 0.0 <= alpha <= 1.0:
+            raise ValueError(f"alpha must be in [0, 1], got {alpha}")
+        if MASK_TOKEN in stopwords:
             raise ValueError("the mask token cannot also be a stopword")
+        return super().__new__(cls, alpha, stopwords)
+
+    # _replace builds its copy through _make: check it too.
+    _make = classmethod(lambda cls, values: cls(*values))
 
 
 def _content_tokens(tokens: Iterable[str], cfg: FilterConfig) -> set[str]:
@@ -378,29 +384,40 @@ def filter_pairs(
     return kept, removed
 
 
-@dataclass(frozen=True, slots=True)
-class WorkerSubmission:
-    """One crowdworker's task: three answers with the machine translations
-    that were displayed next to the inputs."""
-
+class _WorkerSubmission(NamedTuple):
     worker_id: str
     answers: tuple[str, str, str]
     seconds_worked: int
     mt_references: tuple[str, str, str]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "answers", tuple(self.answers))
-        object.__setattr__(self, "mt_references", tuple(self.mt_references))
-        if len(self.answers) != 3:
-            raise ValueError(f"expected 3 answers, got {len(self.answers)}")
-        if len(self.mt_references) != 3:
-            raise ValueError(f"expected 3 machine references, got {len(self.mt_references)}")
-        if self.seconds_worked < 0:
-            raise ValueError(f"seconds_worked must be nonnegative, got {self.seconds_worked}")
+
+class WorkerSubmission(_WorkerSubmission):
+    """One crowdworker's task: three answers with the machine translations
+    that were displayed next to the inputs."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        worker_id: str,
+        answers: Sequence[str],
+        seconds_worked: int,
+        mt_references: Sequence[str],
+    ) -> "WorkerSubmission":
+        answers, mt_references = tuple(answers), tuple(mt_references)
+        if len(answers) != 3:
+            raise ValueError(f"expected 3 answers, got {len(answers)}")
+        if len(mt_references) != 3:
+            raise ValueError(f"expected 3 machine references, got {len(mt_references)}")
+        if seconds_worked < 0:
+            raise ValueError(f"seconds_worked must be nonnegative, got {seconds_worked}")
+        return super().__new__(cls, worker_id, answers, seconds_worked, mt_references)
+
+    # _replace builds its copy through _make: check it too.
+    _make = classmethod(lambda cls, values: cls(*values))
 
 
-@dataclass(frozen=True, slots=True)
-class WorkerVerdict:
+class WorkerVerdict(NamedTuple):
     """Score, accept decision, and every criterion that fired.
 
     ``triggered`` pairs a criterion identifier with either a numeric score

@@ -1,4 +1,5 @@
-"""The package and the oracles the benchmark uses run without numpy."""
+"""The package and the oracles the benchmark uses run without numpy, and
+importing the CLI stays cheap."""
 
 from __future__ import annotations
 
@@ -22,9 +23,18 @@ assert lcs_length_recursive("abcde", "ace") == 3
 """
 
 
-def test_imports_without_numpy():
+def _run(*args: str) -> subprocess.CompletedProcess:
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), str(TESTS)])}
-    proc = subprocess.run(
-        [sys.executable, "-c", _PROBE], env=env, capture_output=True, text=True, timeout=60
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=60
     )
+
+
+def test_imports_without_numpy():
+    proc = _run("-c", _PROBE)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    proc = _run(str(TESTS / "import_probe.py"))
     assert proc.returncode == 0, proc.stderr

@@ -1,7 +1,8 @@
 """Input hygiene: one rejected line in a checked input makes the command
 exit 2 naming exactly that ``path:line``, whether its lines end in LF or
 CRLF and whether a byte-order mark opens the file, and leaves neither
-the output nor its manifest behind."""
+the output nor its manifest behind.  A lone CR or a NUL inside a line is
+text, and what each subcommand makes of it is pinned."""
 
 from __future__ import annotations
 
@@ -124,3 +125,71 @@ def test_rejected_arpa_entry_is_named(at, bad, newline, bom):
         lambda tested, texts, out: ["lm", "ppl", "--model", tested, "--input", texts,
                                     "--report", out / "ppl.json"],
     )
+
+
+# A CR that does not end a line, and a NUL, are text to the line reader.
+# The tokenizer splits at the CR, as at any whitespace, and keeps the NUL
+# inside its token; TSV writers turn the CR into a space.
+CR_LINE = "The model improves the\rresults on every task we tried , as the table shows ."
+NUL_LINE = "We propose a simple\x00model for the task of sentence revision in academic writing ."
+
+
+def _run(argv) -> None:
+    assert dispatch([str(arg) for arg in argv]) == 0
+
+
+def _write(path: Path, lines) -> Path:
+    path.write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+    return path
+
+
+def test_corpus_extract_keeps_cr_and_nul(tmp_path):
+    src = _write(tmp_path / "raw.txt", [CR_LINE, NUL_LINE])
+    _run(["corpus", "extract", "--input", src, "--out", tmp_path / "out.txt"])
+    assert (tmp_path / "out.txt").read_bytes() == src.read_bytes()
+
+
+def test_lm_train_splits_at_cr_and_keeps_nul_in_its_token(tmp_path):
+    _run(["lm", "train", "--input", _write(tmp_path / "cr.txt", [CR_LINE, NUL_LINE]),
+          "--out", tmp_path / "cr.arpa", "--order", "2"])
+    spaced = _write(tmp_path / "spaced.txt", [CR_LINE.replace("\r", " "), NUL_LINE])
+    _run(["lm", "train", "--input", spaced, "--out", tmp_path / "spaced.arpa", "--order", "2"])
+    model = (tmp_path / "cr.arpa").read_bytes()
+    assert model == (tmp_path / "spaced.arpa").read_bytes()
+    assert b"\tsimple\x00model\t" in model
+
+
+def test_lm_ppl_splits_at_cr_and_keeps_nul_in_its_token(tmp_path):
+    texts = _write(tmp_path / "texts.txt", TEXTS)
+    _run(["lm", "train", "--input", texts, "--out", tmp_path / "model.arpa", "--order", "2"])
+    reports = []
+    for name, first in (("cr", CR_LINE), ("spaced", CR_LINE.replace("\r", " "))):
+        _run(["lm", "ppl", "--model", tmp_path / "model.arpa",
+              "--input", _write(tmp_path / f"{name}.txt", [first, NUL_LINE]),
+              "--report", tmp_path / f"{name}.json"])
+        reports.append(json.loads((tmp_path / f"{name}.json").read_text(encoding="utf-8")))
+    assert reports[0] == reports[1]
+    assert [row["tokens"] for row in reports[0]["sentences"]] == [16, 14]
+
+
+def test_noise_run_writes_cr_as_space_and_keeps_nul(tmp_path):
+    src = _write(tmp_path / "refs.txt", [CR_LINE, NUL_LINE])
+    # No deletion, replacement, shuffle or mask: each draft is its
+    # reference's tokens joined by spaces.
+    _run(["noise", "run", "--input", src, "--out", tmp_path / "pairs.tsv", "--delete-p", "0",
+          "--replace-p", "0", "--shuffle-k", "0", "--mask-fraction-max", "0"])
+    spaced = CR_LINE.replace("\r", " ")
+    assert (tmp_path / "pairs.tsv").read_text(encoding="utf-8").split("\n") == [
+        f"{spaced}\t{spaced}", f"{NUL_LINE}\t{NUL_LINE}", ""
+    ]
+
+
+def test_filter_pairs_writes_cr_as_space_and_keeps_nul(tmp_path):
+    src = _write(tmp_path / "pairs.tsv", [f"{CR_LINE}\t{CR_LINE}", f"{NUL_LINE}\t{NUL_LINE}"])
+    _run(["quality", "filter-pairs", "--input", src, "--kept", tmp_path / "kept.tsv",
+          "--removed", tmp_path / "removed.tsv"])
+    spaced = CR_LINE.replace("\r", " ")
+    assert (tmp_path / "kept.tsv").read_text(encoding="utf-8").split("\n") == [
+        f"{spaced}\t{spaced}", f"{NUL_LINE}\t{NUL_LINE}", ""
+    ]
+    assert (tmp_path / "removed.tsv").read_bytes() == b""
