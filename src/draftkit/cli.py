@@ -21,7 +21,6 @@ from typing import Callable, Iterable, Iterator, NoReturn, Sequence
 from . import DEFAULT_SEED, __version__
 from .analysis import characteristic_terms, dataset_stats, linguistic_profile
 from .corpus import (
-    MASK_TOKEN,
     CorpusFilterConfig,
     RecordError,
     Sentence,
@@ -30,7 +29,6 @@ from .corpus import (
     filter_training_sentences,
     iter_checked_lines,
     load_pairs,
-    tokenize,
     tsv_field,
     write_pairs,
 )
@@ -38,6 +36,7 @@ from .lm import SMOOTHINGS, load_arpa, save_arpa, train
 from .metrics import evaluate
 from .noising import NoiseConfig, ReplacementVocab, noise_corpus
 from .quality import FilterConfig, filter_pairs, load_submissions, score_workers, spell_check_all
+from .resources import read_counts, read_words
 
 SCHEMA_VERSION = 1
 
@@ -71,17 +70,6 @@ def _input(text: str) -> Path:
 
 def _output(text: str) -> Path:
     return Path(text)
-
-
-def _read_word_set(path: Path | str) -> frozenset[str]:
-    words = set()
-    for line_no, line in iter_checked_lines(path):
-        line = line.strip()
-        if line == MASK_TOKEN:
-            raise RecordError(path, line_no, "the mask token cannot also be a stopword")
-        if line and not line.startswith("#"):
-            words.add(line)
-    return frozenset(words)
 
 
 def _write_json(path: Path | str, payload: dict) -> None:
@@ -172,38 +160,6 @@ def _cmd_lm_ppl(args) -> None:
     _write_json(args.report, report)
 
 
-def _load_vocab_counts(path: Path | str) -> tuple[dict[str, int], int]:
-    """The file's counts by token, and its number of lines."""
-    counts: dict[str, int] = {}
-    first_line: dict[str, int] = {}
-    line_no = 0
-    for line_no, line in iter_checked_lines(path):
-        if not line.strip():
-            continue
-        fields = line.split("\t")
-        if len(fields) != 2:
-            raise RecordError(path, line_no, f"expected token<TAB>count, got {len(fields)} fields")
-        token, text = fields
-        # A replacement is spliced into a draft as one token.
-        if tokenize(token) != [token]:
-            raise RecordError(path, line_no, f"not a single token: {token!r}")
-        if token == MASK_TOKEN:
-            raise RecordError(path, line_no, "the mask token cannot also be a replacement")
-        try:
-            count = int(text)
-        except ValueError as err:
-            raise RecordError(path, line_no, f"bad count: {text!r}") from err
-        if count < 0:
-            raise RecordError(path, line_no, f"negative count: {text!r}")
-        if token in first_line:
-            raise RecordError(
-                path, line_no, f"repeated token {token!r}, first on line {first_line[token]}"
-            )
-        first_line[token] = line_no
-        counts[token] = count
-    return counts, line_no
-
-
 def _references(path: Path) -> Iterator[Sentence]:
     # Lazy: a bad line raises inside write_pairs, whose atomic_writer then
     # removes the partial output.
@@ -228,7 +184,7 @@ def _cmd_noise_run(args) -> None:
     # Checked here, so that no output is opened for a run that cannot replace.
     empty = f"no token has a count above --replace-vocab-min-count {cfg.replace_vocab_min_count}"
     if args.vocab_counts is not None:
-        counts, n_lines = _load_vocab_counts(args.vocab_counts)
+        counts, n_lines = read_counts(args.vocab_counts)
         vocab = ReplacementVocab(
             counts, min_count=cfg.replace_vocab_min_count, weighted=args.weighted_vocab
         )
@@ -257,7 +213,7 @@ def _cmd_quality_score_workers(args) -> None:
 def _cmd_quality_filter_pairs(args) -> None:
     pairs = load_pairs(args.input)
     if args.stopwords is not None:
-        cfg = FilterConfig(alpha=args.alpha, stopwords=_read_word_set(args.stopwords))
+        cfg = FilterConfig(alpha=args.alpha, stopwords=read_words(args.stopwords))
     else:
         cfg = FilterConfig(alpha=args.alpha)
     kept, removed = filter_pairs(pairs, cfg)
@@ -419,7 +375,7 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--removed", type=_output, required=True)
     p.add_argument("--alpha", type=float, default=0.4)
     p.add_argument("--stopwords", type=_input, default=None,
-                   help="replacement stopword list, one token per line")
+                   help="replacement stopword list, one lowercase token per line")
 
     evaluation = group("eval", "system output scoring")
     p = evaluation("run", _cmd_eval_run, "score hypotheses against references")

@@ -291,7 +291,8 @@ def load_arpa(path: str | Path) -> NGramModel:
 
     A fault raises :class:`ArpaFormatError` naming the first line, in file
     order, where one is found; one found at the end of the file names the
-    line after the last.
+    line after the last.  A repeated count line, section or entry is a
+    fault; a repeated entry is found at the line that ends its section.
     """
     lines = iter_checked_lines(path)
     line_no = 0
@@ -309,7 +310,10 @@ def load_arpa(path: str | Path) -> NGramModel:
         match = _COUNT_LINE.fullmatch(text)
         if match is None:
             raise ArpaFormatError(path, line_no, f"bad count line in \\data\\ section: {line!r}")
-        declared[int(match[1])] = int(match[2])
+        n = int(match[1])
+        if n in declared:
+            raise ArpaFormatError(path, line_no, f"repeated count line for {n}-grams")
+        declared[n] = int(match[2])
     else:
         raise ArpaFormatError(path, line_no + 1, _MISSING_END if declared else _NO_COUNTS)
     if not declared:
@@ -332,7 +336,10 @@ def load_arpa(path: str | Path) -> NGramModel:
             n = int(match[1])
             if n not in declared:
                 raise ArpaFormatError(path, line_no, f"section {n}-grams not declared in header")
+            if n in seen_sections:
+                raise ArpaFormatError(path, line_no, f"repeated {n}-grams section")
             header = line_no
+            stored = len(logp)
             for line_no, line in lines:
                 fields = line.split("\t")
                 if len(fields) == 2:
@@ -364,6 +371,11 @@ def load_arpa(path: str | Path) -> NGramModel:
             entries = line_no - header - 1
             if entries != declared[n]:
                 reason = f"{n}-grams section lists {entries} entries, header promises {declared[n]}"
+                raise ArpaFormatError(path, line_no, reason)
+            # A repeated entry overwrote its first; found here, at the
+            # section's end, as a test per entry would slow every load.
+            if (distinct := len(logp) - stored) != entries:
+                reason = f"{n}-grams section lists {entries} entries, {distinct} of them distinct"
                 raise ArpaFormatError(path, line_no, reason)
             seen_sections.add(n)
         if text:

@@ -235,7 +235,8 @@ def read_arpa_reference(
     """ARPA reader that decodes the whole file, then walks line indices.
 
     Returns the order and the log10 probability and backoff tables;
-    raises ValueError on a malformed file, bad UTF-8 anywhere included.
+    raises ValueError on a malformed file, bad UTF-8 anywhere and a
+    repeated count line, section or entry included.
     Lines split at "\n" only and lose their trailing "\r", and a
     byte-order mark that opens the file is dropped, as in
     `read_lines_reference`.
@@ -260,6 +261,8 @@ def read_arpa_reference(
         match = count_line.fullmatch(lines[i].strip())
         if match is None:
             raise ValueError(f"bad count line: {lines[i]!r}")
+        if int(match[1]) in declared:
+            raise ValueError(f"repeated count line: {lines[i]!r}")
         declared[int(match[1])] = int(match[2])
         i += 1
     if not declared:
@@ -281,6 +284,8 @@ def read_arpa_reference(
         n = int(match[1])
         if n not in declared:
             raise ValueError(f"section {n}-grams not declared")
+        if n in seen_sections:
+            raise ValueError(f"repeated {n}-grams section")
         i += 1
         count = 0
         while i < n_lines and lines[i].strip() and not lines[i].startswith("\\"):
@@ -292,6 +297,8 @@ def read_arpa_reference(
             gram = tuple(fields[1].split(" "))
             if len(gram) != n or not all(gram):
                 raise ValueError(f"entry arity mismatch: {lines[i]!r}")
+            if gram in logp:
+                raise ValueError(f"repeated entry: {lines[i]!r}")
             logp[gram] = value
             if bow is not None:
                 bows[gram] = bow

@@ -281,6 +281,14 @@ class TestNoiseRun:
         assert "qqsub" in drafts
         assert "rare" not in drafts
 
+    def test_bundled_word_list_as_vocab_counts_equals_the_default(self, tmp_path, sentences_file):
+        # The bundled list passes its flag's rules, comment lines included.
+        default, bundled = tmp_path / "default.tsv", tmp_path / "bundled.tsv"
+        assert self.run(sentences_file, default, "--replace-p", "0.5") == 0
+        assert self.run(sentences_file, bundled, "--replace-p", "0.5", "--vocab-counts",
+                        str(SRC / "draftkit" / "data" / "wordlist.tsv")) == 0
+        assert bundled.read_bytes() == default.read_bytes()
+
     @pytest.mark.parametrize("jobs", ["1", "3"])
     @pytest.mark.parametrize("at", [0, 21, 42], ids=["first", "middle", "last"])
     def test_mask_token_in_input_is_data_error(self, tmp_path, sentences_file, at, jobs, capsys):
@@ -612,6 +620,30 @@ class TestQualityCommands:
         draft, reference, reason = removed_line.split("\t")
         assert draft == "qqa qqb qqc"
         assert reason
+
+    def test_bundled_stopwords_as_flag_equal_the_default(self, tmp_path):
+        # The bundled list passes its flag's rules, comment lines included.
+        texts = [s.text for s in academic_sentences(20, seed=3)]
+        pairs = write_lines(
+            tmp_path / "pairs.tsv",
+            [f"{text}\t{text}" for text in texts[:10]]
+            + [f"{a}\t{b}" for a, b in zip(texts[10:], texts[11:])]
+            # Pairs that share only stopwords.
+            + ["the model of the data\tthe cat of the mat", "we are in it\tin it we are"],
+        )
+        outputs = {}
+        for name, extra in [
+            ("default", []),
+            ("bundled", ["--stopwords", str(SRC / "draftkit" / "data" / "stopwords.txt")]),
+            ("none", ["--stopwords", str(write_lines(tmp_path / "none.txt", ["# none"]))]),
+        ]:
+            kept, removed = tmp_path / f"{name}.kept", tmp_path / f"{name}.removed"
+            assert dispatch(["quality", "filter-pairs", "--input", str(pairs), "--kept", str(kept),
+                             "--removed", str(removed), *extra]) == 0
+            outputs[name] = kept.read_bytes(), removed.read_bytes()
+        assert outputs["bundled"] == outputs["default"]
+        assert all(outputs["default"])
+        assert outputs["none"] != outputs["default"]
 
     def test_filter_pairs_flattens_removed_fields(self, tmp_path):
         pairs = tmp_path / "pairs.tsv"

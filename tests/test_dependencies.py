@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import draftkit
 
 TESTS = Path(__file__).resolve().parent
@@ -35,6 +37,8 @@ def test_imports_without_numpy():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_cli_import_loads_no_dataclasses_or_inspect():
-    proc = _run(str(TESTS / "import_probe.py"))
+@pytest.mark.parametrize("flags", [[], ["-S"]], ids=["site", "no-site"])
+def test_cli_import_loads_no_dataclasses_or_inspect(flags):
+    # Without site, no .pth hook can import a module before the probe does.
+    proc = _run(*flags, str(TESTS / "import_probe.py"))
     assert proc.returncode == 0, proc.stderr

@@ -37,8 +37,19 @@ def _config_line(i: int) -> str:
     return _SETTINGS[i] if i < len(_SETTINGS) else f"# note {i}"
 
 
+def _vocab_line(i: int) -> str:
+    # Every third line is blank or a comment; a row for the token "#" is one.
+    if i % 3:
+        return f"sub{string.ascii_lowercase[i]}\t{20000 + i}"
+    return ("", "# replacements", "#\t5")[i // 3 % 3]
+
+
+_STOPWORDS = ["# our stopwords", "", *"the of and to in a is that for it".split()]
+
+
 # name: (the i-th valid line, lines the reader rejects, the command given
-# the tested file, a file of sentences and the directory of its outputs)
+# the tested file, a file of sentences and the directory of its outputs,
+# which holds those sentences as pairs in sentence-pairs.tsv)
 CASES = {
     "pairs": (
         lambda i: f"{TEXTS[i % len(TEXTS)]}\t{TEXTS[(i + 1) % len(TEXTS)]}",
@@ -53,10 +64,18 @@ CASES = {
                                     "--out", out / "verdicts.jsonl"],
     ),
     "vocab-counts": (
-        lambda i: f"sub{string.ascii_lowercase[i]}\t{20000 + i}",
+        _vocab_line,
         ["qqbad\tlots", "qqbad", "qq bad\t5", "qqbad\t-1"],
         lambda tested, texts, out: ["noise", "run", "--input", texts, "--out", out / "pairs.tsv",
                                     "--vocab-counts", tested, "--replace-p", "0.4"],
+    ),
+    "stopwords": (
+        lambda i: _STOPWORDS[i],
+        ["<*>", "The"],
+        lambda tested, texts, out: ["quality", "filter-pairs",
+                                    "--input", out / "sentence-pairs.tsv", "--kept",
+                                    out / "kept.tsv", "--removed", out / "removed.tsv",
+                                    "--stopwords", tested],
     ),
     "config": (
         _config_line,
@@ -78,6 +97,9 @@ def assert_rejected(lines, bad_line, newline, bom, command):
         tested.write_bytes(("\ufeff" * bom + newline.join(lines) + newline).encode("utf-8"))
         texts = root / "texts.txt"
         texts.write_text("\n".join(TEXTS) + "\n", encoding="utf-8")
+        (root / "sentence-pairs.tsv").write_text(
+            "".join(f"{text}\t{text}\n" for text in TEXTS), encoding="utf-8"
+        )
         before = sorted(os.listdir(root))
         argv = [str(arg) for arg in command(tested, texts, root)]
         with redirect_stderr(io.StringIO()) as stderr:

@@ -544,6 +544,22 @@ MALFORMED_ARPA = {
     ),
     "no_eos_unigram": "\\data\\\nngram 1=2\n\n\\1-grams:\n-0.5\ta\n-0.5\t<unk>\n\n\\end\\\n",
     "no_unk_unigram": "\\data\\\nngram 1=2\n\n\\1-grams:\n-0.5\ta\n-0.5\t</s>\n\n\\end\\\n",
+    "repeated_count_line": (
+        "\\data\\\nngram 1=2\nngram 1=2\n\n\\1-grams:\n-0.5\t</s>\n-0.5\t<unk>\n\n\\end\\\n"
+    ),
+    "repeated_section": (
+        "\\data\\\nngram 1=2\n\n\\1-grams:\n-0.5\t</s>\n-0.5\t<unk>\n\n"
+        "\\1-grams:\n-0.7\t</s>\n-0.7\t<unk>\n\n\\end\\\n"
+    ),
+    "repeated_unigram": (
+        "\\data\\\nngram 1=3\n\n\\1-grams:\n-0.5\t</s>\n-0.5\t<unk>\n-0.7\t</s>\n\n\\end\\\n"
+    ),
+    # In a section that \end\ closes, a repeat with another backoff.
+    "repeated_bigram": (
+        "\\data\\\nngram 1=3\nngram 2=3\n\n\\1-grams:\n-0.5\t</s>\n-0.5\t<unk>\n"
+        "-0.5\ta\t-0.1\n\n\\2-grams:\n-0.2\ta </s>\n-0.3\ta a\t-0.2\n-0.3\ta a\t-0.4\n"
+        "\\end\\\n"
+    ),
 }
 
 
@@ -581,6 +597,24 @@ class TestArpaErrors:
         with pytest.raises(ArpaFormatError) as excinfo:
             self._load(tmp_path, text)
         assert str(excinfo.value) == f"{tmp_path / 'bad.arpa'}:{line}: {reason}"
+
+    @pytest.mark.parametrize(
+        "name, line, reason",
+        [
+            ("repeated_count_line", 3, "repeated count line for 1-grams"),
+            ("repeated_section", 8, "repeated 1-grams section"),
+            # Found at the line that ends the section, not at the repeat.
+            ("repeated_unigram", 8, "1-grams section lists 3 entries, 2 of them distinct"),
+            ("repeated_bigram", 14, "2-grams section lists 3 entries, 2 of them distinct"),
+        ],
+        ids=["count-line", "section", "unigram", "bigram"],
+    )
+    def test_repeat_is_fault(self, tmp_path, name, line, reason):
+        with pytest.raises(ArpaFormatError) as excinfo:
+            self._load(tmp_path, MALFORMED_ARPA[name])
+        assert str(excinfo.value) == f"{tmp_path / 'bad.arpa'}:{line}: {reason}"
+        with pytest.raises(ValueError, match="repeated"):
+            read_arpa_reference(tmp_path / "bad.arpa")
 
     def test_missing_data_header(self, tmp_path):
         with pytest.raises(ArpaFormatError, match=r"\\data\\"):
