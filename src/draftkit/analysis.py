@@ -16,7 +16,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .corpus import DraftPair, Sentence
 from .lm import NGramModel
-from .metrics import fre, levenshtein_pairs, passive_voice, word_repetition
+from .metrics import _mean, fre, levenshtein_pairs, passive_voice, word_repetition
 
 
 class DatasetStats(NamedTuple):
@@ -85,10 +85,10 @@ def _side_profile(side: str, sentences: Iterable[Sentence], lm: NGramModel) -> S
         raise ValueError(f"no scoreable sentences on the {side} side")
     n = len(fre_values)
     return SideProfile(
-        fre_mean=sum(fre_values) / n,
+        fre_mean=_mean(fre_values),
         passive_pct=100.0 * passive_hits / n,
         repetition_pct=100.0 * repetition_hits / n,
-        ppl_mean=sum(ppl_values) / n,
+        ppl_mean=_mean(ppl_values),
         skipped=skipped,
     )
 

@@ -181,21 +181,23 @@ def _cmd_noise_run(args) -> None:
         seed=args.seed,
     )
     vocab: ReplacementVocab | None = None
-    # Checked here, so that no output is opened for a run that cannot replace.
-    empty = f"no token has a count above --replace-vocab-min-count {cfg.replace_vocab_min_count}"
     if args.vocab_counts is not None:
-        counts, n_lines = read_counts(args.vocab_counts)
         vocab = ReplacementVocab(
-            counts, min_count=cfg.replace_vocab_min_count, weighted=args.weighted_vocab
+            read_counts(args.vocab_counts),
+            min_count=cfg.replace_vocab_min_count,
+            weighted=args.weighted_vocab,
         )
-        if cfg.replace_p > 0 and not vocab:
-            raise RecordError(args.vocab_counts, n_lines + 1, empty)
     elif cfg.replace_p > 0:
         vocab = ReplacementVocab.from_wordlist(
             min_count=cfg.replace_vocab_min_count, weighted=args.weighted_vocab
         )
-        if not vocab:
-            raise ValueError(f"{empty} in the bundled word list")
+    # Checked here, so that no output is opened for a run that cannot
+    # replace.  The flag's value empties the vocabulary, whatever its source.
+    if cfg.replace_p > 0 and not vocab:
+        raise ValueError(
+            f"no token has a count above --replace-vocab-min-count {cfg.replace_vocab_min_count}"
+            f" in {args.vocab_counts or 'the bundled word list'}"
+        )
     write_pairs(args.out, noise_corpus(_references(args.input), cfg, vocab))
 
 
@@ -217,14 +219,15 @@ def _cmd_quality_filter_pairs(args) -> None:
     else:
         cfg = FilterConfig(alpha=args.alpha)
     kept, removed = filter_pairs(pairs, cfg)
-    write_pairs(args.kept, kept)
-    _write_lines(
-        args.removed,
-        (
-            f"{tsv_field(p.draft.text)}\t{tsv_field(p.reference.text)}\t{reason}"
-            for p, reason in removed
-        ),
-    )
+    # Both outputs are opened before either is written, so a path that
+    # cannot be written leaves the other output as it was.
+    with atomic_writer(args.kept) as kept_out, atomic_writer(args.removed) as removed_out:
+        for p in kept:
+            kept_out.write(f"{tsv_field(p.draft.text)}\t{tsv_field(p.reference.text)}\n")
+        for p, reason in removed:
+            removed_out.write(
+                f"{tsv_field(p.draft.text)}\t{tsv_field(p.reference.text)}\t{reason}\n"
+            )
 
 
 def _cmd_eval_run(args) -> None:

@@ -27,7 +27,7 @@ import re
 import unicodedata
 from collections import Counter
 from itertools import chain, islice, repeat, zip_longest
-from typing import Callable, Container, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .corpus import Sentence
 from .resources import load_participles, load_stopwords, load_wordlist
@@ -415,7 +415,7 @@ def _is_punct_token(token: str) -> bool:
     )
 
 
-def _classify(src_side: tuple[str, ...], repl: tuple[str, ...], dictionary: Container[str]) -> str:
+def _classify(src_side: tuple[str, ...], repl: tuple[str, ...], dictionary: dict[str, int]) -> str:
     if _squash(src_side) == _squash(repl):
         # Case, hyphenation, or token-boundary difference only.
         return "orthography"
@@ -455,18 +455,15 @@ def _edit_runs(src: Sequence[str], tgt: Sequence[str]) -> list[tuple[int, int, t
     return runs
 
 
-def extract_edits(
-    source: Sentence, target: Sentence, dictionary: Container[str] | None = None
-) -> list[EditSpan]:
+def extract_edits(source: Sentence, target: Sentence) -> list[EditSpan]:
     """Token-level diff between source and target as typed edit spans.
 
     Maximal runs of non-matching alignment ops merge into one span, so
     consecutive spans are always separated by at least one kept token.
-    `dictionary` is any membership container of lowercase words; the
-    bundled frequency list is the default.
+    A one-token change within two character edits is a spelling edit
+    when the bundled frequency list has the replacement.
     """
-    if dictionary is None:
-        dictionary = load_wordlist()
+    dictionary = load_wordlist()
     src = source.tokens
     return [
         EditSpan(start, end, repl, _classify(src[start:end], repl, dictionary))
@@ -566,12 +563,11 @@ def _rule_errors(s: Sentence) -> int:
     )
 
 
-def grammaticality(s: Sentence, error_detector: Callable[[Sentence], int] | None = None) -> float:
-    """One minus the detected errors per token, floored at zero."""
+def grammaticality(s: Sentence) -> float:
+    """One minus the rule errors per token, floored at zero."""
     if not s.tokens:
         raise ValueError("cannot score an empty sentence")
-    detector = error_detector if error_detector is not None else _rule_errors
-    return max(0.0, 1.0 - detector(s) / len(s.tokens))
+    return max(0.0, 1.0 - _rule_errors(s) / len(s.tokens))
 
 
 _VOWEL_GROUPS = re.compile(r"[aeiouy]+")
@@ -611,7 +607,7 @@ def _is_adverb(token: str) -> bool:
     return (lowered.endswith("ly") and len(lowered) >= 4) or lowered in _ADVERB_WORDS
 
 
-def _default_participle(token: str) -> bool:
+def _is_participle(token: str) -> bool:
     lowered = token.lower()
     if not lowered.isalpha():
         return False
@@ -620,17 +616,14 @@ def _default_participle(token: str) -> bool:
     return len(lowered) >= 4 and lowered.endswith(("ed", "en"))
 
 
-def passive_voice(
-    s: Sentence, participle_recognizer: Callable[[str], bool] | None = None
-) -> bool:
-    """True when a be-form is followed closely by a past participle.
+def passive_voice(s: Sentence) -> bool:
+    """True when a be-form is followed closely by a past participle: a
+    bundled irregular one, or an alphabetic token of four or more letters
+    ending in -ed or -en.
 
-    The recognizer sees the raw token; at most two non-adverb tokens
-    after the auxiliary are inspected, with adverbs skipped for free.
+    At most two non-adverb tokens after the auxiliary are inspected, with
+    adverbs skipped for free.
     """
-    recognize = (
-        participle_recognizer if participle_recognizer is not None else _default_participle
-    )
     for i, token in enumerate(s.tokens):
         if token.lower() not in _BE_FORMS:
             continue
@@ -638,7 +631,7 @@ def passive_voice(
         for nxt in s.tokens[i + 1 :]:
             if _is_adverb(nxt):
                 continue
-            if recognize(nxt):
+            if _is_participle(nxt):
                 return True
             budget -= 1
             if budget == 0:
@@ -717,6 +710,16 @@ class EvalReport(NamedTuple):
         return {"pairs": [record._asdict() for record in self.per_pair], "aggregates": aggregates}
 
 
+def _mean(values: Sequence[float]) -> float:
+    """The mean, summed strictly left to right.  Built-in ``sum`` of floats
+    compensates its rounding since Python 3.12, which would change the
+    last digits of a report between interpreters."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total / len(values)
+
+
 def evaluate(
     sources: Sequence[Sentence],
     hypotheses: Sequence[Sentence],
@@ -772,13 +775,13 @@ def evaluate(
     return EvalReport(
         per_pair=tuple(records),
         corpus_bleu=_bleu_score(*bleu_rows),
-        mean_rouge_l=sum(r.rouge_l for r in records) / n,
+        mean_rouge_l=_mean([r.rouge_l for r in records]),
         edit_precision=precision,
         edit_recall=recall,
         edit_f05=f05,
-        mean_grammaticality=sum(r.grammaticality for r in records) / n,
-        mean_fre=sum(fre_values) / len(fre_values) if fre_values else None,
-        mean_ppl=sum(ppl_values) / len(ppl_values) if ppl_values else None,
+        mean_grammaticality=_mean([r.grammaticality for r in records]),
+        mean_fre=_mean(fre_values) if fre_values else None,
+        mean_ppl=_mean(ppl_values) if ppl_values else None,
         passive_rate=sum(r.passive for r in records) / n,
         repetition_rate=sum(r.repetition for r in records) / n,
         skipped_fre=n - len(fre_values),

@@ -2,8 +2,8 @@
 
 Three layers, applied in pipeline order:
 
-1. :func:`spell_check` repairs misspelled tokens against a frequency
-   dictionary before any text is compared or filtered.
+1. :func:`spell_check` repairs misspelled tokens against the bundled
+   frequency list before any text is compared or filtered.
 2. :func:`score_workers` turns each worker submission (three rewritten
    answers plus the machine translations shown alongside them) into a
    :class:`WorkerVerdict` with per-criterion score deltas and rejections.
@@ -19,11 +19,10 @@ is one lane of a wide Python int, one bit per character plus a guard
 bit, and each character of the word updates one such int per edit
 distance up to two, so the entries within distance one and two fall out
 of a single pass with no candidate to verify.  The packing is built on
-first use; the bundled word list's is kept, any other dictionary's lives
-for one call.  A call also keeps each lowercased out-of-dictionary type's
-correction, so :func:`filter_pairs` and :func:`spell_check_all` look
-each type up once per call and treat the dictionary as fixed while they
-run; drafts repeat their misspellings.
+first use and kept for the process.  A call also keeps each lowercased
+out-of-dictionary type's correction, so :func:`filter_pairs` and
+:func:`spell_check_all` look each type up once per call; drafts repeat
+their misspellings.
 
 Criterion identifiers are stable strings (``worker.time`` and friends) so
 downstream reports can key on them.
@@ -100,21 +99,20 @@ def _bits(positions: list[int]) -> int:
 
 
 class _PackedWords:
-    """The entries of a dictionary as lanes of one wide int, matched
-    against a word all at once.
+    """The entries of a dictionary, none of them empty, as lanes of one
+    wide int, matched against a word all at once.
 
     An entry of length m owns m lane bits, bit i standing for its prefix
     of length i + 1, and a guard bit above them that keeps a shift from
     carrying into the next lane.  ``masks[ch]`` has the lane bits where an
     entry has ``ch``; ``full`` has every lane bit, ``low`` the lowest of
     each lane and ``top`` the highest.  ``entries`` maps the position of a
-    lane's top bit to its entry.  The empty entry has no lane: its
-    distance to a word is the word's length.  A mask reaches up to the
-    last entry with its character, so the masks together take at most
-    (distinct characters) x (lane bits) bits.
+    lane's top bit to its entry.  A mask reaches up to the last entry with
+    its character, so the masks together take at most (distinct
+    characters) x (lane bits) bits.
     """
 
-    __slots__ = ("masks", "full", "low", "top", "start", "entries", "has_empty", "min_len", "max_len")
+    __slots__ = ("masks", "full", "low", "top", "start", "entries", "min_len", "max_len")
 
     def __init__(self, dictionary: Mapping[str, int]) -> None:
         positions: dict[str, list[int]] = {}
@@ -125,10 +123,9 @@ class _PackedWords:
             for ch in entry:
                 positions.setdefault(ch, []).append(pos)
                 pos += 1
-            if entry:
-                self.entries[pos - 1] = entry
-                guards.append(pos)
-                pos += 1
+            self.entries[pos - 1] = entry
+            guards.append(pos)
+            pos += 1
         self.masks = {ch: _bits(bits) for ch, bits in positions.items()}
         guard = _bits(guards)
         self.full = full = ((1 << pos) - 1) ^ guard
@@ -140,7 +137,6 @@ class _PackedWords:
         for _ in range(_MAX_EDITS):
             rows.append((rows[-1] << 1 | low) & full)
         self.start = tuple(rows)
-        self.has_empty = "" in dictionary
         self.min_len = min(map(len, dictionary))
         self.max_len = max(map(len, dictionary))
 
@@ -178,14 +174,6 @@ def _bundled_packed() -> _PackedWords:
     return _PackedWords(load_wordlist())
 
 
-def _packed_for(dictionary: Mapping[str, int]) -> _PackedWords:
-    # The bundled word list is read-only, so its packing is kept; a
-    # caller's dictionary may change between calls and is packed afresh.
-    if dictionary is load_wordlist():
-        return _bundled_packed()
-    return _PackedWords(dictionary)
-
-
 def _best_correction(word: str, dictionary: Mapping[str, int], packed: _PackedWords) -> str | None:
     """Nearest dictionary entry to ``word``, which is not one: smallest
     edit distance up to two, then highest frequency, then lexicographic
@@ -198,7 +186,7 @@ def _best_correction(word: str, dictionary: Mapping[str, int], packed: _PackedWo
     for distance in range(1, _MAX_EDITS + 1):
         # No entry is nearer, so the row holds those at this distance.
         lanes = rows[distance]
-        near = [""] if packed.has_empty and len(word) == distance else []
+        near = []
         while lanes:
             bit = lanes & -lanes
             near.append(packed.entries[bit.bit_length() - 1])
@@ -209,31 +197,22 @@ def _best_correction(word: str, dictionary: Mapping[str, int], packed: _PackedWo
 
 
 class _Speller:
-    """Spell check against one dictionary, looking each out-of-dictionary
-    type up once.
+    """Spell check against the bundled word list, looking each
+    out-of-dictionary type up once: each lowercased type's correction (or
+    ``None``) is kept for the speller's life."""
 
-    The dictionary is packed on the first out-of-dictionary token and
-    each lowercased type's correction (or ``None``) is kept, so the
-    dictionary is treated as fixed for the speller's life.
-    """
+    __slots__ = ("dictionary", "found")
 
-    __slots__ = ("dictionary", "packed", "found")
-
-    def __init__(self, dictionary: Mapping[str, int] | None) -> None:
-        self.dictionary = load_wordlist() if dictionary is None else dictionary
-        self.packed: _PackedWords | None = None
+    def __init__(self) -> None:
+        self.dictionary = load_wordlist()
         self.found: dict[str, str | None] = {}
 
-    def correct(self, tokens: Iterable[str]) -> tuple[list[str], bool]:
-        """The tokens with each correction applied, and whether every
-        replacement is alphanumeric.  When it is, the list is what
-        :func:`~draftkit.corpus.tokenize` gives for its join, so it need
-        not be tokenized again."""
+    def correct(self, tokens: Iterable[str]) -> list[str]:
+        """The tokens with each correction applied.  Every bundled entry is
+        one alphanumeric token, title-cased or not, so the list is what
+        :func:`~draftkit.corpus.tokenize` gives for its join."""
         dictionary = self.dictionary
-        if not dictionary:
-            raise ValueError("spell check needs a non-empty dictionary")
         corrected = []
-        normal = True
         for token in tokens:
             if token.isalpha() and not token.isupper() and token != MASK_TOKEN:
                 lowered = token.lower()
@@ -241,31 +220,25 @@ class _Speller:
                     try:
                         found = self.found[lowered]
                     except KeyError:
-                        if self.packed is None:
-                            self.packed = _packed_for(dictionary)
-                        found = self.found[lowered] = _best_correction(lowered, dictionary, self.packed)
+                        found = _best_correction(lowered, dictionary, _bundled_packed())
+                        self.found[lowered] = found
                     if found is not None:
                         token = found.capitalize() if token.istitle() else found
-                        normal = normal and token.isalnum()
             corrected.append(token)
-        return corrected, normal
+        return corrected
 
 
-def spell_check(s: Sentence, dictionary: Mapping[str, int] | None = None) -> SpellCheckResult:
-    """Correct out-of-dictionary tokens in ``s``.
+def spell_check(s: Sentence) -> SpellCheckResult:
+    """Correct the tokens of ``s`` that are not in the bundled word list.
 
     Only purely alphabetic tokens are eligible; numbers, punctuation, the
     mask token, and all-uppercase tokens (acronyms) pass through.  Title
     case is restored on the replacement.  The token count never changes.
 
-    The bundled word list (835 entries) is packed once per process, in
-    about 1.5 ms.  Any other ``dictionary`` is packed afresh on each call
-    that meets an out-of-dictionary token.  Packing and each
-    out-of-dictionary word cost time linear in the total length of the
-    entries: on a 2-CPU host, 7 ms and 53 us a word at 5,000 entries
-    (32k characters), 29 ms and 190 us a word at 20,000.
+    The word list (835 entries) is packed once per process, in about
+    1.5 ms, on the first out-of-dictionary token.
     """
-    corrected, _ = _Speller(dictionary).correct(s.tokens)
+    corrected = _Speller().correct(s.tokens)
     corrections = tuple((old, new) for old, new in zip(s.tokens, corrected) if old != new)
     return SpellCheckResult(" ".join(corrected), corrections)
 
@@ -274,13 +247,11 @@ def spell_check_all(sentences: Iterable[Sentence]) -> list[Sentence]:
     """Each sentence spell-checked against the bundled word list.
 
     For a sentence made by ``Sentence.from_text`` this is
-    ``Sentence.from_text(spell_check(s).corrected_text)``: every bundled
-    entry is alphanumeric, so the corrected tokens are what tokenizing
-    their join gives.  The whole call looks each out-of-dictionary type
-    up once.
+    ``Sentence.from_text(spell_check(s).corrected_text)``.  The whole call
+    looks each out-of-dictionary type up once.
     """
-    speller = _Speller(None)
-    return [Sentence.from_tokens(speller.correct(s.tokens)[0]) for s in sentences]
+    speller = _Speller()
+    return [Sentence.from_tokens(speller.correct(s.tokens)) for s in sentences]
 
 
 def contains_japanese(text: str) -> bool:
@@ -347,9 +318,7 @@ def overlap_coefficient(x: Sentence, y: Sentence, cfg: FilterConfig | None = Non
 
 
 def filter_pairs(
-    pairs: Iterable[DraftPair],
-    cfg: FilterConfig | None = None,
-    dictionary: Mapping[str, int] | None = None,
+    pairs: Iterable[DraftPair], cfg: FilterConfig | None = None
 ) -> tuple[list[DraftPair], list[tuple[DraftPair, str]]]:
     """Partition pairs by content overlap between draft and reference.
 
@@ -358,22 +327,16 @@ def filter_pairs(
     undefined or strictly below ``cfg.alpha`` land in the removed list
     with a human-readable reason.
 
-    The call shares one packed dictionary and looks each
-    out-of-dictionary type up once, so ``dictionary`` must not change
-    during the call.  The overlap is taken on the corrected tokens; they
-    are tokenized again only when a replacement is not alphanumeric,
-    which only a caller's dictionary can cause.
+    The call looks each out-of-dictionary type up once and takes the
+    overlap on the corrected tokens.
     """
     cfg = FilterConfig() if cfg is None else cfg
-    speller = _Speller(dictionary)
+    speller = _Speller()
     kept: list[DraftPair] = []
     removed: list[tuple[DraftPair, str]] = []
     for pair in pairs:
-        draft, normal = speller.correct(pair.draft.tokens)
-        if not normal:
-            draft = tokenize(" ".join(draft))
         try:
-            score = _overlap(draft, pair.reference.tokens, cfg)
+            score = _overlap(speller.correct(pair.draft.tokens), pair.reference.tokens, cfg)
         except UndefinedOverlapError:
             removed.append((pair, "overlap with reference undefined (no content tokens)"))
             continue

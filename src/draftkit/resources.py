@@ -17,13 +17,16 @@ _DATA = Path(__file__).with_name("data")
 
 def read_words(path: Path | str) -> frozenset[str]:
     """One lowercase entry per line, without its surrounding whitespace.
-    Both consumers compare lowercased tokens, so an entry with an
-    uppercase letter could never match and is a data error."""
+    Both consumers compare lowercased tokens of :func:`tokenize`, so an
+    entry that is not one such token could never match and is a data
+    error."""
     words = set()
     for line_no, line in iter_checked_lines(path):
         word = line.strip()
         if word[:1] in ("", "#"):
             continue
+        if tokenize(word) != [word]:
+            raise RecordError(path, line_no, f"not a single token: {word!r}")
         if word == MASK_TOKEN:
             raise RecordError(path, line_no, "the mask token cannot also be a stopword")
         if word != word.lower():
@@ -32,13 +35,12 @@ def read_words(path: Path | str) -> frozenset[str]:
     return frozenset(words)
 
 
-def read_counts(path: Path | str) -> tuple[dict[str, int], int]:
-    """``token<TAB>count`` rows: the counts by token, and the file's number
-    of lines.  A token is one token of :func:`tokenize`, never the mask
-    token, and appears once; a count is a non-negative integer."""
+def read_counts(path: Path | str) -> dict[str, int]:
+    """``token<TAB>count`` rows, as the counts by token.  A token is one
+    token of :func:`tokenize`, never the mask token, and appears once; a
+    count is a non-negative integer."""
     counts: dict[str, int] = {}
     first_line: dict[str, int] = {}
-    line_no = 0
     for line_no, line in iter_checked_lines(path):
         if line.lstrip()[:1] in ("", "#"):
             continue
@@ -63,7 +65,7 @@ def read_counts(path: Path | str) -> tuple[dict[str, int], int]:
             )
         first_line[token] = line_no
         counts[token] = count
-    return counts, line_no
+    return counts
 
 
 @lru_cache(maxsize=None)
@@ -74,8 +76,10 @@ def load_stopwords() -> frozenset[str]:
 
 @lru_cache(maxsize=None)
 def load_wordlist() -> dict[str, int]:
-    """Default frequency dictionary mapping lowercase token to count."""
-    return read_counts(_DATA / "wordlist.tsv")[0]
+    """Frequency dictionary mapping lowercase token to count: the word
+    list of spell check, edit typing and the English check, and the
+    default of ``--vocab-counts``."""
+    return read_counts(_DATA / "wordlist.tsv")
 
 
 @lru_cache(maxsize=None)

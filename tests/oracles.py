@@ -205,6 +205,12 @@ def nearest_entry_scan(word: str, dictionary: Mapping[str, int]) -> str | None:
     return None
 
 
+def left_fold_mean(values: Sequence[float]) -> float:
+    """The mean with one rounding per addition, taken left to right from
+    0.0: what built-in ``sum`` of floats gives before Python 3.12."""
+    return functools.reduce(lambda total, value: total + value, values, 0.0) / len(values)
+
+
 def read_lines_reference(
     path: str | Path,
 ) -> tuple[list[tuple[int, str]], tuple[int, str] | None]:

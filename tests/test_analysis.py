@@ -15,6 +15,7 @@ from draftkit.analysis import (
     linguistic_profile,
 )
 from draftkit.corpus import DraftPair, Sentence
+from oracles import left_fold_mean
 from synth import academic_sentences
 
 
@@ -79,6 +80,16 @@ class TestLinguisticProfile:
         assert profile.draft.passive_pct == 100.0 * metrics.passive_voice(p.draft)
         assert profile.draft.repetition_pct == 100.0 * metrics.word_repetition(p.draft)
         assert profile.reference.fre_mean == metrics.fre(p.reference)
+
+    def test_means_are_left_fold_sums(self, tiny_lm):
+        # Summed left to right, as metrics.evaluate's means are, so that
+        # the report's bytes do not depend on the interpreter.
+        sentences = academic_sentences(40, seed=2)
+        profile = linguistic_profile([DraftPair(s, s) for s in sentences], tiny_lm)
+        assert profile.draft.fre_mean == left_fold_mean([metrics.fre(s) for s in sentences])
+        assert profile.draft.ppl_mean == left_fold_mean(
+            [tiny_lm.perplexity(s.tokens) for s in sentences]
+        )
 
     def test_unscoreable_sentence_skipped_per_side(self, tiny_lm):
         good = pair("the model works well .", "the model works well .")

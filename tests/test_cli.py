@@ -327,8 +327,8 @@ class TestNoiseRun:
     @pytest.mark.parametrize(
         "extra, code, message",
         [
-            (["--vocab-counts", "{vocab}", "--replace-p", "0.5"], 2,
-             "error: {vocab}:2: no token has a count above --replace-vocab-min-count 10000\n"),
+            (["--vocab-counts", "{vocab}", "--replace-p", "0.5"], 1,
+             "error: no token has a count above --replace-vocab-min-count 10000 in {vocab}\n"),
             (["--replace-vocab-min-count", "100000000", "--replace-p", "0.5"], 1,
              "error: no token has a count above --replace-vocab-min-count 100000000"
              " in the bundled word list\n"),
@@ -666,6 +666,22 @@ class TestQualityCommands:
         err = capsys.readouterr().err
         assert f"{stopwords}:3: the mask token cannot also be a stopword" in err
         assert sorted(tmp_path.iterdir()) == sorted([pairs, stopwords])
+
+    @pytest.mark.parametrize("unwritable", ["kept", "removed"])
+    def test_unwritable_output_leaves_the_other_as_it_was(self, tmp_path, unwritable, capsys):
+        # Both outputs are opened before either is written: a run that
+        # cannot write one of them replaces neither.
+        pairs = write_lines(tmp_path / "pairs.tsv", ["We propose a novel model\tWe propose a model",
+                                                     "qqa qqb qqc\tnovel model draft"])
+        outputs = {name: write_lines(tmp_path / f"{name}.tsv", [f"an earlier {name} file"])
+                   for name in ("kept", "removed")}
+        outputs[unwritable] = tmp_path / "nodir" / f"{unwritable}.tsv"
+        before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        code = dispatch(["quality", "filter-pairs", "--input", str(pairs), "--kept",
+                         str(outputs["kept"]), "--removed", str(outputs["removed"])])
+        assert code == 2
+        assert str(outputs[unwritable]) in capsys.readouterr().err
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
 
 
 _FILTER_PROBE = """

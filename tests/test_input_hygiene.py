@@ -71,7 +71,7 @@ CASES = {
     ),
     "stopwords": (
         lambda i: _STOPWORDS[i],
-        ["<*>", "The"],
+        ["<*>", "The", "the.", "of the"],
         lambda tested, texts, out: ["quality", "filter-pairs",
                                     "--input", out / "sentence-pairs.tsv", "--kept",
                                     out / "kept.tsv", "--removed", out / "removed.tsv",

@@ -70,36 +70,34 @@ class TestSpellCheck:
         assert result.corrections == ()
 
     def test_numbers_punctuation_mask_never_touched(self):
-        s = sent("13", ".", "<*>", "x-y")
-        result = spell_check(s, {"model": 10})
+        s = sent("13", ".", "<*>", "x-y", "Qx9")
+        result = spell_check(s)
         assert result.corrected_text == s.text
         assert result.corrections == ()
 
     def test_higher_frequency_candidate_wins(self):
-        result = spell_check(sent("caz"), {"cat": 100, "car": 900})
-        assert result.corrected_text == "car"
+        assert packed_pick("caz", {"cat": 100, "car": 900}) == "car"
 
     def test_frequency_tie_breaks_lexicographically(self):
-        result = spell_check(sent("aat"), {"cat": 100, "bat": 100})
-        assert result.corrected_text == "bat"
+        assert packed_pick("aat", {"cat": 100, "bat": 100}) == "bat"
 
     def test_distance_one_beats_richer_distance_two(self):
-        result = spell_check(sent("caz"), {"cart": 10_000, "cat": 5})
-        assert result.corrected_text == "cat"
+        assert packed_pick("caz", {"cart": 10_000, "cat": 5}) == "cat"
 
     def test_distance_two_used_when_needed(self):
-        result = spell_check(sent("modle"), {"model": 100})
-        assert result.corrected_text == "model"
+        assert packed_pick("modle", {"model": 100}) == "model"
+        # The bundled list has "more", two edits away and more frequent.
+        assert spell_check(sent("modle")).corrected_text == "more"
 
     def test_title_case_restored(self):
-        result = spell_check(sent("Modle", "works"), {"model": 100, "works": 1})
-        assert result.corrected_text == "Model works"
-        assert result.corrections == (("Modle", "Model"),)
+        result = spell_check(sent("Coupus", "works"))
+        assert result.corrected_text == "Corpus works"
+        assert result.corrections == (("Coupus", "Corpus"),)
 
     def test_corrections_replay_onto_original(self):
         s = sent("teh", "cat", "teh", "dgo", ".")
-        dictionary = {"the": 1000, "cat": 50, "dog": 40}
-        result = spell_check(s, dictionary)
+        result = spell_check(s)
+        assert result.corrections == (("teh", "the"), ("teh", "the"), ("dgo", "do"))
         queue = list(result.corrections)
         rebuilt = []
         for token in s.tokens:
@@ -115,14 +113,10 @@ class TestSpellCheck:
         result = spell_check(s)
         assert len(result.corrected_text.split(" ")) == len(s.tokens)
 
-    def test_empty_dictionary_rejected(self):
-        with pytest.raises(ValueError):
-            spell_check(sent("a"), {})
-
     def test_bundled_entries_tokenize_to_themselves(self):
-        # spell_check_all keeps the corrected tokens without tokenizing
-        # their join again; that holds because every bundled replacement,
-        # title-cased or not, is one alphanumeric token.
+        # spell_check_all and filter_pairs keep the corrected tokens
+        # without tokenizing their join again; that holds because every
+        # bundled replacement, title-cased or not, is one alphanumeric token.
         for entry in load_wordlist():
             assert entry.isalnum() and entry.capitalize().isalnum()
             assert tokenize(entry) == [entry]
@@ -157,6 +151,16 @@ def expected_pick(word: str, dictionary) -> str:
     return word if pick is None else pick
 
 
+def packed_pick(word: str, dictionary, packed=None) -> str:
+    """What spell check makes of the lowercase ``word`` against
+    ``dictionary``, through the packed matcher."""
+    if word in dictionary:
+        return word
+    packed = quality._PackedWords(dictionary) if packed is None else packed
+    pick = quality._best_correction(word, dictionary, packed)
+    return word if pick is None else pick
+
+
 def one_edit_variants(word: str, letter: str) -> set[str]:
     """Every string one deletion of ``word``, or one insertion or
     substitution of ``letter`` into it, away."""
@@ -176,7 +180,9 @@ ENTRY_CHARS = WORD_LETTERS + "\u0301"
 
 
 class TestSpellCheckIndex:
-    """The packed matcher must pick exactly what a scan of every entry picks."""
+    """The packed matcher must pick exactly what a scan of every entry
+    picks, on the bundled word list and on any dictionary of non-empty
+    entries."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -189,8 +195,9 @@ class TestSpellCheckIndex:
         words=st.lists(st.text(alphabet="abcdéß", min_size=1, max_size=8), min_size=1, max_size=4),
     )
     def test_matches_scan_on_random_dictionaries(self, dictionary, words):
-        result = spell_check(sent(*words), dictionary)
-        assert result.corrected_text.split(" ") == [expected_pick(w, dictionary) for w in words]
+        packed = quality._PackedWords(dictionary)
+        for w in words:
+            assert packed_pick(w, dictionary, packed) == expected_pick(w, dictionary)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -212,9 +219,11 @@ class TestSpellCheckIndex:
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
-    def test_matches_scan_with_empty_short_and_combining_entries(self, data):
-        entries = data.draw(st.lists(st.text(alphabet=ENTRY_CHARS, max_size=5), min_size=1, max_size=12))
-        entries += data.draw(st.lists(st.sampled_from(["", *WORD_LETTERS]), max_size=3))
+    def test_matches_scan_with_short_and_combining_entries(self, data):
+        entries = data.draw(
+            st.lists(st.text(alphabet=ENTRY_CHARS, min_size=1, max_size=5), min_size=1, max_size=12)
+        )
+        entries += data.draw(st.lists(st.sampled_from(WORD_LETTERS), max_size=3))
         dictionary = {entry: data.draw(st.integers(1, 3)) for entry in entries}
         longest = max(map(len, dictionary))
         words = data.draw(st.lists(st.text(alphabet=WORD_LETTERS, min_size=1, max_size=6), max_size=3))
@@ -223,15 +232,16 @@ class TestSpellCheckIndex:
         for extra in data.draw(st.lists(st.integers(0, 3), min_size=1, max_size=3)):
             size = max(longest + extra, 1)
             words.append(data.draw(st.text(alphabet=WORD_LETTERS, min_size=size, max_size=size)))
-        result = spell_check(sent(*words), dictionary)
-        assert result.corrected_text.split(" ") == [expected_pick(w, dictionary) for w in words]
+        packed = quality._PackedWords(dictionary)
+        for w in words:
+            assert packed_pick(w, dictionary, packed) == expected_pick(w, dictionary)
 
     def test_matches_scan_on_every_short_word(self):
-        dictionary = {"": 2, "a": 5, "c": 1, "ab": 3, "ba": 3, "abc": 4, "cab": 4,
+        dictionary = {"a": 5, "c": 1, "ab": 3, "ba": 3, "abc": 4, "cab": 4,
                       "bbbb": 2, "acca": 6, "abcab": 1, "ccccc": 9}
-        words = all_strings("abc", 5)[1:]
-        result = spell_check(sent(*words), dictionary)
-        assert result.corrected_text.split(" ") == [expected_pick(w, dictionary) for w in words]
+        packed = quality._PackedWords(dictionary)
+        for w in all_strings("abc", 5)[1:]:
+            assert packed_pick(w, dictionary, packed) == expected_pick(w, dictionary)
 
     def test_matches_scan_on_near_variants_of_bundled_entries(self):
         # Every string one or two edits from each of 50 bundled entries,
@@ -264,33 +274,16 @@ class TestSpellCheckIndex:
         ]
         dictionary = dict.fromkeys(entries, 1)
         word = entries[-1] + "a"
-        assert spell_check(sent(word), dictionary).corrected_text == entries[-1]
+        assert packed_pick(word, dictionary) == entries[-1]
         assert nearest_entry_scan(word, dictionary) == entries[-1]
-
-    def test_caller_dictionary_changes_between_calls(self):
-        dictionary = {"cart": 10, "dog": 3}
-        picks = []
-        for change in (
-            None,
-            lambda d: d.update(bat=50),
-            lambda d: d.pop("bat"),
-            lambda d: d.pop("cart"),
-        ):
-            if change is not None:
-                change(dictionary)
-            picks.append(spell_check(sent("cat"), dictionary).corrected_text)
-            assert picks[-1] == expected_pick("cat", dictionary)
-        assert picks == ["cart", "bat", "cart", "cat"]
 
     def test_overlong_token_rejected_before_any_lookup(self, monkeypatch):
         stepped = []
         rows = quality._PackedWords.rows
         monkeypatch.setattr(quality._PackedWords, "rows", lambda self, w: stepped.append(w) or rows(self, w))
-        word = "a" * 5_000
-        for dictionary in ({"the": 100, "cat": 5}, None):
-            result = spell_check(sent("the", "cst", word), dictionary)
-            assert [old for old, _ in result.corrections] == ["cst"]
-        assert stepped == ["cst", "cst"]
+        result = spell_check(sent("the", "cst", "a" * 5_000))
+        assert [old for old, _ in result.corrections] == ["cst"]
+        assert stepped == ["cst"]
 
     def test_import_and_wordlist_load_build_no_index(self):
         probe = """
@@ -414,15 +407,13 @@ class TestFilterConfig:
             FilterConfig(stopwords=frozenset({"the", "<*>"}))
 
 
-# Words, typos of them in three casings, tokens spell check leaves alone,
-# and near misses of the caller dictionary's entries that hold a period or
-# a space.
+# Words, typos of them in three casings, and tokens spell check leaves
+# alone.
 FILTER_WORDS = st.sampled_from(
     ["the", "model", "modle", "Modle", "MODLE", "data", "dta", "corpus", "coupus", "Coupus",
      "results", "reslts", "teh", "Teh", "2019", ",", ".", "(", ")", "<*>", "qqzz", "us", "Us",
      "newyork", "Newyork", "new", "york", "u.s."]
 )
-CALLER_DICTIONARY = {"model": 50, "data": 40, "results": 30, "the": 20, "u.s.": 10, "new york": 5}
 
 
 class TestFilterPairs:
@@ -456,8 +447,8 @@ class TestFilterPairs:
         assert "undefined" in reason
 
     def test_overlap_computed_on_spell_checked_draft(self):
-        pair = self.pair("the modle", "a model")
-        kept, removed = filter_pairs([pair], dictionary={"model": 100})
+        pair = self.pair("the coupus", "a corpus")
+        kept, removed = filter_pairs([pair])
         assert kept == [pair] and removed == []
 
     def test_partition_is_exhaustive_and_disjoint(self):
@@ -477,37 +468,15 @@ class TestFilterPairs:
             st.tuples(st.lists(FILTER_WORDS, max_size=10), st.lists(FILTER_WORDS, max_size=10)),
             max_size=6,
         ),
-        dictionary=st.sampled_from([None, CALLER_DICTIONARY]),
         alpha=st.sampled_from([0.0, 0.4, 1.0]),
     )
-    def test_matches_spell_check_then_retokenize(self, texts, dictionary, alpha):
+    def test_matches_spell_check_then_retokenize(self, texts, alpha):
         pairs = [
             DraftPair.from_texts(" ".join(draft), " ".join(w for w in reference if w != "<*>"))
             for draft, reference in texts
         ]
         cfg = FilterConfig(alpha=alpha)
-        assert filter_pairs(pairs, cfg, dictionary) == filter_pairs_by_spell_check(pairs, cfg, dictionary)
-
-    def test_replacement_that_splits_is_tokenized_again(self):
-        # "newyork" corrects to "new york" and "us" to "u.s.": the draft's
-        # content tokens become new, york and u.s.
-        pair = self.pair("newyork us", "new york u.s report")
-        cfg = FilterConfig(alpha=0.75)
-        assert filter_pairs([pair], cfg, CALLER_DICTIONARY) == ([pair], [])
-        assert filter_pairs_by_spell_check([pair], cfg, CALLER_DICTIONARY) == ([pair], [])
-
-    def test_caller_dictionary_indexed_once_per_call(self, monkeypatch):
-        built = []
-        init = quality._PackedWords.__init__
-        monkeypatch.setattr(
-            quality._PackedWords, "__init__", lambda self, d: built.append(d) or init(self, d)
-        )
-        pairs = [self.pair(f"the modle {w} Modle", "a model") for w in ("dta", "modle", "reslts")]
-        kept, _ = filter_pairs(pairs, dictionary=CALLER_DICTIONARY)
-        assert kept == pairs
-        assert built == [CALLER_DICTIONARY]
-        filter_pairs(pairs, dictionary=CALLER_DICTIONARY)
-        assert built == [CALLER_DICTIONARY] * 2
+        assert filter_pairs(pairs, cfg) == filter_pairs_by_spell_check(pairs, cfg)
 
     def test_each_out_of_dictionary_type_looked_up_once(self, monkeypatch):
         looked_up = []
@@ -519,18 +488,13 @@ class TestFilterPairs:
         filter_pairs(pairs)
         assert sorted(looked_up) == ["coupus", "modle", "teh"]
 
-    def test_empty_dictionary_rejected_on_first_pair(self):
-        with pytest.raises(ValueError, match="non-empty dictionary"):
-            filter_pairs([self.pair("the model", "a model")], dictionary={})
-        assert filter_pairs([], dictionary={}) == ([], [])
 
-
-def filter_pairs_by_spell_check(pairs, cfg, dictionary):
+def filter_pairs_by_spell_check(pairs, cfg):
     """filter_pairs as spell check, then tokenizing the corrected text,
     then the overlap coefficient, one pair at a time."""
     kept, removed = [], []
     for pair in pairs:
-        draft = Sentence.from_text(spell_check(pair.draft, dictionary).corrected_text)
+        draft = Sentence.from_text(spell_check(pair.draft).corrected_text)
         try:
             score = overlap_coefficient(draft, pair.reference, cfg)
         except UndefinedOverlapError:

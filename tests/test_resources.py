@@ -38,14 +38,22 @@ def test_words_reject_uppercase(tmp_path, entry):
     assert str(excinfo.value) == f"{path}:3: not lowercase: {entry.strip()!r}"
 
 
+@pytest.mark.parametrize("entry", ["the.", "of the"])
+def test_words_reject_more_than_one_token(tmp_path, entry):
+    # Both consumers compare single tokens, so "the." could never match.
+    path = write_lines(tmp_path / "words.txt", ["the", "# comment", entry])
+    with pytest.raises(RecordError) as excinfo:
+        read_words(path)
+    assert str(excinfo.value) == f"{path}:3: not a single token: {entry!r}"
+
+
 def test_counts_skip_comments_and_blank_lines(tmp_path):
-    # A row for the lone token "#" is a comment; the line count takes in
-    # the trailing blank line, as an empty vocabulary is named after it.
+    # A row for the lone token "#" is a comment.
     path = write_lines(tmp_path / "counts.tsv", ["# ours", "#\t5", "", "qq\t7", "  "])
-    assert read_counts(path) == ({"qq": 7}, 5)
+    assert read_counts(path) == {"qq": 7}
 
 
 def test_counts_of_an_empty_file(tmp_path):
     path = tmp_path / "counts.tsv"
     path.write_bytes(b"")
-    assert read_counts(path) == ({}, 0)
+    assert read_counts(path) == {}
