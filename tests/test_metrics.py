@@ -341,9 +341,12 @@ class TestExtractEdits:
         assert spans == [EditSpan(1, 2, ("X",), "substitution")]
 
     def test_spelling(self):
-        # "model" is in the bundled frequency list, "modell" is not.
         spans = extract_edits(sent("the", "modle"), sent("the", "model"))
         assert spans == [EditSpan(1, 2, ("model",), "spelling")]
+
+    def test_spelling_with_default_dictionary(self):
+        # The replacement must be in the bundled frequency list: "model"
+        # is, "modell" is not.
         spans = extract_edits(sent("the", "model"), sent("the", "modell"))
         assert spans == [EditSpan(1, 2, ("modell",), "substitution")]
 
@@ -565,6 +568,16 @@ class TestGrammaticality:
     def test_clean_sentence(self):
         assert grammaticality(Sentence.from_text("The cat sat on the mat .")) == 1.0
 
+    def test_duplicate_and_bracket_detector(self, monkeypatch):
+        # 5 tokens, and a detector limited to these two rules sees two
+        # errors: "the the" and the unclosed bracket.
+        def detector(s):
+            return metrics._duplicate_word(s.tokens) + metrics._unbalanced_pairs(s.tokens)
+
+        monkeypatch.setattr(metrics, "_rule_errors", detector)
+        s = Sentence.from_text("the the model (works")
+        assert grammaticality(s) == pytest.approx(0.6)
+
     def test_default_detector_sees_four_errors(self):
         # Same sentence under all rules: duplicate, bracket, lowercase
         # start, missing terminal punctuation.
@@ -580,6 +593,13 @@ class TestGrammaticality:
         # 2 tokens, 3 errors: lowercase start, unbalanced bracket, no
         # terminal punctuation.
         assert grammaticality(sent("the", "(")) == 0.0
+
+    def test_custom_detector_callable(self, monkeypatch):
+        # The score is one minus whatever the rule detector counts, per token.
+        monkeypatch.setattr(metrics, "_rule_errors", lambda _: 2)
+        s = Sentence.from_text("The cat sat on the mat today so well .")
+        assert len(s.tokens) == 10
+        assert grammaticality(s) == pytest.approx(0.8)
 
     def test_more_errors_never_increase_score(self, monkeypatch):
         s = Sentence.from_text("The cat sat on the mat today so well .")
@@ -659,6 +679,14 @@ class TestPassiveVoice:
 
     def test_participle_beyond_window(self):
         assert passive_voice(Sentence.from_text("He was sure someone else cleaned it .")) is False
+
+    def test_custom_recognizer(self, monkeypatch):
+        # passive_voice asks the participle recognizer about each token
+        # after a be-form.
+        s = Sentence.from_text("It was zorpt .")
+        assert passive_voice(s) is False
+        monkeypatch.setattr(metrics, "_is_participle", lambda w: w == "zorpt")
+        assert passive_voice(s) is True
 
 
 class TestWordRepetition:
