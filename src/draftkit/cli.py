@@ -22,6 +22,7 @@ from . import DEFAULT_SEED, __version__
 from .analysis import characteristic_terms, dataset_stats, linguistic_profile
 from .corpus import (
     CorpusFilterConfig,
+    DraftPair,
     RecordError,
     Sentence,
     atomic_writer,
@@ -29,7 +30,7 @@ from .corpus import (
     filter_training_sentences,
     iter_checked_lines,
     load_pairs,
-    tsv_field,
+    pair_line,
     write_pairs,
 )
 from .lm import SMOOTHINGS, load_arpa, save_arpa, train
@@ -222,12 +223,8 @@ def _cmd_quality_filter_pairs(args) -> None:
     # Both outputs are opened before either is written, so a path that
     # cannot be written leaves the other output as it was.
     with atomic_writer(args.kept) as kept_out, atomic_writer(args.removed) as removed_out:
-        for p in kept:
-            kept_out.write(f"{tsv_field(p.draft.text)}\t{tsv_field(p.reference.text)}\n")
-        for p, reason in removed:
-            removed_out.write(
-                f"{tsv_field(p.draft.text)}\t{tsv_field(p.reference.text)}\t{reason}\n"
-            )
+        kept_out.writelines(map(pair_line, kept))
+        removed_out.writelines(pair_line(p, reason) for p, reason in removed)
 
 
 def _cmd_eval_run(args) -> None:
@@ -253,10 +250,15 @@ def _cmd_eval_run(args) -> None:
     _write_json(args.report, payload)
 
 
-def _cmd_stats_dataset(args) -> None:
-    pairs = load_pairs(args.input)
+def _some_pairs(path: Path) -> list[DraftPair]:
+    pairs = load_pairs(path)
     if not pairs:
-        raise RecordError(args.input, 1, "need at least one pair")
+        raise RecordError(path, 1, "need at least one pair")
+    return pairs
+
+
+def _cmd_stats_dataset(args) -> None:
+    pairs = _some_pairs(args.input)
     stats = dataset_stats(pairs)
     payload = {"schema_version": SCHEMA_VERSION, **stats._asdict()}
     if args.lm is not None:
@@ -272,9 +274,7 @@ def _cmd_stats_dataset(args) -> None:
 
 
 def _cmd_analysis_terms(args) -> None:
-    pairs = load_pairs(args.input)
-    if not pairs:
-        raise RecordError(args.input, 1, "need at least one pair")
+    pairs = _some_pairs(args.input)
     terms = characteristic_terms(pairs, top_k=args.top_k, epsilon=args.epsilon)
     lines = ["term\tdraft_per10k\tref_per10k\tlog_ratio"]
     lines.extend(

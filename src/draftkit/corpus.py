@@ -136,6 +136,14 @@ class DraftPair(_DraftPair):
         return cls(Sentence.from_text(draft), Sentence.from_text(reference))
 
 
+class _Checked:
+    """Base of a record whose ``__new__`` checks its fields, listed before its
+    NamedTuple base: ``_replace`` then builds its copy through ``__new__`` too."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))
+
+
 class _CorpusFilterConfig(NamedTuple):
     min_chars: int
     max_chars: int
@@ -145,7 +153,7 @@ class _CorpusFilterConfig(NamedTuple):
     excluded: frozenset[str]
 
 
-class CorpusFilterConfig(_CorpusFilterConfig):
+class CorpusFilterConfig(_Checked, _CorpusFilterConfig):
     """Bounds for both filtering passes.  All bounds are inclusive."""
 
     __slots__ = ()
@@ -169,9 +177,6 @@ class CorpusFilterConfig(_CorpusFilterConfig):
         return super().__new__(
             cls, min_chars, max_chars, min_tokens, max_tokens, min_alpha_ratio, excluded
         )
-
-    # _replace builds its copy through _make: check it too.
-    _make = classmethod(lambda cls, values: cls(*values))
 
 
 def passes_final_filter(sentence: Sentence, cfg: CorpusFilterConfig) -> bool:
@@ -321,9 +326,14 @@ def tsv_field(text: str) -> str:
     return _FIELD_BREAKERS.sub(" ", text)
 
 
+def pair_line(pair: DraftPair, *extra: str) -> str:
+    """The TSV line ``draft<TAB>reference``, each text through
+    :func:`tsv_field`, then each of ``extra`` as written after a tab."""
+    return "\t".join((tsv_field(pair.draft.text), tsv_field(pair.reference.text), *extra)) + "\n"
+
+
 def write_pairs(path: Path | str, pairs: Iterable[DraftPair]) -> None:
-    """Write pairs one ``draft<TAB>reference`` line each, atomically (see
-    :func:`atomic_writer`); each text goes through :func:`tsv_field`."""
+    """Write pairs one :func:`pair_line` each, atomically (see
+    :func:`atomic_writer`)."""
     with atomic_writer(path) as handle:
-        for pair in pairs:
-            handle.write(f"{tsv_field(pair.draft.text)}\t{tsv_field(pair.reference.text)}\n")
+        handle.writelines(map(pair_line, pairs))

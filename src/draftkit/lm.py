@@ -260,25 +260,23 @@ def _build_kneser_ney(
     return logp, bows
 
 
-def _format_value(value: float) -> str:
-    if value == _BOS_PLACEHOLDER:
-        return "-99"
-    return repr(value)
-
-
 def save_arpa(model: NGramModel, path: str | Path) -> None:
     """Write the model as UTF-8 ARPA text with sorted, stable sections."""
-    sections = {n: model.ngrams(n) for n in range(1, model.order + 1)}
+    sections: dict[int, list[tuple[str, ...]]] = {n: [] for n in range(1, model.order + 1)}
+    for gram in model._logprob:
+        sections[len(gram)].append(gram)
     lines = ["\\data\\"]
-    lines.extend(f"ngram {n}={len(sections[n])}" for n in sorted(sections))
-    for n in sorted(sections):
+    lines.extend(f"ngram {n}={len(grams)}" for n, grams in sections.items())
+    for n, grams in sections.items():
         lines.extend(("", f"\\{n}-grams:"))
-        for gram in sections[n]:
-            fields = [_format_value(model._logprob[gram]), " ".join(gram)]
+        grams.sort()
+        for gram in grams:
+            value = model._logprob[gram]
+            line = f"{'-99' if value == _BOS_PLACEHOLDER else repr(value)}\t{' '.join(gram)}"
             bow = model._backoff.get(gram)
             if bow is not None:
-                fields.append(_format_value(bow))
-            lines.append("\t".join(fields))
+                line += f"\t{'-99' if bow == _BOS_PLACEHOLDER else repr(bow)}"
+            lines.append(line)
     lines.extend(("", "\\end\\", ""))
     with atomic_writer(path) as handle:
         handle.write("\n".join(lines))

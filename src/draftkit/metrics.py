@@ -29,7 +29,7 @@ from collections import Counter
 from itertools import chain, islice, repeat, zip_longest
 from typing import Iterable, NamedTuple, Sequence
 
-from .corpus import Sentence
+from .corpus import Sentence, _Checked
 from .resources import load_participles, load_stopwords, load_wordlist
 
 #: Bound on the transitions kept for one first argument, and so on the
@@ -343,7 +343,7 @@ class _EditSpan(NamedTuple):
     kind: str
 
 
-class EditSpan(_EditSpan):
+class EditSpan(_Checked, _EditSpan):
     """One contiguous rewrite: source tokens [start, end) become `replacement`."""
 
     __slots__ = ()
@@ -354,9 +354,6 @@ class EditSpan(_EditSpan):
         if kind not in EDIT_KINDS:
             raise ValueError(f"unknown edit kind {kind!r}")
         return super().__new__(cls, start, end, replacement, kind)
-
-    # _replace builds its copy through _make: check it too.
-    _make = classmethod(lambda cls, values: cls(*values))
 
 
 def _align(src: Sequence[str], tgt: Sequence[str]) -> tuple[str, ...]:

@@ -21,7 +21,7 @@ from itertools import accumulate
 from typing import NamedTuple, TypeVar
 
 from . import DEFAULT_SEED
-from .corpus import MASK_TOKEN, DraftPair, Sentence
+from .corpus import MASK_TOKEN, DraftPair, Sentence, _Checked
 from .resources import load_wordlist
 
 H = TypeVar("H")
@@ -36,7 +36,7 @@ class _NoiseConfig(NamedTuple):
     seed: int
 
 
-class NoiseConfig(_NoiseConfig):
+class NoiseConfig(_Checked, _NoiseConfig):
     __slots__ = ()
 
     def __new__(
@@ -59,9 +59,6 @@ class NoiseConfig(_NoiseConfig):
             raise ValueError(f"shuffle_k must be non-negative, got {self.shuffle_k}")
         return self
 
-    # _replace builds its copy through _make: check it too.
-    _make = classmethod(lambda cls, values: cls(*values))
-
 
 class _BeamNoiseConfig(NamedTuple):
     beam_width: int
@@ -69,7 +66,7 @@ class _BeamNoiseConfig(NamedTuple):
     seed: int
 
 
-class BeamNoiseConfig(_BeamNoiseConfig):
+class BeamNoiseConfig(_Checked, _BeamNoiseConfig):
     __slots__ = ()
 
     def __new__(
@@ -80,9 +77,6 @@ class BeamNoiseConfig(_BeamNoiseConfig):
         if beta < 0:
             raise ValueError(f"beta must be non-negative, got {beta}")
         return super().__new__(cls, beam_width, beta, seed)
-
-    # _replace builds its copy through _make: check it too.
-    _make = classmethod(lambda cls, values: cls(*values))
 
 
 class ReplacementVocab:

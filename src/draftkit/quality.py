@@ -36,7 +36,9 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .corpus import MASK_TOKEN, DraftPair, RecordError, Sentence, iter_checked_lines, tokenize
+from .corpus import (
+    MASK_TOKEN, DraftPair, RecordError, Sentence, _Checked, iter_checked_lines, tokenize,
+)
 from .metrics import levenshtein_pairs
 from .resources import load_stopwords, load_wordlist
 
@@ -262,8 +264,10 @@ def is_english(text: str) -> bool:
     """Heuristic language check: no Japanese script, and at least
     ``_ENGLISH_SHARE`` of the alphabetic tokens appear in the bundled
     word list."""
-    if contains_japanese(text):
-        return False
+    return not contains_japanese(text) and _mostly_listed(text)
+
+
+def _mostly_listed(text: str) -> bool:
     alphabetic = [t for t in tokenize(text) if t.isalpha()]
     if not alphabetic:
         return False
@@ -277,7 +281,7 @@ class _FilterConfig(NamedTuple):
     stopwords: frozenset[str]
 
 
-class FilterConfig(_FilterConfig):
+class FilterConfig(_Checked, _FilterConfig):
     """Knobs for the overlap filter.  ``stopwords`` defaults to the
     bundled list."""
 
@@ -290,9 +294,6 @@ class FilterConfig(_FilterConfig):
         if MASK_TOKEN in stopwords:
             raise ValueError("the mask token cannot also be a stopword")
         return super().__new__(cls, alpha, stopwords)
-
-    # _replace builds its copy through _make: check it too.
-    _make = classmethod(lambda cls, values: cls(*values))
 
 
 def _content_tokens(tokens: Iterable[str], cfg: FilterConfig) -> set[str]:
@@ -354,7 +355,7 @@ class _WorkerSubmission(NamedTuple):
     mt_references: tuple[str, str, str]
 
 
-class WorkerSubmission(_WorkerSubmission):
+class WorkerSubmission(_Checked, _WorkerSubmission):
     """One crowdworker's task: three answers with the machine translations
     that were displayed next to the inputs."""
 
@@ -375,9 +376,6 @@ class WorkerSubmission(_WorkerSubmission):
         if seconds_worked < 0:
             raise ValueError(f"seconds_worked must be nonnegative, got {seconds_worked}")
         return super().__new__(cls, worker_id, answers, seconds_worked, mt_references)
-
-    # _replace builds its copy through _make: check it too.
-    _make = classmethod(lambda cls, values: cls(*values))
 
 
 class WorkerVerdict(NamedTuple):
@@ -445,7 +443,8 @@ def _verdict(sub: WorkerSubmission, distances: Sequence[int]) -> WorkerVerdict:
         triggered.append((CRITERION_TERMINAL, 1.0))
     if any(MASK_TOKEN in answer for answer in sub.answers):
         triggered.append((CRITERION_MASK, 1.0))
-    english = [is_english(answer) for answer in sub.answers]
+    japanese = [contains_japanese(answer) for answer in sub.answers]
+    english = [not j and _mostly_listed(a) for j, a in zip(japanese, sub.answers)]
     if all(english):
         triggered.append((CRITERION_ENGLISH, 1.0))
 
@@ -457,7 +456,7 @@ def _verdict(sub: WorkerSubmission, distances: Sequence[int]) -> WorkerVerdict:
         triggered.append((CRITERION_NO_TERMINAL, REJECT))
     if len({" ".join(w) for w in words}) < len(sub.answers):
         triggered.append((CRITERION_IDENTICAL, REJECT))
-    if any(contains_japanese(answer) for answer in sub.answers):
+    if any(japanese):
         triggered.append((CRITERION_JAPANESE, REJECT))
     if not any(english):
         triggered.append((CRITERION_NOT_ENGLISH, REJECT))

@@ -328,6 +328,33 @@ def read_arpa_reference(
     return order, logp, bows
 
 
+def arpa_text_reference(model) -> str:
+    """ARPA text of a model, one section per order through ``model.ngrams``.
+
+    Every value, backoff weights included, is written as its ``repr``,
+    except that one equal to -99.0 (the ``<s>`` placeholder) is written
+    ``-99``.  A section lists its n-grams in ``ngrams`` order, and an
+    n-gram's backoff weight follows it only when one is stored.
+    """
+
+    def value_text(value: float) -> str:
+        return "-99" if value == -99.0 else repr(value)
+
+    sections = [model.ngrams(n) for n in range(1, model.order + 1)]
+    lines = ["\\data\\"]
+    for n, grams in enumerate(sections, start=1):
+        lines.append(f"ngram {n}={len(grams)}")
+    for n, grams in enumerate(sections, start=1):
+        lines.append("")
+        lines.append(f"\\{n}-grams:")
+        for gram in grams:
+            fields = [value_text(model._logprob[gram]), " ".join(gram)]
+            if gram in model._backoff:
+                fields.append(value_text(model._backoff[gram]))
+            lines.append("\t".join(fields))
+    return "\n".join([*lines, "", "\\end\\", ""])
+
+
 def reference_beam_search(
     scorer: Callable[[H], float],
     expand: Callable[[H], Iterable[H]],

@@ -25,6 +25,7 @@ from draftkit.corpus import (
     iter_checked_lines,
     load_pairs,
     normalize_sentence,
+    pair_line,
     tokenize,
     write_pairs,
 )
@@ -286,6 +287,11 @@ class TestPairIO:
         write_pairs(path, [pair])
         text = path.read_text(encoding="utf-8")
         assert text == "a b\tc d\n"
+
+    def test_pair_line_sanitizes_the_texts_only(self):
+        pair = DraftPair(Sentence.from_text("a\rb"), Sentence.from_text("c\nd"))
+        assert pair_line(pair) == "a b\tc d\n"
+        assert pair_line(pair, "x y", "z") == "a b\tc d\tx y\tz\n"
 
 
 # Byte pieces for the reader test: line ends, a stray CR, multi-byte

@@ -11,7 +11,7 @@ from functools import lru_cache
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from draftkit.corpus import RecordError, Sentence
@@ -22,7 +22,7 @@ from draftkit.lm import (
     save_arpa,
     train,
 )
-from oracles import read_arpa_reference, sentence_logprob_reference
+from oracles import arpa_text_reference, read_arpa_reference, sentence_logprob_reference
 from synth import academic_sentences
 
 
@@ -688,6 +688,29 @@ def _arpa(bigrams: list[str], unigram_bows: dict[str, str]) -> str:
     return "\n".join(lines)
 
 
+# "a" and "<unk>" are each followed by every predicted word, so an order-2
+# add-k model leaves their contexts no mass to back off with.
+_NO_BACKOFF_MASS = [
+    ["a", "a"], ["a", "<unk>"], ["a"], ["<unk>", "a"], ["<unk>", "<unk>"], ["<unk>"]
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    corpus=st.lists(st.lists(st.sampled_from(["a", "b", "c", "<unk>"]), max_size=7),
+                    min_size=1, max_size=8),
+    order=st.integers(1, 4),
+    smoothing=st.sampled_from(["add-k", "interpolated-kneser-ney"]),
+    unk_floor=st.sampled_from([None, 0.3]),
+)
+@example(corpus=_NO_BACKOFF_MASS, order=2, smoothing="add-k", unk_floor=None)
+def test_saved_bytes_match_reference_writer(tmp_path_factory, corpus, order, smoothing, unk_floor):
+    model = train([sent(*tokens) for tokens in corpus], order, smoothing, unk_floor=unk_floor)
+    path = tmp_path_factory.getbasetemp() / "reference-writer.arpa"
+    save_arpa(model, path)
+    assert path.read_bytes() == arpa_text_reference(model).encode("utf-8")
+
+
 class TestBackoffMemo:
     """``load_arpa`` parses each distinct backoff string once per load."""
 
@@ -711,10 +734,7 @@ class TestBackoffMemo:
         assert signs == {"<s>": -1.0, "a": 1.0, "b": -1.0, "c": 1.0}
 
     def test_add_k_infinite_backoffs(self, tmp_path):
-        # "a" and "<unk>" are each followed by every predicted word, so
-        # add-k leaves their contexts no mass to back off with.
-        corpus = [sent("a", "a"), sent("a", "<unk>"), sent("a"), sent("<unk>", "a"),
-                  sent("<unk>", "<unk>"), sent("<unk>")]
+        corpus = [sent(*tokens) for tokens in _NO_BACKOFF_MASS]
         path = tmp_path / "addk.arpa"
         save_arpa(train(corpus, order=2, smoothing="add-k"), path)
         assert path.read_text(encoding="utf-8").count("\t-inf\n") == 2

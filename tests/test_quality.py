@@ -41,6 +41,7 @@ from draftkit.quality import (
     load_submissions,
     overlap_coefficient,
     score_worker,
+    score_workers,
     spell_check,
     spell_check_all,
 )
@@ -651,6 +652,17 @@ class TestScoreWorker:
         ids = triggered_ids(verdict)
         assert CRITERION_JAPANESE in ids
         assert CRITERION_NOT_ENGLISH not in ids
+
+    def test_japanese_check_runs_once_per_answer(self, monkeypatch):
+        # The language bonus and the Japanese rejection share one check.
+        calls = []
+        check = quality.contains_japanese
+        monkeypatch.setattr(
+            quality, "contains_japanese", lambda text: calls.append(text) or check(text)
+        )
+        japanese = (ENGLISH_ANSWERS[0], "the cat sat on の mat .", ENGLISH_ANSWERS[2])
+        score_workers([submission(), submission(answers=japanese)])
+        assert calls == [*ENGLISH_ANSWERS, *japanese]
 
     def test_no_english_answer_rejects(self):
         answers = ("xqz vrb plk nnt .", "qqn wrt zzk lpm .", "vvx bbn mmk rrt .")

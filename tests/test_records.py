@@ -103,6 +103,7 @@ def test_record_semantics(cls, kwargs, text, names):
         setattr(record, names[0], kwargs[names[0]])
     assert repr(record) == text
     assert list(record._asdict()) == names
+    assert not hasattr(record, "__dict__")
     for twin in (pickle.loads(pickle.dumps(record)), copy.copy(record), copy.deepcopy(record)):
         assert type(twin) is cls and twin == record
 
@@ -150,5 +151,13 @@ def test_replace_goes_through_the_checks():
     with pytest.raises(ValueError, match="delete_p must lie"):
         NoiseConfig()._replace(delete_p=2.0)
     assert CorpusFilterConfig()._replace(excluded=["A  B"]).excluded == frozenset({"a b"})
+    with pytest.raises(ValueError, match="beam_width must be at least 1"):
+        BeamNoiseConfig()._replace(beam_width=0)
+    with pytest.raises(ValueError, match="bad span range"):
+        EditSpan(0, 1, (), "insertion")._replace(start=2)
+    with pytest.raises(ValueError, match="alpha must be in"):
+        FilterConfig()._replace(alpha=2.0)
+    sub = WorkerSubmission("w", ["a", "b", "c"], 3, ["d", "e", "f"])
+    assert sub._replace(answers=["x", "y", "z"]).answers == ("x", "y", "z")
     pair = DraftPair(MASKED, CLEAN)._replace(draft=CLEAN)
     assert pair == DraftPair(CLEAN, CLEAN) and not pair.has_mask
