@@ -1,13 +1,14 @@
 """Sentence- and corpus-level measures for judging revised drafts.
 
 Surface metrics (character edit distance, BLEU, ROUGE-L) sit next to
-typed edit extraction, a rule-based grammaticality score, Flesch
-reading ease, and boolean style flags for passive voice and close word
+token edit runs, a rule-based grammaticality score, Flesch reading
+ease, and boolean style flags for passive voice and close word
 repetition.  ``evaluate`` runs everything over aligned sentence lists
 and returns one report with per-pair records plus corpus aggregates,
-edit precision/recall/F0.5 among them.  It scores each pair once, the
-corpus BLEU from the sums of the pairs' n-gram statistics; it matches
-untyped edit runs and takes no dictionary.
+edit precision/recall/F0.5 among them: an edit is a maximal run of
+unmatched ops in a token alignment with the source, and a hypothesis
+edit counts when the reference has the same run.  It scores each pair
+once, the corpus BLEU from the sums of the pairs' n-gram statistics.
 
 Every result depends on the arguments alone.  Character edit distance,
 the LCS behind ROUGE-L and token alignment are bit-parallel kernels; the
@@ -24,13 +25,12 @@ from __future__ import annotations
 
 import math
 import re
-import unicodedata
 from collections import Counter
 from itertools import chain, islice, repeat, zip_longest
 from typing import Iterable, NamedTuple, Sequence
 
-from .corpus import Sentence, _Checked
-from .resources import load_participles, load_stopwords, load_wordlist
+from .corpus import Sentence
+from .resources import load_participles, load_stopwords
 
 #: Bound on the transitions kept for one first argument, and so on the
 #: columns they lead to.
@@ -331,31 +331,6 @@ def rouge_l(h: Sentence, r: Sentence) -> float:
     return (1 + _ROUGE_BETA**2) * precision * recall / (recall + _ROUGE_BETA**2 * precision)
 
 
-EDIT_KINDS = frozenset(
-    {"insertion", "deletion", "substitution", "orthography", "spelling", "punctuation", "other"}
-)
-
-
-class _EditSpan(NamedTuple):
-    start: int
-    end: int
-    replacement: tuple[str, ...]
-    kind: str
-
-
-class EditSpan(_Checked, _EditSpan):
-    """One contiguous rewrite: source tokens [start, end) become `replacement`."""
-
-    __slots__ = ()
-
-    def __new__(cls, start: int, end: int, replacement: tuple[str, ...], kind: str) -> "EditSpan":
-        if start < 0 or start > end:
-            raise ValueError(f"bad span range [{start}, {end})")
-        if kind not in EDIT_KINDS:
-            raise ValueError(f"unknown edit kind {kind!r}")
-        return super().__new__(cls, start, end, replacement, kind)
-
-
 def _align(src: Sequence[str], tgt: Sequence[str]) -> tuple[str, ...]:
     """Unit-cost token alignment; ties prefer substitution, then deletion.
 
@@ -401,40 +376,6 @@ def _align(src: Sequence[str], tgt: Sequence[str]) -> tuple[str, ...]:
     return tuple(ops)
 
 
-def _squash(tokens: Iterable[str]) -> str:
-    return "".join(tokens).replace("-", "").lower()
-
-
-def _is_punct_token(token: str) -> bool:
-    # A letter or digit is never punctuation, and most tokens start with one.
-    return bool(token) and not token[0].isalnum() and all(
-        unicodedata.category(ch).startswith("P") for ch in token
-    )
-
-
-def _classify(src_side: tuple[str, ...], repl: tuple[str, ...], dictionary: dict[str, int]) -> str:
-    if _squash(src_side) == _squash(repl):
-        # Case, hyphenation, or token-boundary difference only.
-        return "orthography"
-    if (
-        len(src_side) == 1
-        and len(repl) == 1
-        and levenshtein_char(src_side[0], repl[0]) <= 2
-        and repl[0].lower() in dictionary
-    ):
-        return "spelling"
-    changed = (*src_side, *repl)
-    if all(_is_punct_token(t) for t in changed):
-        return "punctuation"
-    if not src_side:
-        return "insertion"
-    if not repl:
-        return "deletion"
-    if len(src_side) == 1 and len(repl) == 1:
-        return "substitution"
-    return "other"
-
-
 def _edit_runs(src: Sequence[str], tgt: Sequence[str]) -> list[tuple[int, int, tuple[str, ...]]]:
     """Maximal runs of non-matching alignment ops as (start, end,
     replacement): source tokens [start, end) become ``replacement``."""
@@ -450,36 +391,6 @@ def _edit_runs(src: Sequence[str], tgt: Sequence[str]) -> list[tuple[int, int, t
         i += op != "ins"
         j += op != "del"
     return runs
-
-
-def extract_edits(source: Sentence, target: Sentence) -> list[EditSpan]:
-    """Token-level diff between source and target as typed edit spans.
-
-    Maximal runs of non-matching alignment ops merge into one span, so
-    consecutive spans are always separated by at least one kept token.
-    A one-token change within two character edits is a spelling edit
-    when the bundled frequency list has the replacement.
-    """
-    dictionary = load_wordlist()
-    src = source.tokens
-    return [
-        EditSpan(start, end, repl, _classify(src[start:end], repl, dictionary))
-        for start, end, repl in _edit_runs(src, target.tokens)
-    ]
-
-
-def apply_edits(tokens: Sequence[str], edits: Iterable[EditSpan]) -> list[str]:
-    """Rebuild the edited token list from source tokens and edit spans."""
-    out: list[str] = []
-    cursor = 0
-    for span in sorted(edits, key=lambda sp: (sp.start, sp.end)):
-        if span.start < cursor or span.end > len(tokens):
-            raise ValueError("edit spans overlap or fall outside the token range")
-        out.extend(tokens[cursor : span.start])
-        out.extend(span.replacement)
-        cursor = span.end
-    out.extend(tokens[cursor:])
-    return out
 
 
 def _prf_from_counts(matched: int, proposed: int, gold: int) -> tuple[float, float, float]:
@@ -508,11 +419,16 @@ _TERMINALS = frozenset({".", "!", "?"})
 _VOWELS = frozenset("aeiou")
 
 
+def _is_word(token: str) -> bool:
+    """A word token holds at least one letter."""
+    return token.isalpha() or any(ch.isalpha() for ch in token)
+
+
 def _duplicate_word(tokens: tuple[str, ...]) -> int:
     return sum(
         1
         for prev, cur in zip(tokens, tokens[1:])
-        if prev.lower() == cur.lower() and any(ch.isalpha() for ch in cur)
+        if prev.lower() == cur.lower() and _is_word(cur)
     )
 
 
@@ -586,7 +502,7 @@ def fre(s: Sentence) -> float:
     count fixed at one the formula is
     206.835 - 1.015 * words - 84.6 * (syllables / words).
     """
-    words = [t for t in s.tokens if t.isalpha() or any(ch.isalpha() for ch in t)]
+    words = [t for t in s.tokens if _is_word(t)]
     if not words:
         raise ValueError("no word tokens to score")
     syllables = sum(syllable_count(w) for w in words)
@@ -651,7 +567,7 @@ def word_repetition(s: Sentence) -> bool:
     stopwords = load_stopwords()
     last_seen: dict[str, int] = {}
     for idx, token in enumerate(s.tokens):
-        if not (token.isalpha() or any(ch.isalpha() for ch in token)):
+        if not _is_word(token):
             continue
         lowered = token.lower()
         if lowered in stopwords:

@@ -5,10 +5,6 @@ deletion, replacement with common terms, a bounded local shuffle, and
 span masking.  Every record gets its own RNG stream derived from
 (seed, record index), so output is a pure function of (sentence,
 config, vocabulary) and is independent of scheduling or sharding.
-
-The module also provides a randomized beam search wrapper that adds a
-fresh uniform bonus r * beta to each hypothesis score at selection time
-while ranking the final output by unperturbed scores.
 """
 
 from __future__ import annotations
@@ -16,15 +12,13 @@ from __future__ import annotations
 import bisect
 import hashlib
 import random
-from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from itertools import accumulate
-from typing import NamedTuple, TypeVar
+from typing import NamedTuple
 
 from . import DEFAULT_SEED
 from .corpus import MASK_TOKEN, DraftPair, Sentence, _Checked
 from .resources import load_wordlist
-
-H = TypeVar("H")
 
 
 class _NoiseConfig(NamedTuple):
@@ -58,25 +52,6 @@ class NoiseConfig(_Checked, _NoiseConfig):
         if self.shuffle_k < 0:
             raise ValueError(f"shuffle_k must be non-negative, got {self.shuffle_k}")
         return self
-
-
-class _BeamNoiseConfig(NamedTuple):
-    beam_width: int
-    beta: float
-    seed: int
-
-
-class BeamNoiseConfig(_Checked, _BeamNoiseConfig):
-    __slots__ = ()
-
-    def __new__(
-        cls, beam_width: int = 5, beta: float = 5.0, seed: int = DEFAULT_SEED
-    ) -> "BeamNoiseConfig":
-        if beam_width < 1:
-            raise ValueError(f"beam_width must be at least 1, got {beam_width}")
-        if beta < 0:
-            raise ValueError(f"beta must be non-negative, got {beta}")
-        return super().__new__(cls, beam_width, beta, seed)
 
 
 class ReplacementVocab:
@@ -255,57 +230,3 @@ def noise_corpus(
     ``index=i``; safe for huge corpora."""
     for index, s in enumerate(sentences):
         yield noise_sentence(s, cfg, vocab, index=index)
-
-
-class BeamSearchError(RuntimeError):
-    """Search ended without a single finished hypothesis."""
-
-
-def noisy_beam_search(
-    scorer: Callable[[H], float],
-    expand: Callable[[H], Iterable[H]],
-    cfg: BeamNoiseConfig,
-    *,
-    initial: Iterable[H],
-    is_final: Callable[[H], bool],
-    max_steps: int | None = None,
-) -> list[H]:
-    """Beam search with per-hypothesis random score bonuses.
-
-    At every selection step each candidate's score is bumped by a fresh
-    r * beta, r ~ Uniform[0, 1]; selection ties fall back to enumeration
-    order.  Finished hypotheses retire out of the beam, and the search
-    stops once beam_width of them exist (or after max_steps expansion
-    rounds).  The returned list is ordered by unperturbed score, ties
-    broken by retirement order.  With beta = 0 the behaviour is exactly
-    standard beam search.
-    """
-    rng = random.Random(cfg.seed)
-    candidates = list(initial)
-    finished: list[tuple[float, int, H]] = []
-    retired = 0
-    steps = 0
-    while candidates:
-        entries = []
-        for i, hyp in enumerate(candidates):
-            base = scorer(hyp)
-            bonus = rng.random() * cfg.beta if cfg.beta > 0 else 0.0
-            entries.append((base + bonus, -i, hyp, base))
-        entries.sort(key=lambda e: (e[0], e[1]), reverse=True)
-        beam = []
-        for _, _, hyp, base in entries[: cfg.beam_width]:
-            if is_final(hyp):
-                finished.append((base, retired, hyp))
-                retired += 1
-            else:
-                beam.append(hyp)
-        if len(finished) >= cfg.beam_width:
-            break
-        if max_steps is not None and steps >= max_steps:
-            break
-        candidates = [succ for hyp in beam for succ in expand(hyp)]
-        steps += 1
-    if not finished:
-        raise BeamSearchError("beam search produced no finished hypothesis")
-    finished.sort(key=lambda t: (-t[0], t[1]))
-    return [hyp for _, _, hyp in finished]

@@ -77,8 +77,8 @@ def load_stopwords() -> frozenset[str]:
 @lru_cache(maxsize=None)
 def load_wordlist() -> dict[str, int]:
     """Frequency dictionary mapping lowercase token to count: the word
-    list of spell check, edit typing and the English check, and the
-    default of ``--vocab-counts``."""
+    list of spell check and the English check, and the default of
+    ``--vocab-counts``."""
     return read_counts(_DATA / "wordlist.tsv")
 
 

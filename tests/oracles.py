@@ -11,9 +11,7 @@ import re
 import unicodedata
 from collections import Counter
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence, TypeVar
-
-H = TypeVar("H")
+from typing import Mapping, Sequence
 
 
 def levenshtein_recursive(a: str, b: str) -> int:
@@ -130,6 +128,28 @@ def align_reference(src: Sequence[str], tgt: Sequence[str]) -> tuple[str, ...]:
             j -= 1
     ops.reverse()
     return tuple(ops)
+
+
+def edit_runs_reference(
+    src: Sequence[str], tgt: Sequence[str]
+) -> list[tuple[int, int, tuple[str, ...]]]:
+    """The maximal runs of non-matching ``align_reference`` ops, each as
+    (start, end, replacement): source tokens [start, end) become the
+    target tokens ``replacement``."""
+    ops = align_reference(src, tgt)
+    runs = []
+    i = j = k = 0
+    while k < len(ops):
+        if ops[k] == "match":
+            i, j, k = i + 1, j + 1, k + 1
+            continue
+        first_i, first_j = i, j
+        while k < len(ops) and ops[k] != "match":
+            i += ops[k] in ("sub", "del")
+            j += ops[k] in ("sub", "ins")
+            k += 1
+        runs.append((first_i, i, tuple(tgt[first_j:j])))
+    return runs
 
 
 def bleu_stats_reference(hyp: Sequence[str], ref: Sequence[str]) -> list[int]:
@@ -353,49 +373,3 @@ def arpa_text_reference(model) -> str:
                 fields.append(value_text(model._backoff[gram]))
             lines.append("\t".join(fields))
     return "\n".join([*lines, "", "\\end\\", ""])
-
-
-def reference_beam_search(
-    scorer: Callable[[H], float],
-    expand: Callable[[H], Iterable[H]],
-    *,
-    initial: Iterable[H],
-    is_final: Callable[[H], bool],
-    beam_width: int,
-    max_steps: int | None = None,
-) -> list[H]:
-    """Plain deterministic beam search, ties broken by enumeration order.
-
-    Keeps the top beam_width candidates per step, retires final
-    hypotheses, and stops once the finished set reaches beam_width.
-    Raises ValueError when the search dies without any finished
-    hypothesis.  Written with explicit sequence numbers instead of
-    stable sorts so it shares no code shape with the package version.
-    """
-    candidates: list[H] = list(initial)
-    finished: list[tuple[float, int, H]] = []
-    retired = 0
-    steps = 0
-    while candidates:
-        ranked = sorted(
-            ((scorer(c), -i, c) for i, c in enumerate(candidates)),
-            key=lambda t: (t[0], t[1]),
-            reverse=True,
-        )
-        beam: list[H] = []
-        for score, _, cand in ranked[:beam_width]:
-            if is_final(cand):
-                finished.append((score, retired, cand))
-                retired += 1
-            else:
-                beam.append(cand)
-        if len(finished) >= beam_width:
-            break
-        if max_steps is not None and steps >= max_steps:
-            break
-        candidates = [succ for hyp in beam for succ in expand(hyp)]
-        steps += 1
-    if not finished:
-        raise ValueError("beam search finished no hypothesis")
-    finished.sort(key=lambda t: (-t[0], t[1]))
-    return [hyp for _, _, hyp in finished]

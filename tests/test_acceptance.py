@@ -28,22 +28,18 @@ from draftkit.corpus import (
 )
 from draftkit.lm import ADD_K, load_arpa, save_arpa, train
 from draftkit.metrics import (
-    apply_edits,
+    _edit_runs,
     bleu,
-    extract_edits,
     grammaticality,
     levenshtein_char,
     rouge_l,
 )
 from draftkit.analysis import linguistic_profile
 from draftkit.noising import (
-    BeamNoiseConfig,
-    BeamSearchError,
     NoiseConfig,
     ReplacementVocab,
     delete_tokens,
     mask_spans,
-    noisy_beam_search,
     permute_tokens,
     record_rng,
     replace_tokens,
@@ -70,9 +66,8 @@ from draftkit.quality import (
     overlap_coefficient,
     score_worker,
 )
-from oracles import all_strings, levenshtein_table, reference_beam_search
+from oracles import all_strings, levenshtein_table
 from synth import academic_sentences
-from test_beam import build_lattice
 
 RELEASED_PAIRS_VAR = "DRAFTKIT_RELEASED_PAIRS"
 ACADEMIC_LM_VAR = "DRAFTKIT_ACADEMIC_LM"
@@ -205,50 +200,6 @@ def test_05_shuffle_displacement_and_motion():
             eligible += 1
             moved += any_moved
     assert moved / eligible >= 0.99
-
-
-def test_06_noisy_beam_zero_equivalence_and_margin_upsets():
-    mismatches = 0
-    for case in range(5_000, 6_000):
-        rng = random.Random(case)
-        roots, scorer, expand, is_final = build_lattice(rng)
-        beam_width = rng.randint(1, 4)
-        max_steps = rng.choice([None, None, None, 0, 1, 2, 5])
-        try:
-            expected = reference_beam_search(
-                scorer,
-                expand,
-                initial=roots,
-                is_final=is_final,
-                beam_width=beam_width,
-                max_steps=max_steps,
-            )
-        except ValueError:
-            expected = "died"
-        cfg = BeamNoiseConfig(beam_width=beam_width, beta=0.0, seed=case)
-        try:
-            got = noisy_beam_search(
-                scorer, expand, cfg, initial=roots, is_final=is_final, max_steps=max_steps
-            )
-        except BeamSearchError:
-            got = "died"
-        mismatches += got != expected
-    assert mismatches == 0
-
-    # Width-1 margin-1 race; the uniform bonus flips it w.p. ~0.32 per seed.
-    scores = {"A": 1.0, "B": 0.0}
-    upsets = 0
-    for seed in range(200):
-        cfg = BeamNoiseConfig(beam_width=1, beta=5.0, seed=seed)
-        got = noisy_beam_search(
-            scores.__getitem__,
-            lambda h: [],
-            cfg,
-            initial=["A", "B"],
-            is_final=lambda h: True,
-        )
-        upsets += got == ["B"]
-    assert upsets >= 10
 
 
 GOOD_ANSWERS = (
@@ -434,8 +385,12 @@ def test_08_metric_sanity():
                     target.insert(rng.randrange(len(target) + 1), rng.choice(words))
                 else:
                     target[rng.randrange(len(target))] = rng.choice(words)
-        edits = extract_edits(Sentence.from_tokens(source), Sentence.from_tokens(target))
-        assert apply_edits(source, edits) == target
+        rebuilt, cursor = [], 0
+        for start, end, replacement in _edit_runs(source, target):
+            assert cursor <= start <= end <= len(source)
+            rebuilt += source[cursor:start] + list(replacement)
+            cursor = end
+        assert rebuilt + source[cursor:] == target
 
 
 def test_09_lm_closed_form_roundtrip_and_held_in(tmp_path):

@@ -14,7 +14,7 @@ from draftkit.analysis import (
     dataset_stats,
     linguistic_profile,
 )
-from draftkit.corpus import DraftPair, Sentence
+from draftkit.corpus import DraftPair
 from oracles import left_fold_mean
 from synth import academic_sentences
 

@@ -95,8 +95,8 @@ class TestTokenize:
 
 def test_no_code_point_is_both_alphanumeric_and_punctuation_or_space():
     # tokenize keeps a chunk whole when both its ends are alphanumeric,
-    # metrics._is_punct_token rejects a token that starts with one, and
-    # quality.filter_pairs does not tokenize an alphanumeric replacement.
+    # and quality.filter_pairs does not tokenize an alphanumeric
+    # replacement.
     clashes = [
         hex(i) for i in range(sys.maxunicode + 1)
         if chr(i).isalnum()

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from oracles import (
     align_reference,
     bleu_stats_reference,
+    edit_runs_reference,
     lcs_length_recursive,
     left_fold_mean,
     levenshtein_recursive,
@@ -25,12 +26,9 @@ from oracles import (
 from draftkit import metrics
 from draftkit.corpus import Sentence
 from draftkit.metrics import (
-    EDIT_KINDS,
-    EditSpan,
-    apply_edits,
+    _edit_runs,
     bleu,
     evaluate,
-    extract_edits,
     fre,
     grammaticality,
     levenshtein_char,
@@ -331,94 +329,57 @@ class TestRougeL:
         assert metrics._lcs_len(a, b) == lcs_length_recursive(a, b)
 
 
-class TestExtractEdits:
+class TestEditRuns:
     def test_identical_sentences(self):
-        s = sent("the", "cat", "sat")
-        assert extract_edits(s, s) == []
+        s = ("the", "cat", "sat")
+        assert _edit_runs(s, s) == []
 
     def test_single_substitution(self):
-        spans = extract_edits(sent("a", "b", "c"), sent("a", "X", "c"))
-        assert spans == [EditSpan(1, 2, ("X",), "substitution")]
-
-    def test_spelling(self):
-        spans = extract_edits(sent("the", "modle"), sent("the", "model"))
-        assert spans == [EditSpan(1, 2, ("model",), "spelling")]
-
-    def test_spelling_with_default_dictionary(self):
-        # The replacement must be in the bundled frequency list: "model"
-        # is, "modell" is not.
-        spans = extract_edits(sent("the", "model"), sent("the", "modell"))
-        assert spans == [EditSpan(1, 2, ("modell",), "substitution")]
-
-    def test_spelling_beyond_distance_two_is_not_spelling(self):
-        # "ml" needs three insertions to reach "model", past the cutoff.
-        spans = extract_edits(sent("the", "ml"), sent("the", "model"))
-        assert [s.kind for s in spans] == ["substitution"]
-
-    def test_orthography_case(self):
-        spans = extract_edits(sent("machine", "learning"), sent("Machine", "learning"))
-        assert spans == [EditSpan(0, 1, ("Machine",), "orthography")]
-
-    def test_orthography_precedes_spelling(self):
-        # "The" is one character edit from "the" and in the dictionary
-        # after lowercasing, but a pure case change is orthography.
-        spans = extract_edits(sent("the", "cat"), sent("The", "cat"))
-        assert [s.kind for s in spans] == ["orthography"]
-
-    def test_orthography_hyphen_merge(self):
-        spans = extract_edits(
-            sent("a", "long", "term", "plan"), sent("a", "long-term", "plan")
-        )
-        assert spans == [EditSpan(1, 3, ("long-term",), "orthography")]
-
-    def test_punctuation(self):
-        spans = extract_edits(sent("fine", ","), sent("fine", "."))
-        assert spans == [EditSpan(1, 2, (".",), "punctuation")]
-
-    def test_punctuation_insertion(self):
-        spans = extract_edits(sent("fine"), sent("fine", "."))
-        assert spans == [EditSpan(1, 1, (".",), "punctuation")]
+        assert _edit_runs(("a", "b", "c"), ("a", "X", "c")) == [(1, 2, ("X",))]
 
     def test_insertion_between_tokens(self):
-        spans = extract_edits(sent("a", "c"), sent("a", "b", "c"))
-        assert spans == [EditSpan(1, 1, ("b",), "insertion")]
+        assert _edit_runs(("a", "c"), ("a", "b", "c")) == [(1, 1, ("b",))]
 
     def test_deletion(self):
-        spans = extract_edits(sent("a", "b", "c"), sent("a", "c"))
-        assert spans == [EditSpan(1, 2, (), "deletion")]
+        assert _edit_runs(("a", "b", "c"), ("a", "c")) == [(1, 2, ())]
 
-    def test_token_split_is_orthography(self):
-        spans = extract_edits(sent("a", "nexttime"), sent("a", "next", "time"))
-        assert spans == [EditSpan(1, 2, ("next", "time"), "orthography")]
-
-    def test_one_to_two_with_new_content_is_other(self):
-        spans = extract_edits(sent("a", "ab", "d"), sent("a", "x", "y", "d"))
-        assert len(spans) == 1
-        assert spans[0].kind == "other"
+    @pytest.mark.parametrize(
+        "src, tgt, run",
+        [
+            (("a", "long", "term", "plan"), ("a", "long-term", "plan"), (1, 3, ("long-term",))),
+            (("a", "nexttime"), ("a", "next", "time"), (1, 2, ("next", "time"))),
+            (("a", "ab", "d"), ("a", "x", "y", "d"), (1, 2, ("x", "y"))),
+        ],
+        ids=["two_to_one", "one_to_two", "one_to_two_new"],
+    )
+    def test_unequal_sides_form_one_run(self, src, tgt, run):
+        assert _edit_runs(src, tgt) == [run]
 
     def test_tie_break_prefers_substitution(self):
         # [a b] -> [b a] admits del+match+ins at the same cost; the
-        # backtrace prefers the diagonal, giving one merged span.
-        spans = extract_edits(sent("a", "b"), sent("b", "a"))
-        assert spans == [EditSpan(0, 2, ("b", "a"), "other")]
+        # backtrace prefers the diagonal, giving one merged run.
+        assert _edit_runs(("a", "b"), ("b", "a")) == [(0, 2, ("b", "a"))]
 
     @given(token_list, token_list)
     @settings(max_examples=100)
     def test_round_trip_and_span_discipline(self, src, tgt):
-        source, target = Sentence.from_tokens(src), Sentence.from_tokens(tgt)
-        spans = extract_edits(source, target)
-        assert apply_edits(src, spans) == list(tgt)
-        prev_end = 0
-        for span in spans:
-            assert span.kind in EDIT_KINDS
-            assert prev_end <= span.start <= span.end <= len(src)
-            assert span.start < span.end or span.replacement
-            prev_end = span.end
+        src, tgt = tuple(src), tuple(tgt)
+        runs = _edit_runs(src, tgt)
+        assert runs == edit_runs_reference(src, tgt)
+        rebuilt = list(src)
+        for start, end, replacement in reversed(runs):
+            rebuilt[start:end] = replacement
+        assert rebuilt == list(tgt)
+        prev_end = -1
+        for start, end, replacement in runs:
+            # Consecutive runs are separated by at least one kept token.
+            assert prev_end < start <= end <= len(src)
+            assert start < end or replacement
+            prev_end = end
 
     @given(token_list)
     def test_self_extraction_is_empty(self, toks):
-        s = Sentence.from_tokens(toks)
-        assert extract_edits(s, s) == []
+        assert _edit_runs(toks, toks) == []
 
 
 class TestAlign:
@@ -462,27 +423,6 @@ class TestAlign:
             assert metrics._align(src, tgt) == align_reference(src, tgt)
 
 
-class TestApplyEdits:
-    def test_manual_splice(self):
-        spans = [EditSpan(0, 1, (), "deletion"), EditSpan(2, 2, ("new",), "insertion")]
-        assert apply_edits(["a", "b", "c"], spans) == ["b", "new", "c"]
-
-    def test_overlapping_spans_rejected(self):
-        spans = [EditSpan(0, 2, ("x",), "other"), EditSpan(1, 3, ("y",), "other")]
-        with pytest.raises(ValueError):
-            apply_edits(["a", "b", "c"], spans)
-
-
-class TestEditSpan:
-    def test_inverted_range_rejected(self):
-        with pytest.raises(ValueError):
-            EditSpan(3, 2, (), "deletion")
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            EditSpan(0, 1, ("x",), "typo")
-
-
 class TestEvaluateEditPrf:
     """Edit precision, recall and F0.5 of a one-pair evaluation."""
 
@@ -520,7 +460,7 @@ class TestEvaluateEditPrf:
         r = Sentence.from_tokens(ref)
         p, rec, f = self.prf(s, h, r)
         assert 0.0 <= p <= 1.0 and 0.0 <= rec <= 1.0 and 0.0 <= f <= 1.0
-        same_edits = extract_edits(s, h) == extract_edits(s, r)
+        same_edits = _edit_runs(src, hyp) == _edit_runs(src, ref)
         assert (f == 1.0) == same_edits
 
 
@@ -725,10 +665,7 @@ class TestEvaluate:
         assert report.corpus_bleu == bleu(hyps, refs)
         for src, hyp, ref, pair in zip(sources, hyps, refs, report.per_pair):
             assert pair.bleu == bleu([hyp], [ref])
-            proposed, gold = (
-                {(sp.start, sp.end, sp.replacement) for sp in extract_edits(src, t)}
-                for t in (hyp, ref)
-            )
+            proposed, gold = (set(edit_runs_reference(src.tokens, t.tokens)) for t in (hyp, ref))
             counts = (len(proposed & gold), len(proposed), len(gold))
             assert (pair.edit_matches, pair.edit_proposed, pair.edit_gold) == counts
 

@@ -13,8 +13,8 @@ import pytest
 
 from draftkit.analysis import DatasetStats, LinguisticProfile, SideProfile, TermContrast
 from draftkit.corpus import CorpusFilterConfig, DraftPair, Sentence
-from draftkit.metrics import EditSpan, EvalReport, PairEval
-from draftkit.noising import BeamNoiseConfig, NoiseConfig
+from draftkit.metrics import EvalReport, PairEval
+from draftkit.noising import NoiseConfig
 from draftkit.quality import FilterConfig, SpellCheckResult, WorkerSubmission, WorkerVerdict
 
 MASKED = Sentence.from_text("a <*> b")
@@ -43,9 +43,6 @@ RECORDS = [
      "CorpusFilterConfig(min_chars=70, max_chars=120, min_tokens=5, max_tokens=35, "
      "min_alpha_ratio=0.5, excluded=frozenset({'a b'}))",
      ["min_chars", "max_chars", "min_tokens", "max_tokens", "min_alpha_ratio", "excluded"]),
-    (EditSpan, dict(start=0, end=1, replacement=("x",), kind="insertion"),
-     "EditSpan(start=0, end=1, replacement=('x',), kind='insertion')",
-     ["start", "end", "replacement", "kind"]),
     (PairEval, PAIR_EVAL, PAIR_EVAL_REPR, list(PAIR_EVAL)),
     (EvalReport, dict(per_pair=(PairEval(**PAIR_EVAL),), corpus_bleu=0.1, mean_rouge_l=0.2,
                       edit_precision=0.3, edit_recall=0.4, edit_f05=0.5,
@@ -88,8 +85,6 @@ RECORDS = [
      "mask_fraction_max=0.5, seed=1729)",
      ["delete_p", "replace_p", "replace_vocab_min_count", "shuffle_k", "mask_fraction_max",
       "seed"]),
-    (BeamNoiseConfig, dict(beam_width=5, beta=5.0, seed=1729),
-     "BeamNoiseConfig(beam_width=5, beta=5.0, seed=1729)", ["beam_width", "beta", "seed"]),
 ]
 
 
@@ -111,15 +106,11 @@ def test_record_semantics(cls, kwargs, text, names):
 def test_defaults_match_the_dataclass_defaults():
     assert CorpusFilterConfig() == CorpusFilterConfig(70, 120, 5, 35, 0.5, frozenset())
     assert NoiseConfig() == NoiseConfig(0.1, 0.1, 10_000, 3, 0.5, 1729)
-    assert BeamNoiseConfig() == BeamNoiseConfig(5, 5.0, 1729)
     assert FilterConfig().alpha == 0.4 and "the" in FilterConfig().stopwords
 
 
 # Each message is the one the dataclass's __post_init__ raised.
 INVALID = [
-    (lambda: EditSpan(2, 1, (), "insertion"), "bad span range [2, 1)"),
-    (lambda: EditSpan(-1, 1, (), "insertion"), "bad span range [-1, 1)"),
-    (lambda: EditSpan(0, 1, (), "typo"), "unknown edit kind 'typo'"),
     (lambda: DraftPair(CLEAN, MASKED), "reference sentence contains the mask token"),
     (lambda: CorpusFilterConfig(min_chars=10, max_chars=5), "need 0 < min_chars <= max_chars, got 10..5"),
     (lambda: CorpusFilterConfig(min_tokens=0), "need 0 < min_tokens <= max_tokens, got 0..35"),
@@ -128,8 +119,6 @@ INVALID = [
     (lambda: NoiseConfig(replace_p=2), "replace_p must lie in [0, 1], got 2"),
     (lambda: NoiseConfig(mask_fraction_max=1.5), "mask_fraction_max must lie in [0, 1], got 1.5"),
     (lambda: NoiseConfig(shuffle_k=-1), "shuffle_k must be non-negative, got -1"),
-    (lambda: BeamNoiseConfig(beam_width=0), "beam_width must be at least 1, got 0"),
-    (lambda: BeamNoiseConfig(beta=-1.0), "beta must be non-negative, got -1.0"),
     (lambda: FilterConfig(alpha=1.5), "alpha must be in [0, 1], got 1.5"),
     (lambda: FilterConfig(stopwords={"<*>"}), "the mask token cannot also be a stopword"),
     (lambda: WorkerSubmission("w", ["a", "b"], 3, ["d", "e", "f"]), "expected 3 answers, got 2"),
@@ -151,10 +140,6 @@ def test_replace_goes_through_the_checks():
     with pytest.raises(ValueError, match="delete_p must lie"):
         NoiseConfig()._replace(delete_p=2.0)
     assert CorpusFilterConfig()._replace(excluded=["A  B"]).excluded == frozenset({"a b"})
-    with pytest.raises(ValueError, match="beam_width must be at least 1"):
-        BeamNoiseConfig()._replace(beam_width=0)
-    with pytest.raises(ValueError, match="bad span range"):
-        EditSpan(0, 1, (), "insertion")._replace(start=2)
     with pytest.raises(ValueError, match="alpha must be in"):
         FilterConfig()._replace(alpha=2.0)
     sub = WorkerSubmission("w", ["a", "b", "c"], 3, ["d", "e", "f"])
