@@ -52,6 +52,18 @@ class TestDispatchBasics:
         assert dispatch(["--help"]) == 0
         assert "draftkit" in capsys.readouterr().out
 
+    def test_argv_defaults_to_the_command_line(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", ["draftkit", "--help"])
+        assert dispatch() == 0
+        assert "draftkit" in capsys.readouterr().out
+
+    def test_main_exits_with_the_dispatch_code(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", ["draftkit", "nope"])
+        with pytest.raises(SystemExit) as exc:
+            cli.main()
+        assert exc.value.code == 1
+        assert "usage" in capsys.readouterr().err
+
     def test_bad_jobs_rejected(self, tmp_path, sentences_file, capsys):
         code = dispatch(
             ["noise", "run", "--input", str(sentences_file),
@@ -425,6 +437,36 @@ class TestConfigPrecedence:
         )
         assert code == 0
         assert json.loads(capsys.readouterr().out)["weighted_vocab"] is True
+
+    def test_config_switch_spellings(self, tmp_path, sentences_file, capsys):
+        call = ["noise", "run", "--input", str(sentences_file), "--out", str(tmp_path / "o.tsv"),
+                "--dump-config"]
+        for text, value in [("true", True), ("1", True), ("Yes", True), ("ON", True),
+                            ("false", False), ("0", False), ("no", False), ("Off", False)]:
+            cfg = write_lines(tmp_path / "run.cfg", [f"weighted_vocab = {text}"])
+            assert dispatch([*call, "--config", str(cfg)]) == 0
+            assert json.loads(capsys.readouterr().out)["weighted_vocab"] is value
+
+    def test_config_switch_that_is_no_boolean_is_data_error(
+        self, tmp_path, sentences_file, capsys
+    ):
+        cfg = write_lines(tmp_path / "run.cfg", ["weighted_vocab = maybe"])
+        out = tmp_path / "o.tsv"
+        code = dispatch(["noise", "run", "--input", str(sentences_file), "--out", str(out),
+                         "--config", str(cfg)])
+        assert code == 2
+        reason = "bad value for weighted_vocab: expected a boolean, got 'maybe'"
+        assert capsys.readouterr().err == f"error: {cfg}:1: {reason}\n"
+        assert not out.exists()
+
+    def test_config_line_without_equals_is_data_error(self, tmp_path, sentences_file, capsys):
+        cfg = write_lines(tmp_path / "run.cfg", ["# settings", "delete_p 0.5"])
+        out = tmp_path / "o.tsv"
+        code = dispatch(["noise", "run", "--input", str(sentences_file), "--out", str(out),
+                         "--config", str(cfg)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {cfg}:2: expected key = value\n"
+        assert not out.exists()
 
     def test_dump_config_writes_nothing(self, tmp_path, sentences_file, capsys):
         out = tmp_path / "o.tsv"

@@ -379,6 +379,24 @@ class TestTrainErrors:
             train([sent("a")], order=1, unk_floor=1.5)
 
 
+class TestModelArguments:
+    TABLE = {("a",): -0.5, ("</s>",): -0.5, ("a", "</s>"): -0.1}
+
+    def test_order_below_one_rejected(self):
+        with pytest.raises(ValueError, match="order must be at least 1"):
+            NGramModel(0, {}, {})
+
+    def test_repr_names_order_and_size(self):
+        assert repr(NGramModel(2, dict(self.TABLE), {})) == "NGramModel(order=2, ngrams=3)"
+
+    @pytest.mark.parametrize("order", [0, 3])
+    def test_ngrams_of_an_order_outside_the_model_rejected(self, order):
+        model = NGramModel(2, dict(self.TABLE), {})
+        assert model.ngrams(2) == [("a", "</s>")]
+        with pytest.raises(ValueError, match=r"order must lie in \[1, 2\]"):
+            model.ngrams(order)
+
+
 class TestArpaFixtures:
     def test_hand_unigram_model(self, tmp_path):
         # P(a)=0.5, P(b)=0.25, P(</s>)=0.25: scoring "a b" multiplies all

@@ -134,6 +134,13 @@ class TestLevenshteinChar:
                 assert len(state.columns) <= state.moves + 1
                 assert len(state.masks) <= len(state.text)
 
+    def test_empty_pool_builds_and_keeps_a_pattern(self, monkeypatch):
+        # A call that finds no kept automaton (another thread holds it)
+        # builds one for its first argument and keeps it.
+        monkeypatch.setattr(metrics, "_kept_patterns", [])
+        assert levenshtein_char("kitten", "sitting") == 3
+        assert [pat.text for pat in metrics._kept_patterns] == ["kitten"]
+
 
 # Letters, a non-BMP letter, a combining accent and its precomposed form.
 lane_text = st.text(alphabet="ab\U0001d49c\u0301\u00e9", max_size=12)
@@ -360,6 +367,38 @@ class TestEditRuns:
         # backtrace prefers the diagonal, giving one merged run.
         assert _edit_runs(("a", "b"), ("b", "a")) == [(0, 2, ("b", "a"))]
 
+    @pytest.mark.parametrize(
+        "src, tgt, run",
+        [
+            (("the", "modle"), ("the", "model"), (1, 2, ("model",))),
+            (("the", "model"), ("the", "modell"), (1, 2, ("modell",))),
+            (("the", "ml"), ("the", "model"), (1, 2, ("model",))),
+            (("machine", "learning"), ("Machine", "learning"), (0, 1, ("Machine",))),
+            (("the", "cat"), ("The", "cat"), (0, 1, ("The",))),
+            (("fine", ","), ("fine", "."), (1, 2, (".",))),
+            (("fine",), ("fine", "."), (1, 1, (".",))),
+        ],
+        ids=["spelling", "unlisted_word", "far_spelling", "case", "case_of_listed_word",
+             "punctuation", "punctuation_insertion"],
+    )
+    def test_runs_are_untyped(self, src, tgt, run):
+        # Edit P/R/F0.5 matches runs, not kinds: a spelling, case or
+        # punctuation fix is one plain run, matched like any other.
+        assert _edit_runs(src, tgt) == [run]
+        s, t = Sentence.from_tokens(src), Sentence.from_tokens(tgt)
+        assert metrics._edit_counts(s, t, t) == (1, 1, 1)
+
+    def test_runs_splice_back_from_the_last(self):
+        # A deletion in front and an insertion at the end: splicing the
+        # later run first keeps the earlier run's indices valid.
+        src, tgt = ("a", "b", "c"), ("b", "c", "new")
+        runs = _edit_runs(src, tgt)
+        assert runs == [(0, 1, ()), (3, 3, ("new",))]
+        rebuilt = list(src)
+        for start, end, replacement in reversed(runs):
+            rebuilt[start:end] = replacement
+        assert rebuilt == list(tgt)
+
     @given(token_list, token_list)
     @settings(max_examples=100)
     def test_round_trip_and_span_discipline(self, src, tgt):
@@ -462,6 +501,24 @@ class TestEvaluateEditPrf:
         assert 0.0 <= p <= 1.0 and 0.0 <= rec <= 1.0 and 0.0 <= f <= 1.0
         same_edits = _edit_runs(src, hyp) == _edit_runs(src, ref)
         assert (f == 1.0) == same_edits
+
+    @pytest.mark.parametrize(
+        "counts, prf",
+        [
+            ((0, 0, 0), (1.0, 1.0, 1.0)),
+            ((0, 0, 2), (0.0, 0.0, 0.0)),
+            ((0, 2, 0), (0.0, 1.0, 0.0)),
+            ((0, 2, 2), (0.0, 0.0, 0.0)),
+            ((1, 2, 4), (0.5, 0.25, 1.25 * 0.125 / (0.125 + 0.25))),
+            ((2, 2, 2), (1.0, 1.0, 1.0)),
+        ],
+        ids=["nothing_to_do", "nothing_proposed", "nothing_required", "no_match", "partial",
+             "all_match"],
+    )
+    def test_conventions_of_the_counts(self, counts, prf):
+        # (matched, proposed, gold): proposing nothing is precise only when
+        # nothing was required, and an empty gold set is fully recalled.
+        assert metrics._prf_from_counts(*counts) == pytest.approx(prf, abs=1e-15)
 
 
 class TestRuleErrorDetector:
@@ -576,6 +633,31 @@ class TestSyllables:
     )
     def test_frozen_counts(self, word_, count):
         assert syllable_count(word_) == count
+
+
+class TestIsWord:
+    @pytest.mark.parametrize(
+        "token, is_word",
+        [("model", True), ("3rd", True), ("naïve", True), ("42", False), (".", False),
+         ("--", False), ("", False)],
+        ids=["letters", "digit_and_letters", "non_ascii", "digits", "period", "dashes", "empty"],
+    )
+    def test_a_word_holds_a_letter(self, token, is_word):
+        assert metrics._is_word(token) is is_word
+
+    @given(st.text(max_size=6))
+    def test_matches_any_letter(self, token):
+        assert metrics._is_word(token) == any(ch.isalpha() for ch in token)
+
+    def test_one_rule_for_fre_repetition_and_duplicates(self, monkeypatch):
+        s = sent("Model", "model", "sat", ".")
+        # Three words of 2, 2 and 1 syllables; the period is no word.
+        assert fre(s) == pytest.approx(206.835 - 1.015 * 3 - 84.6 * 5 / 3)
+        assert word_repetition(s) and metrics._duplicate_word(s.tokens) == 1
+        monkeypatch.setattr(metrics, "_is_word", lambda token: False)
+        with pytest.raises(ValueError, match="no word tokens"):
+            fre(s)
+        assert not word_repetition(s) and metrics._duplicate_word(s.tokens) == 0
 
 
 class TestFre:
@@ -772,6 +854,10 @@ class TestEvaluate:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             evaluate([sent("a")], [sent("a")], [sent("a"), sent("b")])
+
+    def test_empty_input_rejected(self):
+        with pytest.raises(ValueError, match="nothing to evaluate"):
+            evaluate([], [], [])
 
     def test_json_dict_round_trips_aggregates(self):
         _, _, _, report = self.build()

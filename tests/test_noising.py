@@ -143,6 +143,12 @@ class TestReplaceTokens:
         with pytest.raises(ValueError):
             replace_tokens(("a",), 0.5, None, random.Random(0))
 
+    @pytest.mark.parametrize("p", [-0.1, 1.5])
+    def test_invalid_probability(self, p):
+        vocab = ReplacementVocab({"the": 11}, min_count=10)
+        with pytest.raises(ValueError, match="p must lie in"):
+            replace_tokens(("a",), p, vocab, random.Random(0))
+
     def test_empirical_rate(self):
         n = 100_000
         vocab = ReplacementVocab({"the": 11}, min_count=10)

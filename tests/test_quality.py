@@ -200,6 +200,10 @@ class TestSpellCheckIndex:
         for w in words:
             assert packed_pick(w, dictionary, packed) == expected_pick(w, dictionary)
 
+    @given(st.sets(st.integers(0, 200), max_size=20))
+    def test_bits_sets_exactly_the_listed_positions(self, positions):
+        assert quality._bits(sorted(positions)) == sum(1 << pos for pos in positions)
+
     @settings(max_examples=60, deadline=None)
     @given(
         entry=st.sampled_from(sorted(load_wordlist())),
@@ -719,6 +723,15 @@ class TestSubmissionsIO:
         assert sub.answers == ENGLISH_ANSWERS
         assert sub.seconds_worked == 240
         assert sub.mt_references == ("r1", "r2", "r3")
+
+    def test_blank_lines_are_skipped_and_counted(self, tmp_path):
+        record = {"worker_id": "w", "answers": ["a", "b", "c"], "seconds": 1,
+                  "mt_references": ["r", "r", "r"]}
+        path = self.write(tmp_path, ["", json.dumps(record), "  \t", json.dumps(record)])
+        assert [sub.worker_id for sub in load_submissions(path)] == ["w", "w"]
+        path = self.write(tmp_path, ["", json.dumps(record), "  ", "{not json"])
+        with pytest.raises(RecordError, match=":4:"):
+            load_submissions(path)
 
     def test_bad_json_names_line(self, tmp_path):
         path = self.write(tmp_path, ["{not json"])
