@@ -28,11 +28,16 @@ class DatasetStats(NamedTuple):
     mean_char_levenshtein: float
 
 
-def dataset_stats(pairs: Sequence[DraftPair]) -> DatasetStats:
-    """Count pairs, mask usage, changed pairs, and mean edit distance."""
+def _pair_list(pairs: Iterable[DraftPair]) -> list[DraftPair]:
     pairs = list(pairs)
     if not pairs:
         raise ValueError("need at least one pair")
+    return pairs
+
+
+def dataset_stats(pairs: Sequence[DraftPair]) -> DatasetStats:
+    """Count pairs, mask usage, changed pairs, and mean edit distance."""
+    pairs = _pair_list(pairs)
     n = len(pairs)
     masked = sum(p.has_mask for p in pairs)
     changed = sum(p.draft.text != p.reference.text for p in pairs)
@@ -96,9 +101,7 @@ def _side_profile(side: str, sentences: Iterable[Sentence], lm: NGramModel) -> S
 def linguistic_profile(pairs: Sequence[DraftPair], lm: NGramModel) -> LinguisticProfile:
     """Readability, passive rate, repetition rate, and perplexity means
     for the draft side and the reference side independently."""
-    pairs = list(pairs)
-    if not pairs:
-        raise ValueError("need at least one pair")
+    pairs = _pair_list(pairs)
     return LinguisticProfile(
         draft=_side_profile("draft", (p.draft for p in pairs), lm),
         reference=_side_profile("reference", (p.reference for p in pairs), lm),
@@ -144,9 +147,7 @@ def characteristic_terms(
     followed by up to ``top_k`` reference-heavy terms (ascending ratio),
     ties broken lexicographically.  Balanced terms belong to neither.
     """
-    pairs = list(pairs)
-    if not pairs:
-        raise ValueError("need at least one pair")
+    pairs = _pair_list(pairs)
     if top_k < 1:
         raise ValueError(f"top_k must be at least 1, got {top_k}")
     if not (math.isfinite(epsilon) and epsilon > 0.0):

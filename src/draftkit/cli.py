@@ -30,6 +30,7 @@ from .corpus import (
     filter_training_sentences,
     iter_checked_lines,
     load_pairs,
+    nonblank_lines,
     pair_line,
     write_pairs,
 )
@@ -93,7 +94,7 @@ def _cmd_corpus_extract(args) -> None:
     if args.exclude is not None:
         if args.profile != "training":
             raise ValueError("--exclude applies only to --profile training")
-        excluded = frozenset(t for _, t in iter_checked_lines(args.exclude) if t.strip())
+        excluded = frozenset(t for _, t in nonblank_lines(args.exclude))
     cfg = CorpusFilterConfig(
         min_chars=args.min_chars,
         max_chars=args.max_chars,
@@ -110,15 +111,9 @@ def _cmd_corpus_extract(args) -> None:
 
 
 def _cmd_lm_train(args) -> None:
-    sentences = []
-    line_no = 0
-    for line_no, text in iter_checked_lines(args.input):
-        if text.strip():
-            sentences.append(Sentence.from_text(text))
-    if not sentences:
-        raise RecordError(args.input, line_no + 1, "no non-blank lines to train on")
+    lines = nonblank_lines(args.input, "no non-blank lines to train on")
     model = train(
-        sentences,
+        [Sentence.from_text(text) for _, text in lines],
         order=args.order,
         smoothing=args.smoothing,
         k=args.k,
@@ -132,10 +127,7 @@ def _cmd_lm_ppl(args) -> None:
     rows = []
     logprob_total = 0.0
     event_total = 0
-    line_no = 0
-    for line_no, text in iter_checked_lines(args.input):
-        if not text.strip():
-            continue
+    for line_no, text in nonblank_lines(args.input, "no non-blank lines to score"):
         s = Sentence.from_text(text)
         logprob = model.sentence_logprob(s.tokens)
         events = len(s.tokens) + 1
@@ -149,8 +141,6 @@ def _cmd_lm_ppl(args) -> None:
         )
         logprob_total += logprob
         event_total += events
-    if not rows:
-        raise RecordError(args.input, line_no + 1, "no non-blank lines to score")
     report = {
         "schema_version": SCHEMA_VERSION,
         "model": str(args.model),
@@ -164,12 +154,11 @@ def _cmd_lm_ppl(args) -> None:
 def _references(path: Path) -> Iterator[Sentence]:
     # Lazy: a bad line raises inside write_pairs, whose atomic_writer then
     # removes the partial output.
-    for line_no, text in iter_checked_lines(path):
-        if text.strip():
-            s = Sentence.from_text(text)
-            if s.has_mask:
-                raise RecordError(path, line_no, "reference sentence contains the mask token")
-            yield s
+    for line_no, text in nonblank_lines(path):
+        s = Sentence.from_text(text)
+        if s.has_mask:
+            raise RecordError(path, line_no, "reference sentence contains the mask token")
+        yield s
 
 
 def _cmd_noise_run(args) -> None:

@@ -274,6 +274,20 @@ def iter_checked_lines(path: Path | str) -> Iterator[tuple[int, str]]:
     return enumerate(itertools.chain.from_iterable(_line_blocks(path)), 1)
 
 
+def nonblank_lines(path: Path | str, empty: str | None = None) -> Iterator[tuple[int, str]]:
+    """The ``(line_no, text)`` pairs of :func:`iter_checked_lines` whose text is
+    not all whitespace (by :meth:`str.strip`).  Given ``empty``, a file with no
+    such line raises :class:`RecordError` for the line after its last."""
+    line_no = 0
+    kept = False
+    for line_no, text in iter_checked_lines(path):
+        if text.strip():
+            kept = True
+            yield line_no, text
+    if empty is not None and not kept:
+        raise RecordError(path, line_no + 1, empty)
+
+
 def load_pairs(path: Path | str) -> list[DraftPair]:
     """Load draft/reference pairs, raising :class:`RecordError` with the
     offending line number on the first malformed record."""

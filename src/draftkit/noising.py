@@ -21,6 +21,11 @@ from .corpus import MASK_TOKEN, DraftPair, Sentence, _Checked
 from .resources import load_wordlist
 
 
+def _check_unit(name: str, value: float) -> None:
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name} must lie in [0, 1], got {value}")
+
+
 class _NoiseConfig(NamedTuple):
     delete_p: float
     replace_p: float
@@ -46,9 +51,7 @@ class NoiseConfig(_Checked, _NoiseConfig):
             cls, delete_p, replace_p, replace_vocab_min_count, shuffle_k, mask_fraction_max, seed
         )
         for name in ("delete_p", "replace_p", "mask_fraction_max"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {value}")
+            _check_unit(name, getattr(self, name))
         if self.shuffle_k < 0:
             raise ValueError(f"shuffle_k must be non-negative, got {self.shuffle_k}")
         return self
@@ -103,8 +106,7 @@ def delete_tokens(
     tokens: Sequence[str], p: float, rng: random.Random
 ) -> tuple[str, ...]:
     """Drop each token with probability p, always retaining at least one."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
+    _check_unit("p", p)
     tokens = tuple(tokens)
     if not tokens:
         return ()
@@ -121,8 +123,7 @@ def replace_tokens(
     rng: random.Random,
 ) -> tuple[str, ...]:
     """Swap each token with probability p for a draw from ``vocab``."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
+    _check_unit("p", p)
     if p > 0 and not vocab:
         raise ValueError("replacement requires a non-empty vocabulary when p > 0")
     return tuple(vocab.sample(rng) if rng.random() < p else t for t in tokens)
@@ -170,10 +171,7 @@ def mask_spans(
     one mask token; spans are never merged, so two touching spans leave
     two adjacent mask tokens.
     """
-    if not 0.0 <= mask_fraction_max <= 1.0:
-        raise ValueError(
-            f"mask_fraction_max must lie in [0, 1], got {mask_fraction_max}"
-        )
+    _check_unit("mask_fraction_max", mask_fraction_max)
     tokens = tuple(tokens)
     r = rng.uniform(0.0, mask_fraction_max)
     target = int(len(tokens) * r)

@@ -37,7 +37,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .corpus import (
-    MASK_TOKEN, DraftPair, RecordError, Sentence, _Checked, iter_checked_lines, tokenize,
+    MASK_TOKEN, DraftPair, RecordError, Sentence, _Checked, nonblank_lines, tokenize,
 )
 from .metrics import levenshtein_pairs
 from .resources import load_stopwords, load_wordlist
@@ -481,9 +481,7 @@ def load_submissions(path: Path | str) -> list[WorkerSubmission]:
     strings).  Malformed lines raise :class:`draftkit.corpus.RecordError`.
     """
     submissions = []
-    for line_no, line in iter_checked_lines(path):
-        if not line.strip():
-            continue
+    for line_no, line in nonblank_lines(path):
         try:
             record = json.loads(line)
         except json.JSONDecodeError as err:

@@ -161,7 +161,12 @@ class TestLmCommands:
             assert row["logprob10"] == model.sentence_logprob(tokens)
             assert row["ppl"] == model.perplexity(tokens)
 
-    @pytest.mark.parametrize("blob, line", [(b"", 1), (b"\n  \r\n\t\n", 4), (b" ", 2)])
+    @pytest.mark.parametrize(
+        "blob, line",
+        [(b"", 1), (b"\n  \r\n\t\n", 4), (b" ", 2),
+         # a no-break space and an ideographic space are blanks too
+         ("\xa0\n\u3000\n".encode("utf-8"), 3), ("\u3000".encode("utf-8"), 2)],
+    )
     def test_ppl_on_no_non_blank_line_is_data_error(
         self, tmp_path, sentences_file, blob, line, capsys
     ):
@@ -210,11 +215,12 @@ class TestLmCommands:
             assert dispatch(["lm", "train", "--input", str(src), "--out", str(out)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_train_on_blank_input_is_data_error(self, tmp_path, capsys):
-        blank = write_lines(tmp_path / "blank.txt", ["", "   "])
+    @pytest.mark.parametrize("lines", [["", "   "], ["\xa0", "\u3000"]])
+    def test_train_on_blank_input_is_data_error(self, tmp_path, lines, capsys):
+        blank = write_lines(tmp_path / "blank.txt", lines)
         out = tmp_path / "model.arpa"
         assert dispatch(["lm", "train", "--input", str(blank), "--out", str(out)]) == 2
-        assert f"{blank}:3:" in capsys.readouterr().err
+        assert f"{blank}:3: no non-blank lines to train on" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [blank]
 
     def test_bad_arpa_is_data_error(self, tmp_path, sentences_file, capsys):

@@ -24,6 +24,7 @@ from draftkit.corpus import (
     filter_training_sentences,
     iter_checked_lines,
     load_pairs,
+    nonblank_lines,
     normalize_sentence,
     pair_line,
     tokenize,
@@ -303,6 +304,11 @@ _LINE_PIECES = (
 )
 
 
+# Characters that str.strip() removes, so a line of them is blank; none
+# of them ends a line, which only "\n" does.
+_BLANK_CHARS = " \t\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u3000"
+
+
 def checked_lines(path):
     """What ``iter_checked_lines`` yields before it stops, and the
     ``(line_no, reason)`` of the error it stops with, or None."""
@@ -369,6 +375,47 @@ class TestCheckedReaders:
         path.write_bytes(b"ok\n\n\xe2\x82\nmore\n")
         with pytest.raises(RecordError, match=r":3: not valid UTF-8 \(invalid continuation byte\)"):
             list(iter_checked_lines(path))
+
+    @settings(max_examples=200)
+    @given(
+        lines=st.lists(
+            st.one_of(st.text(st.sampled_from(_BLANK_CHARS), max_size=3),
+                      st.sampled_from(["a", "b c", "\xa0d\u3000", "\x85e"])),
+            max_size=8,
+        ),
+        newline=st.sampled_from(["\n", "\r\n"]),
+        bom=st.booleans(),
+        final_newline=st.booleans(),
+    )
+    def test_nonblank_lines_keeps_the_lines_with_text(
+        self, tmp_path_factory, lines, newline, bom, final_newline
+    ):
+        path = tmp_path_factory.mktemp("lines") / "input.txt"
+        ending = newline if final_newline and lines else ""
+        text = "\ufeff" * bom + newline.join(lines) + ending
+        path.write_bytes(text.encode("utf-8"))
+        checked = list(iter_checked_lines(path))
+        expected = [(n, t) for n, t in checked if t.strip()]
+        assert list(nonblank_lines(path)) == expected
+        if expected:
+            assert list(nonblank_lines(path, "nothing here")) == expected
+        else:
+            with pytest.raises(RecordError) as err:
+                list(nonblank_lines(path, "nothing here"))
+            assert (err.value.line_no, err.value.reason) == (len(checked) + 1, "nothing here")
+
+    @pytest.mark.parametrize(
+        "blob, line",
+        [(b"", 1), (b"\xef\xbb\xbf", 2), (b" \t\r\n\xc2\xa0", 3),
+         ("\u3000\n\x85\x1c\n\x0b\x0c\n".encode("utf-8"), 4)],
+    )
+    def test_nonblank_lines_names_the_line_after_a_blank_input(self, tmp_path, blob, line):
+        path = tmp_path / "input.txt"
+        path.write_bytes(blob)
+        assert list(nonblank_lines(path)) == []
+        with pytest.raises(RecordError) as err:
+            list(nonblank_lines(path, "nothing here"))
+        assert str(err.value) == f"{path}:{line}: nothing here"
 
     def test_memory_does_not_grow_with_the_file(self, tmp_path):
         def peak(n):

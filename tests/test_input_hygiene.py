@@ -215,3 +215,71 @@ def test_filter_pairs_writes_cr_as_space_and_keeps_nul(tmp_path):
         f"{spaced}\t{spaced}", f"{NUL_LINE}\t{NUL_LINE}", ""
     ]
     assert (tmp_path / "removed.tsv").read_bytes() == b""
+
+
+# A line of only a no-break space or an ideographic space is blank to the
+# subcommands that skip blank lines, as a line of ASCII spaces is.
+UNICODE_BLANKS = ["\xa0", "\u3000"]
+
+
+def _interleaved(lines):
+    """``lines`` with a Unicode blank line before each and after the last."""
+    out = []
+    for i, line in enumerate(lines):
+        out += [UNICODE_BLANKS[i % 2], line]
+    return [*out, UNICODE_BLANKS[len(lines) % 2]]
+
+
+# name: (the lines of the tested input, the command given the tested file,
+# a file of sentences and the output directory, and its output's name)
+SKIPPING = {
+    "lm train": (
+        TEXTS,
+        lambda tested, texts, out: ["lm", "train", "--input", tested,
+                                    "--out", out / "model.arpa", "--order", "2"],
+        "model.arpa",
+    ),
+    "noise run": (
+        TEXTS,
+        lambda tested, texts, out: ["noise", "run", "--input", tested,
+                                    "--out", out / "pairs.tsv"],
+        "pairs.tsv",
+    ),
+    "corpus extract --exclude": (
+        TEXTS[::3],
+        lambda tested, texts, out: ["corpus", "extract", "--input", texts,
+                                    "--out", out / "kept.txt", "--profile", "training",
+                                    "--exclude", tested],
+        "kept.txt",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SKIPPING))
+def test_unicode_blank_lines_are_skipped(tmp_path, name):
+    lines, command, output = SKIPPING[name]
+    texts = _write(tmp_path / "texts.txt", TEXTS)
+    outputs = []
+    for label, tested in (("plain", lines), ("blanks", _interleaved(lines))):
+        out = tmp_path / label
+        out.mkdir()
+        _run(command(_write(tmp_path / f"{label}.txt", tested), texts, out))
+        outputs.append((out / output).read_bytes())
+    assert outputs[0] == outputs[1]
+    assert outputs[0]
+
+
+def test_lm_ppl_skips_unicode_blank_lines_and_keeps_line_numbers(tmp_path):
+    texts = _write(tmp_path / "texts.txt", TEXTS)
+    _run(["lm", "train", "--input", texts, "--out", tmp_path / "model.arpa", "--order", "2"])
+    reports = []
+    for name, lines in (("plain", TEXTS[:4]), ("blanks", _interleaved(TEXTS[:4]))):
+        _run(["lm", "ppl", "--model", tmp_path / "model.arpa",
+              "--input", _write(tmp_path / f"{name}.txt", lines),
+              "--report", tmp_path / f"{name}.json"])
+        reports.append(json.loads((tmp_path / f"{name}.json").read_text(encoding="utf-8")))
+    plain, blanks = reports
+    assert [row.pop("line") for row in blanks["sentences"]] == [2, 4, 6, 8]
+    assert [row.pop("line") for row in plain["sentences"]] == [1, 2, 3, 4]
+    assert plain == blanks
+

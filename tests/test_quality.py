@@ -727,7 +727,8 @@ class TestSubmissionsIO:
     def test_blank_lines_are_skipped_and_counted(self, tmp_path):
         record = {"worker_id": "w", "answers": ["a", "b", "c"], "seconds": 1,
                   "mt_references": ["r", "r", "r"]}
-        path = self.write(tmp_path, ["", json.dumps(record), "  \t", json.dumps(record)])
+        lines = ["", json.dumps(record), "  \t", "\xa0", json.dumps(record), "\u3000"]
+        path = self.write(tmp_path, lines)
         assert [sub.worker_id for sub in load_submissions(path)] == ["w", "w"]
         path = self.write(tmp_path, ["", json.dumps(record), "  ", "{not json"])
         with pytest.raises(RecordError, match=":4:"):
