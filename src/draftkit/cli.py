@@ -34,7 +34,7 @@ from .corpus import (
     pair_line,
     write_pairs,
 )
-from .lm import SMOOTHINGS, load_arpa, save_arpa, train
+from .lm import SMOOTHINGS, load_arpa, save_arpa, sidecar_path, train
 from .metrics import evaluate
 from .noising import NoiseConfig, ReplacementVocab, noise_corpus
 from .quality import FilterConfig, filter_pairs, load_submissions, score_workers, spell_check_all
@@ -86,7 +86,8 @@ def _write_lines(path: Path | str, lines: Iterable[str]) -> None:
 
 
 # --------------------------------------------------------------------------
-# subcommand handlers; dispatch knows their files from the parser
+# subcommand handlers; dispatch knows their files from the parser, and a
+# handler returns any file it writes beside those its flags name
 
 
 def _cmd_corpus_extract(args) -> None:
@@ -110,7 +111,7 @@ def _cmd_corpus_extract(args) -> None:
     _write_lines(args.out, (s.text for s in keep(sentences, cfg)))
 
 
-def _cmd_lm_train(args) -> None:
+def _cmd_lm_train(args) -> list[Path]:
     lines = nonblank_lines(args.input, "no non-blank lines to train on")
     model = train(
         [Sentence.from_text(text) for _, text in lines],
@@ -120,6 +121,7 @@ def _cmd_lm_train(args) -> None:
         unk_floor=args.unk_floor,
     )
     save_arpa(model, args.out)
+    return [sidecar_path(args.out)]
 
 
 def _cmd_lm_ppl(args) -> None:
@@ -448,14 +450,17 @@ def _resolved_config(args: argparse.Namespace) -> dict[str, object]:
     return dict(sorted(resolved.items()))
 
 
-def _write_manifest(args: argparse.Namespace, leaf: _Parser, duration: float) -> None:
-    # The leaf's path flags, in declaration order, are the run's files.
+def _write_manifest(
+    args: argparse.Namespace, leaf: _Parser, duration: float, written: Iterable[Path]
+) -> None:
+    # The leaf's path flags, in declaration order, are the run's files; the
+    # outputs its handler wrote beside them follow.
     paths: dict[Callable, list[str]] = {_input: [], _output: []}
     for action in leaf._actions:
         value = getattr(args, action.dest, None)
         if action.type in paths and value is not None:
             paths[action.type].append(str(value))
-    outputs = paths[_output]
+    outputs = [*paths[_output], *map(str, written)]
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "subcommand": args._leaf,
@@ -512,14 +517,14 @@ def dispatch(argv: Sequence[str] | None = None) -> int:
         return 0
     start = time.perf_counter()
     try:
-        globals()[args._run](args)
+        written = globals()[args._run](args) or ()
     except (RecordError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    _write_manifest(args, leaf, time.perf_counter() - start)
+    _write_manifest(args, leaf, time.perf_counter() - start, written)
     return 0
 
 

@@ -20,7 +20,7 @@ import re
 import unicodedata
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Generator, Iterable, Iterator, NamedTuple, Sequence, TextIO
+from typing import IO, Generator, Iterable, Iterator, NamedTuple, Sequence
 
 MASK_TOKEN = "<*>"
 
@@ -307,18 +307,18 @@ _TEMP_SERIAL = itertools.count()
 
 
 @contextmanager
-def atomic_writer(path: Path | str) -> Iterator[TextIO]:
-    """Yield a UTF-8 text handle whose content replaces ``path`` only when
-    the block completes.
+def atomic_writer(path: Path | str, *, binary: bool = False) -> Iterator[IO]:
+    """Yield a UTF-8 text handle (a bytes handle if ``binary``) whose
+    content replaces ``path`` only when the block completes.
 
-    The text goes to a temporary file in the same directory, renamed over
-    the target with :func:`os.replace`; if the block raises, the target is
-    left as it was and the temporary file is removed.
+    What is written goes to a temporary file in the same directory, renamed
+    over the target with :func:`os.replace`; if the block raises, the target
+    is left as it was and the temporary file is removed.
     """
     path = Path(path)
     temp = path.with_name(f".{path.name}.{os.getpid()}.{next(_TEMP_SERIAL)}.tmp")
     try:
-        handle = open(temp, "x", encoding="utf-8")
+        handle = open(temp, "xb") if binary else open(temp, "x", encoding="utf-8")
     except OSError as err:
         err.filename = str(path)  # name the output the caller asked for
         raise

@@ -6,12 +6,20 @@ otherwise multiply in the context's backoff weight and drop to the next
 shorter context.  Out-of-vocabulary tokens, those with no stored 1-gram,
 are mapped to the unknown symbol before lookup, and every sentence is
 scored including its end-of-sentence event.
+
+:func:`save_arpa` also writes a compiled sidecar beside the ARPA file, which
+:func:`load_arpa` reads in place of parsing the text when it matches; the
+ARPA file stays the one source of truth.
 """
 
 from __future__ import annotations
 
+import hashlib
+import itertools
+import marshal
 import math
 import re
+import sys
 from collections import Counter, defaultdict
 from collections.abc import Iterable, Sequence
 from pathlib import Path
@@ -33,6 +41,12 @@ _COUNT_LINE = re.compile(r"ngram\s+(\d+)=(\d+)")
 _SECTION_LINE = re.compile(r"\\(\d+)-grams:")
 _NO_COUNTS = "no n-gram counts declared in \\data\\ section"
 _MISSING_END = "missing \\end\\ marker"
+
+# A word the ARPA text keeps as written, so that it reads back the same.
+_WORD = re.compile(r"\S+")
+
+_SIDECAR_MAGIC = "draftkit compiled ARPA 1"
+_HASH_BLOCK = 64 * 1024
 
 
 class ArpaFormatError(RecordError):
@@ -260,8 +274,32 @@ def _build_kneser_ney(
     return logp, bows
 
 
+def sidecar_path(path: str | Path) -> Path:
+    """Where :func:`save_arpa` writes the compiled sidecar of the ARPA file
+    at ``path``: the same name with ``.compiled`` appended."""
+    return Path(f"{path}.compiled")
+
+
+def _sidecar_header(arpa_sha256: str, arpa_size: int, payload: bytes) -> bytes:
+    """The lines that open a sidecar: the ARPA file it was compiled from,
+    the marshal format of its payload, and the payload's sha256.  Its length
+    does not depend on the payload."""
+    return (
+        f"{_SIDECAR_MAGIC}\narpa {arpa_sha256} {arpa_size}\n"
+        f"marshal {marshal.version} {sys.implementation.cache_tag}\n"
+        f"payload {hashlib.sha256(payload).hexdigest()}\n"
+    ).encode()
+
+
 def save_arpa(model: NGramModel, path: str | Path) -> None:
-    """Write the model as UTF-8 ARPA text with sorted, stable sections."""
+    """Write the model as UTF-8 ARPA text with sorted, stable sections.
+
+    Then, if that text reads back as exactly the model's tables, write its
+    sidecar (see :func:`sidecar_path`): a header naming the ARPA file by
+    sha256 and size, then the marshalled tables.  Each file replaces its
+    target atomically, the ARPA file first, so a run killed between the two
+    leaves an old sidecar whose header no longer matches.
+    """
     sections: dict[int, list[tuple[str, ...]]] = {n: [] for n in range(1, model.order + 1)}
     for gram in model._logprob:
         sections[len(gram)].append(gram)
@@ -278,11 +316,69 @@ def save_arpa(model: NGramModel, path: str | Path) -> None:
                 line += f"\t{'-99' if bow == _BOS_PLACEHOLDER else repr(bow)}"
             lines.append(line)
     lines.extend(("", "\\end\\", ""))
-    with atomic_writer(path) as handle:
-        handle.write("\n".join(lines))
+    data = "\n".join(lines).encode("utf-8")
+    with atomic_writer(path, binary=True) as handle:
+        handle.write(data)
+    arpa_sha256, arpa_size = hashlib.sha256(data).hexdigest(), len(data)
+    # Freed before marshal copies the tables, so that saving peaks no higher
+    # in memory than writing the text alone did.
+    del lines, data
+    # The text loses a word with white space in it or a backoff weight with
+    # no entry, and fails to load without the end and unknown unigrams; the
+    # sidecar must not hold what a parse of the text would not give.
+    logp, bows = model._logprob, model._backoff
+    words = set(itertools.chain.from_iterable(logp))
+    if (
+        not all(map(_WORD.fullmatch, words))
+        or not bows.keys() <= logp.keys()
+        or not {(EOS,), (UNK,)} <= logp.keys()
+    ):
+        return
+    payload = marshal.dumps((model.order, logp, bows))
+    with atomic_writer(sidecar_path(path), binary=True) as handle:
+        handle.write(_sidecar_header(arpa_sha256, arpa_size, payload))
+        handle.write(payload)
+
+
+def _load_compiled(path: str | Path) -> NGramModel | None:
+    """The model in the sidecar of the ARPA file at ``path``, or None unless
+    every header field matches: the ARPA file's sha256 and size, this
+    interpreter's marshal format and the payload's sha256.  Only then is the
+    payload passed to :mod:`marshal`, whose result must also have the shape
+    ``(order >= 1, logprob table, backoff table)``."""
+    try:
+        data = sidecar_path(path).read_bytes()
+    except OSError:
+        return None
+    arpa = hashlib.sha256()
+    size = 0
+    with open(path, "rb") as handle:
+        while block := handle.read(_HASH_BLOCK):
+            arpa.update(block)
+            size += len(block)
+    start = len(_sidecar_header(arpa.hexdigest(), size, b""))
+    payload = memoryview(data)[start:]
+    if data[:start] != _sidecar_header(arpa.hexdigest(), size, payload):
+        return None
+    try:
+        loaded = marshal.loads(payload)
+    except (EOFError, ValueError, TypeError):
+        return None
+    if type(loaded) is tuple and tuple(map(type, loaded)) == (int, dict, dict) and loaded[0] >= 1:
+        return NGramModel(*loaded)
+    return None
 
 
 def load_arpa(path: str | Path) -> NGramModel:
+    """Load an ARPA file: from its sidecar when that matches it (see
+    :func:`save_arpa`), else by :func:`_parse_arpa`.  Either way gives the
+    same tables; loading from the sidecar costs one sha256 of the ARPA file
+    and saves the parse."""
+    model = _load_compiled(path)
+    return model if model is not None else _parse_arpa(path)
+
+
+def _parse_arpa(path: str | Path) -> NGramModel:
     """Parse an ARPA file in one pass over its lines (see
     :func:`iter_checked_lines`), validating section structure and entry
     counts.

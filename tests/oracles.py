@@ -11,7 +11,9 @@ import re
 import unicodedata
 from collections import Counter
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence, TypeVar
+
+T = TypeVar("T")
 
 
 def levenshtein_recursive(a: str, b: str) -> int:
@@ -346,6 +348,23 @@ def read_arpa_reference(
         if (word,) not in logp:
             raise ValueError(f"no unigram entry for {word!r}")
     return order, logp, bows
+
+
+def load_parsed(load: Callable[[Path], T], arpa: Path) -> T:
+    """``load(arpa)`` with the compiled sidecar beside ``arpa`` (its name
+    plus ``.compiled``) moved aside for the call, so that the load must
+    parse the ARPA text: the reference that a load from a sidecar must
+    equal, in what it returns and in what it raises."""
+    sidecar = Path(f"{arpa}.compiled")
+    aside = sidecar.with_name(f"{sidecar.name}.aside")
+    moved = sidecar.exists()
+    if moved:
+        sidecar.rename(aside)
+    try:
+        return load(arpa)
+    finally:
+        if moved:
+            aside.rename(sidecar)
 
 
 def arpa_text_reference(model) -> str:

@@ -223,6 +223,43 @@ class TestLmCommands:
         assert f"{blank}:3: no non-blank lines to train on" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [blank]
 
+    def test_sidecar_write_error_is_data_error(self, tmp_path, sentences_file, capsys):
+        # The ARPA file is renamed into place before the sidecar fails; the
+        # failed sidecar leaves no temporary file, and no manifest is written.
+        out = tmp_path / "model.arpa"
+        lm.sidecar_path(out).mkdir()
+        assert dispatch(["lm", "train", "--input", str(sentences_file), "--out", str(out)]) == 2
+        assert f"{lm.sidecar_path(out)}" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            [sentences_file.name, out.name, lm.sidecar_path(out).name]
+        )
+        assert list(lm.sidecar_path(out).iterdir()) == []
+        assert lm.load_arpa(out).order == 5
+
+    def test_reports_do_not_depend_on_the_sidecar(self, tmp_path, sentences_file):
+        model, other = tmp_path / "model.arpa", tmp_path / "other.arpa"
+        for out, order in ((model, "2"), (other, "3")):
+            argv = ["lm", "train", "--input", str(sentences_file), "--out", str(out)]
+            assert dispatch([*argv, "--order", order]) == 0
+        report = tmp_path / "report.json"
+        scorers = [
+            ["lm", "ppl", "--model", str(model), "--input", str(sentences_file)],
+            ["eval", "run", "--src", str(sentences_file), "--hyp", str(sentences_file),
+             "--ref", str(sentences_file), "--lm", str(model)],
+        ]
+        runs = []
+        for sidecar in ("fresh", "deleted", "stale"):
+            if sidecar == "deleted":
+                lm.sidecar_path(model).unlink()
+            elif sidecar == "stale":
+                lm.sidecar_path(model).write_bytes(lm.sidecar_path(other).read_bytes())
+            reports = []
+            for argv in scorers:
+                assert dispatch([*argv, "--report", str(report)]) == 0
+                reports.append(report.read_bytes())
+            runs.append(reports)
+        assert runs[0] == runs[1] == runs[2]
+
     def test_bad_arpa_is_data_error(self, tmp_path, sentences_file, capsys):
         fake = write_lines(tmp_path / "fake.arpa", ["not an arpa file"])
         code = dispatch(
@@ -1035,7 +1072,7 @@ MANIFEST_CASES = [
      " --out out/kept.txt",
      ["in/sentences.txt", "in/exclude.txt"], ["out/kept.txt"]),
     ("lm train --out out/model.arpa --input in/sentences.txt --order 2",
-     ["in/sentences.txt"], ["out/model.arpa"]),
+     ["in/sentences.txt"], ["out/model.arpa", "out/model.arpa.compiled"]),
     ("lm ppl --input in/sentences.txt --report out/ppl.json --model in/model.arpa",
      ["in/model.arpa", "in/sentences.txt"], ["out/ppl.json"]),
     ("noise run --input in/sentences.txt --out out/pairs.tsv",

@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import hashlib
+import marshal
 import math
+import os
 import random
 import re
+import shutil
+import struct
+import sys
 import tempfile
 from functools import lru_cache
 from pathlib import Path
@@ -14,15 +19,23 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from draftkit import lm
+from draftkit.cli import dispatch
 from draftkit.corpus import RecordError, Sentence
 from draftkit.lm import (
     ArpaFormatError,
     NGramModel,
     load_arpa,
     save_arpa,
+    sidecar_path,
     train,
 )
-from oracles import arpa_text_reference, read_arpa_reference, sentence_logprob_reference
+from oracles import (
+    arpa_text_reference,
+    load_parsed,
+    read_arpa_reference,
+    sentence_logprob_reference,
+)
 from synth import academic_sentences
 
 
@@ -878,6 +891,198 @@ class TestArpaReaderAgainstReference:
         with pytest.raises(ArpaFormatError) as excinfo:
             load_arpa(path)
         assert (excinfo.value.path, excinfo.value.line_no) == (str(path), 4)
+
+
+def _bits(model: NGramModel) -> tuple:
+    """The model's order and tables, each value as its IEEE 754 bytes."""
+    def table(values):
+        return {gram: struct.pack("<d", value) for gram, value in values.items()}
+    return model.order, table(model._logprob), table(model._backoff)
+
+
+# Values a table may hold that a text round trip could lose: signed zeros,
+# the <s> placeholder, infinities, 17 significant digits, subnormals.
+_AWKWARD_VALUES = (
+    -0.0, 0.0, -99.0, -math.inf, -1.2345678901234567, -0.30102999566398114,
+    -5e-324, -1.7976931348623157e308,
+)
+
+
+def _sidecar(arpa: Path, payload: bytes) -> bytes:
+    """A sidecar whose header matches ``arpa`` in every field, over ``payload``."""
+    data = arpa.read_bytes()
+    return lm._sidecar_header(hashlib.sha256(data).hexdigest(), len(data), payload) + payload
+
+
+def _flip_payload_byte(path: Path, other: Path) -> None:
+    data = bytearray(sidecar_path(path).read_bytes())
+    data[-3] ^= 0x01
+    sidecar_path(path).write_bytes(bytes(data))
+
+
+def _retag(old: bytes, new: bytes):
+    def edit(path: Path, other: Path) -> None:
+        sidecar = sidecar_path(path)
+        data = sidecar.read_bytes()
+        assert data.count(old) == 1
+        sidecar.write_bytes(data.replace(old, new))
+    return edit
+
+
+def _rewrite_arpa(path: Path, other: Path) -> None:
+    # The text of another model, written after this one's sidecar.
+    path.write_bytes(other.read_bytes())
+
+
+def _repayload(payload: bytes):
+    def edit(path: Path, other: Path) -> None:
+        sidecar_path(path).write_bytes(_sidecar(path, payload))
+    return edit
+
+
+_CACHE_TAG = str(sys.implementation.cache_tag).encode()
+_MARSHAL_LINE = b"\nmarshal %d %s\n" % (marshal.version, _CACHE_TAG)
+
+# Each edit leaves a sidecar that must not be used: the load parses instead.
+_STALE_SIDECARS = {
+    "missing": lambda path, other: sidecar_path(path).unlink(),
+    "flipped payload byte": _flip_payload_byte,
+    "other cache tag": _retag(_MARSHAL_LINE, _MARSHAL_LINE.replace(_CACHE_TAG, b"x" + _CACHE_TAG)),
+    "other marshal version": _retag(
+        _MARSHAL_LINE, _MARSHAL_LINE.replace(b"marshal %d" % marshal.version, b"marshal 9")
+    ),
+    "other magic": _retag(b"draftkit compiled ARPA 1\n", b"draftkit compiled ARPA 2\n"),
+    "ARPA rewritten after": _rewrite_arpa,
+    "another model's sidecar": lambda path, other: shutil.copy(
+        sidecar_path(other), sidecar_path(path)
+    ),
+    "list, not tuple": _repayload(marshal.dumps([2, {}, {}])),
+    "order 0": _repayload(marshal.dumps((0, {}, {}))),
+    "order a bool": _repayload(marshal.dumps((True, {}, {}))),
+    "tables swapped for a list": _repayload(marshal.dumps((2, [], {}))),
+    "two fields": _repayload(marshal.dumps((2, {}))),
+    "truncated marshal data": _repayload(marshal.dumps((2, {("a",): -1.0}, {}))[:-4]),
+    "unknown marshal type": _repayload(b"\x00"),
+    "unhashable key": _repayload(b"{" + marshal.dumps([]) + marshal.dumps(0) + b"0"),
+}
+
+
+class TestCompiledSidecar:
+    """``save_arpa`` writes a sidecar that ``load_arpa`` reads only when its
+    header matches; every load gives what parsing the ARPA text gives."""
+
+    @staticmethod
+    def _save_pair(tmp_path) -> tuple[Path, Path]:
+        path, other = tmp_path / "model.arpa", tmp_path / "other.arpa"
+        save_arpa(_model("interpolated-kneser-ney", 2), path)
+        save_arpa(_model("add-k", 1), other)
+        return path, other
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        corpus=st.lists(st.lists(st.sampled_from(["a", "b", "c", "<unk>"]), max_size=7),
+                        min_size=1, max_size=8),
+        order=st.integers(1, 5),
+        smoothing=st.sampled_from(["add-k", "interpolated-kneser-ney"]),
+        unk_floor=st.sampled_from([None, 0.3]),
+        edits=st.lists(
+            st.tuples(st.booleans(), st.integers(0, 10**6), st.sampled_from(_AWKWARD_VALUES)),
+            max_size=6,
+        ),
+    )
+    @example(corpus=_NO_BACKOFF_MASS, order=2, smoothing="add-k", unk_floor=None, edits=[])
+    def test_round_trip_is_bit_for_bit(
+        self, tmp_path_factory, corpus, order, smoothing, unk_floor, edits
+    ):
+        model = train([sent(*tokens) for tokens in corpus], order, smoothing, unk_floor=unk_floor)
+        for backoff, index, value in edits:
+            table = model._backoff if backoff and model._backoff else model._logprob
+            table[sorted(table)[index % len(table)]] = value
+        path = tmp_path_factory.getbasetemp() / "round-trip.arpa"
+        save_arpa(model, path)
+        compiled = lm._load_compiled(path)
+        assert compiled is not None
+        assert _bits(compiled) == _bits(load_parsed(load_arpa, path)) == _bits(model)
+
+    @pytest.mark.parametrize("edit", sorted(_STALE_SIDECARS))
+    def test_stale_sidecar_falls_back_to_the_parse(self, tmp_path, edit):
+        path, other = self._save_pair(tmp_path)
+        assert lm._load_compiled(path) is not None
+        _STALE_SIDECARS[edit](path, other)
+        assert lm._load_compiled(path) is None
+        assert _bits(load_arpa(path)) == _bits(load_parsed(load_arpa, path))
+
+    def test_truncated_sidecar_falls_back_to_the_parse(self, tmp_path):
+        path, _ = self._save_pair(tmp_path)
+        whole = sidecar_path(path).read_bytes()
+        expected = _bits(load_parsed(load_arpa, path))
+        header = whole.index(b"\npayload ") + len(b"\npayload ") + 65
+        for cut in sorted({0, 1, 30, header - 1, header, header + 1, len(whole) // 2,
+                           len(whole) - 1}):
+            sidecar_path(path).write_bytes(whole[:cut])
+            assert lm._load_compiled(path) is None, cut
+            assert _bits(load_arpa(path)) == expected, cut
+
+    @pytest.mark.parametrize("edit", ["fresh", *sorted(_STALE_SIDECARS)])
+    def test_bad_arpa_fails_as_parsed_with_any_sidecar(self, tmp_path, edit, capsys):
+        path, other = self._save_pair(tmp_path)
+        if edit != "fresh":
+            _STALE_SIDECARS[edit](path, other)
+        lines = path.read_bytes().split(b"\n")
+        lines[7] = b"-0.5\tone two three"
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(ArpaFormatError) as parsed:
+            load_parsed(load_arpa, path)
+        with pytest.raises(ArpaFormatError) as loaded:
+            load_arpa(path)
+        assert str(loaded.value) == str(parsed.value)
+        assert str(parsed.value).startswith(f"{path}:8: entry arity mismatch")
+        text = tmp_path / "text.txt"
+        text.write_text("a draft .\n", encoding="utf-8")
+        argv = ["lm", "ppl", "--model", str(path), "--input", str(text),
+                "--report", str(tmp_path / "ppl.json")]
+        assert dispatch(argv) == 2
+        assert capsys.readouterr().err == f"error: {parsed.value}\n"
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            # A word with white space in it is split apart in the text.
+            train([Sentence.from_tokens(["a b", "c"])], order=2),
+            # A backoff weight of an n-gram with no entry is not written.
+            NGramModel(1, {("a",): -0.5, ("</s>",): -0.5, ("<unk>",): -1.0}, {("z",): -0.1}),
+            # The text of a model with no end unigram does not load.
+            NGramModel(1, {("a",): -0.5, ("<unk>",): -1.0}, {}),
+        ],
+        ids=["spaced word", "unwritten backoff", "no end unigram"],
+    )
+    def test_no_sidecar_for_text_that_reads_back_otherwise(self, tmp_path, model):
+        path = tmp_path / "model.arpa"
+        save_arpa(model, path)
+        assert not sidecar_path(path).exists()
+        try:
+            expected = _bits(load_parsed(load_arpa, path))
+        except ArpaFormatError:
+            with pytest.raises(ArpaFormatError):
+                load_arpa(path)
+        else:
+            assert expected != _bits(model)
+            assert _bits(load_arpa(path)) == expected
+
+    def test_renames_the_arpa_file_first(self, tmp_path, monkeypatch):
+        # A run killed between the two renames leaves the old sidecar beside
+        # the new ARPA file, whose sha256 its header does not match.
+        renamed = []
+        replace = os.replace
+
+        def spy(src, dst):
+            renamed.append(Path(dst).name)
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", spy)
+        save_arpa(_model("add-k", 1), tmp_path / "model.arpa")
+        assert renamed == ["model.arpa", "model.arpa.compiled"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == renamed
 
 
 class TestModelQuality:
