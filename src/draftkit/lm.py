@@ -72,12 +72,6 @@ class NGramModel:
     def __repr__(self) -> str:
         return f"NGramModel(order={self.order}, ngrams={len(self._logprob)})"
 
-    def ngrams(self, order: int) -> list[tuple[str, ...]]:
-        """Stored n-grams of one order, sorted for stable iteration."""
-        if not 1 <= order <= self.order:
-            raise ValueError(f"order must lie in [1, {self.order}]")
-        return sorted(gram for gram in self._logprob if len(gram) == order)
-
     def logprob(self, word: str, history: Sequence[str] = ()) -> float:
         """Log10 P(word | history), history trimmed to the model order."""
         context = tuple(history)[max(0, len(history) - self.order + 1) :]
@@ -292,14 +286,26 @@ def _sidecar_header(arpa_sha256: str, arpa_size: int, payload: bytes) -> bytes:
 
 
 def save_arpa(model: NGramModel, path: str | Path) -> None:
-    """Write the model as UTF-8 ARPA text with sorted, stable sections.
+    """Write the model as UTF-8 ARPA text with sorted, stable sections,
+    then its sidecar (see :func:`sidecar_path`): a header naming the ARPA
+    file by sha256 and size, then the marshalled tables.  Each file
+    replaces its target atomically, the ARPA file first, so a run killed
+    between the two leaves an old sidecar whose header no longer matches.
 
-    Then, if that text reads back as exactly the model's tables, write its
-    sidecar (see :func:`sidecar_path`): a header naming the ARPA file by
-    sha256 and size, then the marshalled tables.  Each file replaces its
-    target atomically, the ARPA file first, so a run killed between the two
-    leaves an old sidecar whose header no longer matches.
+    A model whose ARPA text would not read back as its tables raises
+    :class:`ValueError` naming the fault, and neither file is written.
     """
+    # The text loses a word with white space in it or a backoff weight with
+    # no entry, and fails to load without the end and unknown unigrams.
+    logp, bows = model._logprob, model._backoff
+    bad = sorted(w for w in set(itertools.chain.from_iterable(logp)) if not _WORD.fullmatch(w))
+    if bad:
+        raise ValueError(f"cannot write a word that is empty or holds white space: {bad[0]!r}")
+    if not bows.keys() <= logp.keys():
+        raise ValueError(f"backoff weight without an entry: {min(bows.keys() - logp.keys())!r}")
+    for word in (EOS, UNK):
+        if (word,) not in logp:
+            raise ValueError(f"model has no unigram entry for {word!r}")
     sections: dict[int, list[tuple[str, ...]]] = {n: [] for n in range(1, model.order + 1)}
     for gram in model._logprob:
         sections[len(gram)].append(gram)
@@ -323,17 +329,6 @@ def save_arpa(model: NGramModel, path: str | Path) -> None:
     # Freed before marshal copies the tables, so that saving peaks no higher
     # in memory than writing the text alone did.
     del lines, data
-    # The text loses a word with white space in it or a backoff weight with
-    # no entry, and fails to load without the end and unknown unigrams; the
-    # sidecar must not hold what a parse of the text would not give.
-    logp, bows = model._logprob, model._backoff
-    words = set(itertools.chain.from_iterable(logp))
-    if (
-        not all(map(_WORD.fullmatch, words))
-        or not bows.keys() <= logp.keys()
-        or not {(EOS,), (UNK,)} <= logp.keys()
-    ):
-        return
     payload = marshal.dumps((model.order, logp, bows))
     with atomic_writer(sidecar_path(path), binary=True) as handle:
         handle.write(_sidecar_header(arpa_sha256, arpa_size, payload))

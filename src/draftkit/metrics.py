@@ -271,7 +271,9 @@ def _bleu_stats(hyp: Sequence[str], ref: Sequence[str]) -> list[int]:
 
 
 def _bleu_score(*rows: Sequence[int]) -> float:
-    """BLEU of the column sums of one or more ``_bleu_stats`` rows.
+    """BLEU over n-gram orders 1..4 with brevity penalty, of the column
+    sums of one or more ``_bleu_stats`` rows: one row scores a pair, the
+    rows of every pair score the corpus.
 
     Smoothing: an order with candidate n-grams but zero matches scores
     ``_BLEU_EPSILON``/total; an order with no candidate n-grams at all (every
@@ -290,18 +292,6 @@ def _bleu_score(*rows: Sequence[int]) -> float:
         orders_used += 1
     brevity = min(1.0, math.exp(1.0 - ref_len / hyp_len))
     return brevity * math.exp(log_sum / orders_used)
-
-
-def bleu(hypotheses: Sequence[Sentence], references: Sequence[Sentence]) -> float:
-    """Corpus BLEU over n-gram orders 1..4 with brevity penalty, scored
-    from the summed statistics of every pair (see ``_bleu_score``)."""
-    if not hypotheses or not references:
-        raise ValueError("bleu needs at least one hypothesis/reference pair")
-    if len(hypotheses) != len(references):
-        raise ValueError(
-            f"got {len(hypotheses)} hypotheses for {len(references)} references"
-        )
-    return _bleu_score(*(_bleu_stats(h.tokens, r.tokens) for h, r in zip(hypotheses, references)))
 
 
 def _lcs_len(a: Sequence[str], b: Sequence[str]) -> int:

@@ -62,7 +62,8 @@ class ReplacementVocab:
 
     Keeps only tokens whose count strictly exceeds ``min_count``.
     Sampling is uniform by default; ``weighted=True`` draws
-    proportionally to the stored counts.
+    proportionally to the stored counts, so a weighted vocabulary whose
+    kept counts sum to 0 raises :class:`ValueError`.
     """
 
     def __init__(
@@ -77,6 +78,11 @@ class ReplacementVocab:
         self.tokens: tuple[str, ...] = tuple(sorted(kept))
         self.counts: tuple[int, ...] = tuple(kept[t] for t in self.tokens)
         self._cumulative = tuple(accumulate(self.counts))
+        if weighted and self.tokens and not self._cumulative[-1]:
+            raise ValueError(
+                f"every token kept above min_count {min_count} has count 0,"
+                " so none can be drawn in proportion to its count"
+            )
 
     @classmethod
     def from_wordlist(

@@ -8,8 +8,7 @@ Three layers, applied in pipeline order:
    answers plus the machine translations shown alongside them) into a
    :class:`WorkerVerdict` with per-criterion score deltas and rejections.
    It takes every answer's distance to its translation in one
-   lane-packed pass (:func:`~draftkit.metrics.levenshtein_pairs`);
-   :func:`score_worker` scores one submission.
+   lane-packed pass (:func:`~draftkit.metrics.levenshtein_pairs`).
 3. :func:`filter_pairs` drops draft/reference pairs whose content-word
    overlap falls below a threshold after spell checking the draft.
 
@@ -76,10 +75,6 @@ _JAPANESE = "[" + "".join(f"{chr(lo)}-{chr(hi)}" for lo, hi in _JAPANESE_RANGES)
 
 #: Largest edit distance at which spell check still proposes a correction.
 _MAX_EDITS = 2
-
-
-class UndefinedOverlapError(ValueError):
-    """Raised when a sentence has no content tokens to compare."""
 
 
 class SpellCheckResult(NamedTuple):
@@ -260,14 +255,10 @@ def contains_japanese(text: str) -> bool:
     return re.search(_JAPANESE, text) is not None
 
 
-def is_english(text: str) -> bool:
-    """Heuristic language check: no Japanese script, and at least
-    ``_ENGLISH_SHARE`` of the alphabetic tokens appear in the bundled
-    word list."""
-    return not contains_japanese(text) and _mostly_listed(text)
-
-
 def _mostly_listed(text: str) -> bool:
+    """At least ``_ENGLISH_SHARE`` of the alphabetic tokens of ``text``
+    appear in the bundled word list; a text counts as English when this
+    holds and it has no Japanese script."""
     alphabetic = [t for t in tokenize(text) if t.isalpha()]
     if not alphabetic:
         return False
@@ -300,22 +291,18 @@ def _content_tokens(tokens: Iterable[str], cfg: FilterConfig) -> set[str]:
     return {t.lower() for t in tokens} - cfg.stopwords - {MASK_TOKEN}
 
 
-def _overlap(x: Iterable[str], y: Iterable[str], cfg: FilterConfig) -> float:
-    ux = _content_tokens(x, cfg)
-    uy = _content_tokens(y, cfg)
-    if not ux or not uy:
-        raise UndefinedOverlapError("a sentence has no content tokens")
-    return len(ux & uy) / min(len(ux), len(uy))
-
-
-def overlap_coefficient(x: Sentence, y: Sentence, cfg: FilterConfig | None = None) -> float:
+def _overlap(x: Iterable[str], y: Iterable[str], cfg: FilterConfig) -> float | None:
     """Fraction of the smaller content-token set shared with the other.
 
     Content tokens are lowercased types minus stopwords and the mask
-    token.  Raises :class:`UndefinedOverlapError` when either side has
-    none, since the ratio has no meaningful value there.
+    token.  None when either side has none, since the ratio has no
+    meaningful value there.
     """
-    return _overlap(x.tokens, y.tokens, FilterConfig() if cfg is None else cfg)
+    ux = _content_tokens(x, cfg)
+    uy = _content_tokens(y, cfg)
+    if not ux or not uy:
+        return None
+    return len(ux & uy) / min(len(ux), len(uy))
 
 
 def filter_pairs(
@@ -336,12 +323,10 @@ def filter_pairs(
     kept: list[DraftPair] = []
     removed: list[tuple[DraftPair, str]] = []
     for pair in pairs:
-        try:
-            score = _overlap(speller.correct(pair.draft.tokens), pair.reference.tokens, cfg)
-        except UndefinedOverlapError:
+        score = _overlap(speller.correct(pair.draft.tokens), pair.reference.tokens, cfg)
+        if score is None:
             removed.append((pair, "overlap with reference undefined (no content tokens)"))
-            continue
-        if score < cfg.alpha:
+        elif score < cfg.alpha:
             removed.append((pair, f"overlap {score:.4f} below alpha {cfg.alpha}"))
         else:
             kept.append(pair)
@@ -412,11 +397,6 @@ def score_workers(subs: Sequence[WorkerSubmission]) -> list[WorkerVerdict]:
         pair for sub in subs for pair in zip(sub.answers, sub.mt_references)
     )
     return [_verdict(sub, distances[3 * i : 3 * i + 3]) for i, sub in enumerate(subs)]
-
-
-def score_worker(sub: WorkerSubmission) -> WorkerVerdict:
-    """:func:`score_workers` of one submission."""
-    return score_workers([sub])[0]
 
 
 def _verdict(sub: WorkerSubmission, distances: Sequence[int]) -> WorkerVerdict:

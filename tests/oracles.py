@@ -7,11 +7,12 @@ package code, so agreement between the two is meaningful evidence.
 from __future__ import annotations
 
 import functools
+import math
 import re
 import unicodedata
 from collections import Counter
 from pathlib import Path
-from typing import Callable, Mapping, Sequence, TypeVar
+from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 T = TypeVar("T")
 
@@ -164,6 +165,25 @@ def bleu_stats_reference(hyp: Sequence[str], ref: Sequence[str]) -> list[int]:
         r_counts = Counter(tuple(ref[i : i + order]) for i in range(len(ref) - order + 1))
         stats += (sum((h_counts & r_counts).values()), sum(h_counts.values()))
     return stats
+
+
+def bleu_reference(pairs: Iterable[tuple[Sequence[str], Sequence[str]]]) -> float:
+    """Corpus BLEU of (hypothesis, reference) token lists from the summed
+    :func:`bleu_stats_reference` rows: the brevity penalty times the
+    geometric mean of each order's matched/total precision, over the orders
+    with any hypothesis n-gram, a zero match count standing at 1e-4; 0.0
+    when every hypothesis is empty.  Logs are added left to right, so the
+    result can be compared exactly."""
+    rows = [bleu_stats_reference(hyp, ref) for hyp, ref in pairs]
+    hyp_len, ref_len, *counts = (sum(column) for column in zip(*rows))
+    if hyp_len == 0:
+        return 0.0
+    log_sum, orders = 0.0, 0
+    for matched, total in zip(counts[::2], counts[1::2]):
+        if total:
+            log_sum += math.log((matched or 1e-4) / total)
+            orders += 1
+    return min(1.0, math.exp(1.0 - ref_len / hyp_len)) * math.exp(log_sum / orders)
 
 
 def sentence_logprob_reference(model, tokens: Sequence[str]) -> float:
@@ -367,19 +387,26 @@ def load_parsed(load: Callable[[Path], T], arpa: Path) -> T:
             aside.rename(sidecar)
 
 
+def stored_ngrams(model, order: int) -> list[tuple[str, ...]]:
+    """The n-grams of one order among the keys of a model's ``_logprob``
+    table, sorted."""
+    return sorted(gram for gram in model._logprob if len(gram) == order)
+
+
 def arpa_text_reference(model) -> str:
-    """ARPA text of a model, one section per order through ``model.ngrams``.
+    """ARPA text of a model, one section per order through
+    :func:`stored_ngrams`.
 
     Every value, backoff weights included, is written as its ``repr``,
     except that one equal to -99.0 (the ``<s>`` placeholder) is written
-    ``-99``.  A section lists its n-grams in ``ngrams`` order, and an
-    n-gram's backoff weight follows it only when one is stored.
+    ``-99``.  A section lists its n-grams in sorted order, and an n-gram's
+    backoff weight follows it only when one is stored.
     """
 
     def value_text(value: float) -> str:
         return "-99" if value == -99.0 else repr(value)
 
-    sections = [model.ngrams(n) for n in range(1, model.order + 1)]
+    sections = [stored_ngrams(model, n) for n in range(1, model.order + 1)]
     lines = ["\\data\\"]
     for n, grams in enumerate(sections, start=1):
         lines.append(f"ngram {n}={len(grams)}")

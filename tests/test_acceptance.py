@@ -27,9 +27,10 @@ from draftkit.corpus import (
     load_pairs,
 )
 from draftkit.lm import ADD_K, load_arpa, save_arpa, train
+from draftkit import quality
 from draftkit.metrics import (
     _edit_runs,
-    bleu,
+    evaluate,
     grammaticality,
     levenshtein_char,
     rouge_l,
@@ -63,8 +64,7 @@ from draftkit.quality import (
     FilterConfig,
     WorkerSubmission,
     filter_pairs,
-    overlap_coefficient,
-    score_worker,
+    score_workers,
 )
 from oracles import all_strings, levenshtein_table
 from synth import academic_sentences
@@ -310,14 +310,13 @@ def test_07_worker_scoring_and_pair_filter():
         ),
     ]
     for criterion, expected, trigger, neighbor in cases:
-        verdict = score_worker(trigger)
+        verdict, other = score_workers([trigger, neighbor])
         assert (criterion, expected) in verdict.triggered, criterion
-        verdict = score_worker(neighbor)
-        assert criterion not in {cid for cid, _ in verdict.triggered}, criterion
+        assert criterion not in {cid for cid, _ in other.triggered}, criterion
 
     # The no-terminal neighbor also proves "?" counts as terminal for the
     # reject; the bonus still needs every answer terminal.
-    best = score_worker(_submission(_swap(1, "a big dog sat on the <*> mat .")))
+    [best] = score_workers([_submission(_swap(1, "a big dog sat on the <*> mat ."))])
     assert best.score == 3.0
     assert best.accepted
     assert best.triggered == (
@@ -326,7 +325,7 @@ def test_07_worker_scoring_and_pair_filter():
         (CRITERION_ENGLISH, 1.0),
     )
 
-    flat = score_worker(_submission(GOOD_ANSWERS, distances=(15, 25, 35)))
+    [flat] = score_workers([_submission(GOOD_ANSWERS, distances=(15, 25, 35))])
     assert flat.score == 0.0
     assert flat.accepted
     assert flat.triggered == (
@@ -339,13 +338,18 @@ def test_07_worker_scoring_and_pair_filter():
     kept_pair = DraftPair.from_texts(
         "We propose a novel model", "We propose a strong model"
     )
-    assert overlap_coefficient(kept_pair.draft, kept_pair.reference) == pytest.approx(2 / 3)
+    cfg = FilterConfig()
+    assert quality._overlap(kept_pair.draft.tokens, kept_pair.reference.tokens, cfg) == (
+        pytest.approx(2 / 3)
+    )
     shared = " ".join(f"shared{i}" for i in range(7))
     crafted = DraftPair.from_texts(
         shared + " " + " ".join(f"draftonly{i}" for i in range(13)),
         shared + " " + " ".join(f"refonly{i}" for i in range(13)),
     )
-    assert overlap_coefficient(crafted.draft, crafted.reference) == pytest.approx(0.35)
+    assert quality._overlap(crafted.draft.tokens, crafted.reference.tokens, cfg) == (
+        pytest.approx(0.35)
+    )
     assert FilterConfig().alpha == 0.4
     kept, removed = filter_pairs([kept_pair, crafted], FilterConfig(alpha=0.4))
     assert kept == [kept_pair]
@@ -355,12 +359,12 @@ def test_07_worker_scoring_and_pair_filter():
 
 def test_08_metric_sanity():
     sentences = academic_sentences(50, seed=8)
-    assert bleu(sentences, sentences) == 1.0
+    assert evaluate(sentences, sentences, sentences).corpus_bleu == 1.0
     assert all(rouge_l(s, s) == 1.0 for s in sentences)
 
     hyps = [Sentence.from_text("qa qb qc qd qe") for _ in range(20)]
     refs = [Sentence.from_text("rv rw rx ry rz") for _ in range(20)]
-    assert bleu(hyps, refs) < 1e-3
+    assert evaluate(hyps, hyps, refs).corpus_bleu < 1e-3
     assert all(rouge_l(h, r) < 1e-3 for h, r in zip(hyps, refs))
 
     assert grammaticality(Sentence.from_text("The cat sat on the mat .")) == 1.0

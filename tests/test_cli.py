@@ -20,7 +20,7 @@ import draftkit
 from draftkit import cli, lm, metrics, quality
 from draftkit.cli import dispatch
 from draftkit.corpus import Sentence, load_pairs
-from draftkit.quality import load_submissions, score_worker, spell_check
+from draftkit.quality import load_submissions, score_workers, spell_check
 from synth import academic_sentences
 from test_lm import MALFORMED_ARPA
 
@@ -405,6 +405,30 @@ class TestNoiseRun:
         else:
             assert len(load_pairs(out)) == 40
 
+    def test_weighted_vocabulary_of_zero_counts_is_usage_error(
+        self, tmp_path, sentences_file, capsys
+    ):
+        # Every count is 0, so a weighted draw has nothing to weigh; the
+        # vocabulary is built before the output is opened.
+        vocab = write_lines(tmp_path / "zero.tsv", ["foo\t0", "bar\t0"])
+        before = sorted(os.listdir(tmp_path))
+        code = self.run(sentences_file, tmp_path / "z.tsv", "--vocab-counts", str(vocab),
+                        "--weighted-vocab", "--replace-vocab-min-count", "-1", "--replace-p", "0.5")
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: every token kept above min_count -1 has count 0,"
+            " so none can be drawn in proportion to its count\n"
+        )
+        assert sorted(os.listdir(tmp_path)) == before
+
+    def test_uniform_vocabulary_of_zero_counts_samples(self, tmp_path, sentences_file):
+        vocab = write_lines(tmp_path / "zero.tsv", ["foo\t0", "bar\t0"])
+        out = tmp_path / "z.tsv"
+        assert self.run(sentences_file, out, "--vocab-counts", str(vocab),
+                        "--replace-vocab-min-count", "-1", "--replace-p", "0.5") == 0
+        drafts = [p.draft.tokens for p in load_pairs(out)]
+        assert {"foo", "bar"} <= {token for draft in drafts for token in draft}
+
     def test_memory_does_not_grow_with_input(self, tmp_path):
         def peak(n):
             texts = [s.text for s in academic_sentences(n, seed=5)]
@@ -609,8 +633,7 @@ class TestQualityCommands:
         assert records[0]["accepted"] is True
         assert records[1]["accepted"] is False
         # Emitted verdicts must agree with the library.
-        for record, sub in zip(records, load_submissions(subs)):
-            verdict = score_worker(sub)
+        for record, verdict in zip(records, score_workers(load_submissions(subs))):
             assert record["score"] == verdict.score
             assert record["triggered"] == [[cid, delta] for cid, delta in verdict.triggered]
 

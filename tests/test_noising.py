@@ -121,6 +121,14 @@ class TestReplacementVocab:
         draws = [vocab.sample(rng) for _ in range(20_000)]
         assert abs(draws.count("b") / 20_000 - 0.9) < 0.02
 
+    def test_weighted_counts_summing_to_zero_rejected(self):
+        with pytest.raises(ValueError, match="has count 0"):
+            ReplacementVocab({"a": 0, "b": 0}, min_count=-1, weighted=True)
+        # Uniform draws ignore the counts, and nothing kept is nothing to weigh.
+        uniform = ReplacementVocab({"a": 0, "b": 0}, min_count=-1)
+        assert uniform.sample(random.Random(0)) in ("a", "b")
+        assert len(ReplacementVocab({"a": 0}, min_count=0, weighted=True)) == 0
+
     def test_packaged_wordlist(self):
         vocab = ReplacementVocab.from_wordlist()
         assert len(vocab) > 100

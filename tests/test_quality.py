@@ -33,14 +33,10 @@ from draftkit.quality import (
     CRITERION_TIME,
     REJECT,
     FilterConfig,
-    UndefinedOverlapError,
     WorkerSubmission,
     contains_japanese,
     filter_pairs,
-    is_english,
     load_submissions,
-    overlap_coefficient,
-    score_worker,
     score_workers,
     spell_check,
     spell_check_all,
@@ -338,21 +334,30 @@ class TestLanguageHeuristics:
             assert contains_japanese(f"ab {ch} c") is in_ranges(ch), hex(ord(ch))
 
     def test_common_english_recognized(self):
-        assert is_english("the cat sat on the mat .") is True
+        assert quality._mostly_listed("the cat sat on the mat .") is True
 
     def test_gibberish_not_recognized(self):
-        assert is_english("xqz vrb plk nnt") is False
+        assert quality._mostly_listed("xqz vrb plk nnt") is False
 
     def test_japanese_character_vetoes(self):
-        assert is_english("the model の performance is good .") is False
+        # Five of its six alphabetic tokens are listed; the Japanese
+        # character alone withholds the English bonus.
+        answer = "the model の performance is good ."
+        assert quality._mostly_listed(answer) is True
+        verdict = score_one(submission(answers=(answer, *ENGLISH_ANSWERS[1:])))
+        assert CRITERION_ENGLISH not in triggered_ids(verdict)
 
     def test_threshold_boundary_is_inclusive(self):
         # One of two alphabetic tokens is known: exactly 50%.
-        assert is_english("model zzqx .") is True
-        assert is_english("model zzqx vrbk .") is False
+        assert quality._mostly_listed("model zzqx .") is True
+        assert quality._mostly_listed("model zzqx vrbk .") is False
 
     def test_no_alphabetic_tokens(self):
-        assert is_english("12 34 . <*>") is False
+        assert quality._mostly_listed("12 34 . <*>") is False
+
+
+def overlap(x: Sentence, y: Sentence) -> float | None:
+    return quality._overlap(x.tokens, y.tokens, FilterConfig())
 
 
 class TestOverlapCoefficient:
@@ -360,31 +365,29 @@ class TestOverlapCoefficient:
         x = sent("We", "propose", "a", "novel", "model")
         y = sent("We", "propose", "a", "strong", "model")
         # U(x) = {propose, novel, model}, U(y) = {propose, strong, model}.
-        assert overlap_coefficient(x, y) == pytest.approx(2 / 3)
+        assert overlap(x, y) == pytest.approx(2 / 3)
 
     def test_identical_sentences(self):
         x = sent("propose", "novel", "model")
-        assert overlap_coefficient(x, x) == 1.0
+        assert overlap(x, x) == 1.0
 
     def test_disjoint_content(self):
-        assert overlap_coefficient(sent("propose", "model"), sent("novel", "draft")) == 0.0
+        assert overlap(sent("propose", "model"), sent("novel", "draft")) == 0.0
 
     def test_mask_and_stopwords_excluded(self):
         x = sent("<*>", "the", "model")
         y = sent("model", "a")
-        assert overlap_coefficient(x, y) == 1.0
+        assert overlap(x, y) == 1.0
 
     def test_duplication_and_order_invariance(self):
         x = sent("novel", "model", "model", "novel")
         y = sent("model", "novel")
-        assert overlap_coefficient(x, y) == 1.0
-        assert overlap_coefficient(y, x) == 1.0
+        assert overlap(x, y) == 1.0
+        assert overlap(y, x) == 1.0
 
-    def test_empty_content_raises(self):
-        with pytest.raises(UndefinedOverlapError):
-            overlap_coefficient(sent("the", "a", "an"), sent("model"))
-        with pytest.raises(UndefinedOverlapError):
-            overlap_coefficient(sent("model"), sent("<*>"))
+    def test_empty_content_is_undefined(self):
+        assert overlap(sent("the", "a", "an"), sent("model")) is None
+        assert overlap(sent("model"), sent("<*>")) is None
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -393,8 +396,8 @@ class TestOverlapCoefficient:
     )
     def test_symmetry(self, xs, ys):
         x, y = sent(*xs), sent(*ys)
-        assert overlap_coefficient(x, y) == overlap_coefficient(y, x)
-        assert 0.0 <= overlap_coefficient(x, y) <= 1.0
+        assert overlap(x, y) == overlap(y, x)
+        assert 0.0 <= overlap(x, y) <= 1.0
 
 
 class TestFilterConfig:
@@ -496,15 +499,17 @@ class TestFilterPairs:
 
 def filter_pairs_by_spell_check(pairs, cfg):
     """filter_pairs as spell check, then tokenizing the corrected text,
-    then the overlap coefficient, one pair at a time."""
+    then the overlap coefficient of the content types (lowercased, minus
+    stopwords and the mask token), one pair at a time."""
     kept, removed = [], []
     for pair in pairs:
         draft = Sentence.from_text(spell_check(pair.draft).corrected_text)
-        try:
-            score = overlap_coefficient(draft, pair.reference, cfg)
-        except UndefinedOverlapError:
+        ux, uy = ({t.lower() for t in s.tokens} - cfg.stopwords - {"<*>"}
+                  for s in (draft, pair.reference))
+        if not ux or not uy:
             removed.append((pair, "overlap with reference undefined (no content tokens)"))
             continue
+        score = len(ux & uy) / min(len(ux), len(uy))
         if score < cfg.alpha:
             removed.append((pair, f"overlap {score:.4f} below alpha {cfg.alpha}"))
         else:
@@ -537,6 +542,10 @@ def triggered_ids(verdict):
     return [cid for cid, _ in verdict.triggered]
 
 
+def score_one(sub: WorkerSubmission):
+    return score_workers([sub])[0]
+
+
 class TestWorkerSubmission:
     def test_requires_three_answers(self):
         with pytest.raises(ValueError):
@@ -555,7 +564,7 @@ class TestScoreWorker:
     def test_perfect_submission_scores_three(self):
         # Terminal punctuation, a mask token, and recognized English each
         # add one point; distances of 35 clear every band.
-        verdict = score_worker(submission())
+        verdict = score_one(submission())
         assert verdict.score == 3.0
         assert verdict.accepted is True
         assert sorted(triggered_ids(verdict)) == sorted(
@@ -569,12 +578,12 @@ class TestScoreWorker:
             "the model sat on the mat .",
         )
         # -1.5 - 0.5 + 1 + 1 = 0: accepted sits exactly on the boundary.
-        verdict = score_worker(submission(answers=answers, distances=(15, 25, 35)))
+        verdict = score_one(submission(answers=answers, distances=(15, 25, 35)))
         assert verdict.score == 0.0
         assert verdict.accepted is True
 
     def test_negative_score_rejected_without_reject_criterion(self):
-        verdict = score_worker(submission(distances=(15, 15, 25)))
+        verdict = score_one(submission(distances=(15, 15, 25)))
         assert verdict.score == pytest.approx(-1.5 - 1.5 - 0.5 + 1 + 1 + 1)
         assert verdict.accepted is False
         assert all(delta != REJECT for _, delta in verdict.triggered)
@@ -591,27 +600,27 @@ class TestScoreWorker:
         ],
     )
     def test_distance_bands(self, distance, expected_id, expected_delta):
-        verdict = score_worker(submission(distances=(distance, 35, 35)))
+        verdict = score_one(submission(distances=(distance, 35, 35)))
         assert (expected_id, expected_delta) in verdict.triggered
 
     def test_distance_above_band_is_free(self):
-        verdict = score_worker(submission(distances=(31, 35, 35)))
+        verdict = score_one(submission(distances=(31, 35, 35)))
         assert not any(cid.startswith("worker.ld") for cid in triggered_ids(verdict))
 
     def test_close_translation_rejects_despite_score(self):
-        verdict = score_worker(submission(distances=(8, 35, 35)))
+        verdict = score_one(submission(distances=(8, 35, 35)))
         assert verdict.accepted is False
 
     def test_working_time_boundary(self):
-        assert score_worker(submission(seconds=119)).accepted is False
-        assert CRITERION_TIME in triggered_ids(score_worker(submission(seconds=119)))
-        ok = score_worker(submission(seconds=120))
+        assert score_one(submission(seconds=119)).accepted is False
+        assert CRITERION_TIME in triggered_ids(score_one(submission(seconds=119)))
+        ok = score_one(submission(seconds=120))
         assert ok.accepted is True
         assert CRITERION_TIME not in triggered_ids(ok)
 
     def test_one_short_answer_costs_four_points(self):
         answers = ("the cat sat.", ENGLISH_ANSWERS[1], ENGLISH_ANSWERS[2])
-        verdict = score_worker(submission(answers=answers))
+        verdict = score_one(submission(answers=answers))
         ids = triggered_ids(verdict)
         # Three whitespace words also means fewer than four distinct types.
         assert CRITERION_SHORT in ids and CRITERION_FEW_TYPES in ids
@@ -621,38 +630,38 @@ class TestScoreWorker:
 
     def test_all_answers_short_rejects(self):
         answers = ("the cat sat.", "a cat sat.", "the mat sat.")
-        verdict = score_worker(submission(answers=answers))
+        verdict = score_one(submission(answers=answers))
         assert CRITERION_ALL_SHORT in triggered_ids(verdict)
         assert verdict.accepted is False
 
     def test_few_types_alone(self):
         answers = ("the the the the the .", ENGLISH_ANSWERS[1], ENGLISH_ANSWERS[2])
-        verdict = score_worker(submission(answers=answers))
+        verdict = score_one(submission(answers=answers))
         ids = triggered_ids(verdict)
         assert CRITERION_FEW_TYPES in ids and CRITERION_SHORT not in ids
         assert verdict.score == pytest.approx(-2 + 1 + 1 + 1)
 
     def test_no_terminal_punctuation_rejects(self):
         answers = tuple(a.rstrip(" .") for a in ENGLISH_ANSWERS)
-        verdict = score_worker(submission(answers=answers))
+        verdict = score_one(submission(answers=answers))
         ids = triggered_ids(verdict)
         assert CRITERION_NO_TERMINAL in ids and CRITERION_TERMINAL not in ids
         assert verdict.accepted is False
 
     def test_question_mark_counts_as_terminal(self):
         answers = tuple(a.rstrip(". ") + " ?" for a in ENGLISH_ANSWERS)
-        verdict = score_worker(submission(answers=answers))
+        verdict = score_one(submission(answers=answers))
         assert CRITERION_TERMINAL in triggered_ids(verdict)
 
     def test_identical_answers_reject_after_whitespace_normalization(self):
         answers = (ENGLISH_ANSWERS[0], "the  cat sat on the mat .  ", ENGLISH_ANSWERS[2])
-        verdict = score_worker(submission(answers=answers))
+        verdict = score_one(submission(answers=answers))
         assert CRITERION_IDENTICAL in triggered_ids(verdict)
         assert verdict.accepted is False
 
     def test_japanese_answer_rejects_without_not_english(self):
         answers = (ENGLISH_ANSWERS[0], "the cat sat on の mat .", ENGLISH_ANSWERS[2])
-        verdict = score_worker(submission(answers=answers))
+        verdict = score_one(submission(answers=answers))
         ids = triggered_ids(verdict)
         assert CRITERION_JAPANESE in ids
         assert CRITERION_NOT_ENGLISH not in ids
@@ -670,7 +679,7 @@ class TestScoreWorker:
 
     def test_no_english_answer_rejects(self):
         answers = ("xqz vrb plk nnt .", "qqn wrt zzk lpm .", "vvx bbn mmk rrt .")
-        verdict = score_worker(submission(answers=answers))
+        verdict = score_one(submission(answers=answers))
         ids = triggered_ids(verdict)
         assert CRITERION_NOT_ENGLISH in ids
         assert CRITERION_ENGLISH not in ids
@@ -685,7 +694,7 @@ class TestScoreWorker:
             seconds_worked=base.seconds_worked,
             mt_references=tuple(base.mt_references[i] for i in order),
         )
-        a, b = score_worker(base), score_worker(shuffled)
+        a, b = score_one(base), score_one(shuffled)
         assert a.score == b.score
         assert a.accepted == b.accepted
         assert sorted(map(repr, a.triggered)) == sorted(map(repr, b.triggered))
@@ -699,7 +708,7 @@ class TestScoreWorker:
             submission(answers=("the cat sat.", "a cat sat.", "the mat sat.")),
         ]
         for sub in cases:
-            verdict = score_worker(sub)
+            verdict = score_one(sub)
             has_reject = any(delta == REJECT for _, delta in verdict.triggered)
             assert verdict.accepted == (not has_reject and verdict.score >= 0)
 
