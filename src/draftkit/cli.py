@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -65,7 +66,7 @@ def _parse_bool(value: str) -> bool:
 
 
 # Every path flag has one of these two as its type; the manifest lists the
-# flags by which of them it is (see _write_manifest).
+# flags by which of them it is (see _run_files).
 def _input(text: str) -> Path:
     return Path(text)
 
@@ -450,28 +451,47 @@ def _resolved_config(args: argparse.Namespace) -> dict[str, object]:
     return dict(sorted(resolved.items()))
 
 
-def _write_manifest(
-    args: argparse.Namespace, leaf: _Parser, duration: float, written: Iterable[Path]
-) -> None:
-    # The leaf's path flags, in declaration order, are the run's files; the
-    # outputs its handler wrote beside them follow.
-    paths: dict[Callable, list[str]] = {_input: [], _output: []}
+# (flag, path) of each path flag that is set, by its type (_input or _output).
+_Files = dict[Callable, list[tuple[str, str]]]
+
+
+def _run_files(args: argparse.Namespace, leaf: _Parser) -> _Files:
+    # The leaf's path flags, in declaration order, are the run's files.
+    files: _Files = {_input: [], _output: []}
     for action in leaf._actions:
         value = getattr(args, action.dest, None)
-        if action.type in paths and value is not None:
-            paths[action.type].append(str(value))
-    outputs = [*paths[_output], *map(str, written)]
+        if action.type in files and value is not None:
+            files[action.type].append((action.option_strings[0], str(value)))
+    return files
+
+
+def _shared_output(outputs: Iterable[tuple[str, str]]) -> str | None:
+    # Path arithmetic only, so no file is touched: two outputs on one file
+    # would leave only the one renamed last.
+    seen: dict[str, str] = {}
+    for name, path in outputs:
+        key = os.path.normpath(os.path.abspath(path))
+        if key in seen:
+            return f"{seen[key]} and {name} name the same file: {path}"
+        seen[key] = name
+    return None
+
+
+def _write_manifest(
+    args: argparse.Namespace, files: _Files, path: str, duration: float, written: Iterable[Path]
+) -> None:
+    # The outputs the handler wrote follow those its flags name.
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "subcommand": args._leaf,
         "config": _resolved_config(args),
-        "inputs": paths[_input],
-        "outputs": outputs,
+        "inputs": [file for _, file in files[_input]],
+        "outputs": [*(file for _, file in files[_output]), *map(str, written)],
         "seed": args.seed,
         "version": __version__,
         "duration_seconds": round(duration, 6),
     }
-    _write_json(Path(f"{outputs[0]}.manifest.json"), manifest)
+    _write_json(path, manifest)
 
 
 _tree: tuple[_Parser, dict[str, _Parser]] | None = None
@@ -512,19 +532,25 @@ def dispatch(argv: Sequence[str] | None = None) -> int:
     if args.jobs < 1:
         print("error: --jobs must be at least 1", file=sys.stderr)
         return 1
+    files = _run_files(args, leaf)
+    manifest = f"{files[_output][0][1]}.manifest.json"
+    shared = _shared_output([*files[_output], ("the run manifest", manifest)])
+    if shared is not None:
+        print(f"error: {shared}", file=sys.stderr)
+        return 1
     if args.dump_config:
         print(json.dumps(_resolved_config(args), indent=2, sort_keys=True))
         return 0
     start = time.perf_counter()
     try:
         written = globals()[args._run](args) or ()
+        _write_manifest(args, files, manifest, time.perf_counter() - start, written)
     except (RecordError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    _write_manifest(args, leaf, time.perf_counter() - start, written)
     return 0
 
 

@@ -325,7 +325,11 @@ def atomic_writer(path: Path | str, *, binary: bool = False) -> Iterator[IO]:
     try:
         with handle:
             yield handle
-        os.replace(temp, path)
+        try:
+            os.replace(temp, path)
+        except OSError as err:
+            # Name the output alone: the temporary file's name holds the pid.
+            raise OSError(err.errno, err.strerror, str(path)) from err
     except BaseException:
         temp.unlink(missing_ok=True)
         raise

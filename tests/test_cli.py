@@ -3,6 +3,7 @@ precedence, and byte-level determinism of the file-producing commands."""
 
 from __future__ import annotations
 
+import errno
 import gc
 import hashlib
 import json
@@ -711,18 +712,31 @@ class TestQualityCommands:
         assert sorted(tmp_path.iterdir()) == [subs]
 
     def test_filter_pairs(self, tmp_path):
+        # Spell check corrects each draft past the second against the
+        # bundled word list: typos, repeated and Title-case ones.  The last
+        # two are kept only because it does: a typo two edits from
+        # "baseline", and a token longer than every bundled entry, one edit
+        # from the longest.
+        corrected = [
+            "We propose a simpel model for the task .\tWe propose a simple model for the task .",
+            "The results show a cleer gain .\tThe results show a clear gain .",
+            "Simpel methods give simpel results .\tSimple methods give simple results .",
+            "The baseln\tThe baseline",
+            "Its characteristicsx\tIts characteristics",
+        ]
         pairs = write_lines(
             tmp_path / "pairs.tsv",
             [
                 "We propose a novel model\tWe propose a strong model",
                 "qqa qqb qqc\tnovel model draft",
+                *corrected,
             ],
         )
         kept, removed = tmp_path / "kept.tsv", tmp_path / "removed.tsv"
         assert dispatch(["quality", "filter-pairs", "--input", str(pairs),
                          "--kept", str(kept), "--removed", str(removed)]) == 0
         assert kept.read_text().splitlines() == [
-            "We propose a novel model\tWe propose a strong model"
+            "We propose a novel model\tWe propose a strong model", *corrected
         ]
         [removed_line] = removed.read_text().splitlines()
         draft, reference, reason = removed_line.split("\t")
@@ -790,6 +804,45 @@ class TestQualityCommands:
         assert code == 2
         assert str(outputs[unwritable]) in capsys.readouterr().err
         assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+    @pytest.mark.parametrize(
+        "removed, shared",
+        [("out.tsv", "--kept and --removed name the same file: out.tsv"),
+         ("sub/../out.tsv.manifest.json",
+          "--removed and the run manifest name the same file: {kept}.manifest.json")],
+        ids=["kept", "manifest"],
+    )
+    def test_two_outputs_on_one_file_is_usage_error(
+        self, tmp_path, monkeypatch, removed, shared, capsys
+    ):
+        # Each would be renamed over the other; the run writes nothing.  The
+        # paths are the same only once normalised.
+        monkeypatch.chdir(tmp_path)
+        pairs = write_lines(tmp_path / "pairs.tsv", ["We propose a novel model\tWe propose a model",
+                                                     "qqa qqb qqc\tnovel model draft"])
+        code = dispatch(["quality", "filter-pairs", "--input", str(pairs),
+                         "--kept", str(tmp_path / "out.tsv"), "--removed", removed])
+        assert code == 1
+        shared = shared.format(kept=tmp_path / "out.tsv")
+        assert capsys.readouterr().err == f"error: {shared}\n"
+        assert list(tmp_path.iterdir()) == [pairs]
+
+    def test_unwritable_manifest_is_data_error(self, tmp_path, capsys):
+        # The outputs are in place before the manifest's rename fails, and
+        # no temporary file is left.
+        pairs = write_lines(tmp_path / "pairs.tsv", ["We propose a novel model\tWe propose a model"])
+        manifest = tmp_path / "kept.tsv.manifest.json"
+        manifest.mkdir()
+        code = dispatch(["quality", "filter-pairs", "--input", str(pairs), "--kept",
+                         str(tmp_path / "kept.tsv"), "--removed", str(tmp_path / "removed.tsv")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: {str(manifest)!r}\n"
+        )
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            [pairs.name, "kept.tsv", "removed.tsv", manifest.name]
+        )
+        assert list(manifest.iterdir()) == []
 
 
 _FILTER_PROBE = """
@@ -900,13 +953,18 @@ class TestEvalRun:
         model_path = tmp_path / "model.arpa"
         assert dispatch(["lm", "train", "--input", str(sentences_file),
                          "--out", str(model_path)]) == 0
-        line = sentences_file.read_text().splitlines()[0]
-        src, hyp, ref = self.files(tmp_path, [line], [line], [line])
-        report_path = tmp_path / "report.json"
-        assert dispatch(["eval", "run", "--src", str(src), "--hyp", str(hyp),
-                         "--ref", str(ref), "--lm", str(model_path),
-                         "--report", str(report_path)]) == 0
-        report = json.loads(report_path.read_text())
+        lines = sentences_file.read_text().splitlines()[:5]
+        drafts = [line.replace("the", "teh") for line in lines]
+        src, hyp, ref = self.files(tmp_path, drafts, lines, lines)
+        reports = []
+        for jobs in ("1", "2"):  # --jobs is ignored: the report is the same
+            report_path = tmp_path / f"report{jobs}.json"
+            assert dispatch(["eval", "run", "--src", str(src), "--hyp", str(hyp),
+                             "--ref", str(ref), "--lm", str(model_path),
+                             "--report", str(report_path), "--jobs", jobs]) == 0
+            reports.append(report_path.read_bytes())
+        assert reports[0] == reports[1]
+        report = json.loads(reports[0])
         assert report["aggregates"]["mean_ppl"] > 1.0
 
     def test_unaligned_inputs_are_data_error(self, tmp_path, capsys):

@@ -480,3 +480,14 @@ class TestAtomicWrite:
             write_pairs(path, self.PAIRS)
         assert exc.value.filename == str(path)
         assert list(tmp_path.iterdir()) == []
+
+    def test_failed_rename_names_the_target(self, tmp_path):
+        # A directory in the target's place fails the rename, not the open.
+        path = tmp_path / "pairs.tsv"
+        path.mkdir()
+        with pytest.raises(IsADirectoryError) as exc:
+            write_pairs(path, self.PAIRS)
+        assert (exc.value.filename, exc.value.filename2) == (str(path), None)
+        assert str(exc.value).endswith(f": {str(path)!r}")
+        assert list(tmp_path.iterdir()) == [path]
+        assert list(path.iterdir()) == []

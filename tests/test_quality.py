@@ -591,6 +591,7 @@ class TestScoreWorker:
     @pytest.mark.parametrize(
         "distance,expected_id,expected_delta",
         [
+            (0, CRITERION_LD_CLOSE, REJECT),  # a copy of the machine translation
             (8, CRITERION_LD_CLOSE, REJECT),
             (10, CRITERION_LD_CLOSE, REJECT),
             (11, CRITERION_LD_NEAR, -1.5),
