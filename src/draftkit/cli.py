@@ -27,19 +27,19 @@ from .corpus import (
     RecordError,
     Sentence,
     atomic_writer,
-    filter_final_sentences,
-    filter_training_sentences,
     iter_checked_lines,
     load_pairs,
     nonblank_lines,
     pair_line,
+    passes_final_filter,
+    passes_training_filter,
     write_pairs,
 )
-from .lm import SMOOTHINGS, load_arpa, save_arpa, sidecar_path, train
+from .lm import KNESER_NEY, SMOOTHINGS, load_arpa, save_arpa, sidecar_path, train
 from .metrics import evaluate
 from .noising import NoiseConfig, ReplacementVocab, noise_corpus
 from .quality import FilterConfig, filter_pairs, load_submissions, score_workers, spell_check_all
-from .resources import read_counts, read_words
+from .resources import load_wordlist, read_counts, read_words
 
 SCHEMA_VERSION = 1
 
@@ -86,6 +86,12 @@ def _write_lines(path: Path | str, lines: Iterable[str]) -> None:
             handle.write(line + "\n")
 
 
+def _record_args(args: argparse.Namespace, defaults: tuple) -> dict[str, object]:
+    # The parsed value of each field of the record that a flag sets.
+    given = vars(args)
+    return {name: given[name] for name in defaults._fields if name in given}
+
+
 # --------------------------------------------------------------------------
 # subcommand handlers; dispatch knows their files from the parser, and a
 # handler returns any file it writes beside those its flags name
@@ -97,19 +103,10 @@ def _cmd_corpus_extract(args) -> None:
         if args.profile != "training":
             raise ValueError("--exclude applies only to --profile training")
         excluded = frozenset(t for _, t in nonblank_lines(args.exclude))
-    cfg = CorpusFilterConfig(
-        min_chars=args.min_chars,
-        max_chars=args.max_chars,
-        min_tokens=args.min_tokens,
-        max_tokens=args.max_tokens,
-        min_alpha_ratio=args.min_alpha_ratio,
-        excluded=excluded,
-    )
-    keep = filter_final_sentences if args.profile == "final" else filter_training_sentences
-    sentences = (
-        Sentence.from_text(text) for _, text in iter_checked_lines(args.input)
-    )
-    _write_lines(args.out, (s.text for s in keep(sentences, cfg)))
+    cfg = CorpusFilterConfig(**_record_args(args, _CORPUS_DEFAULTS), excluded=excluded)
+    keep = passes_final_filter if args.profile == "final" else passes_training_filter
+    sentences = (Sentence.from_text(text) for _, text in iter_checked_lines(args.input))
+    _write_lines(args.out, (s.text for s in sentences if keep(s, cfg)))
 
 
 def _cmd_lm_train(args) -> list[Path]:
@@ -165,25 +162,11 @@ def _references(path: Path) -> Iterator[Sentence]:
 
 
 def _cmd_noise_run(args) -> None:
-    cfg = NoiseConfig(
-        delete_p=args.delete_p,
-        replace_p=args.replace_p,
-        replace_vocab_min_count=args.replace_vocab_min_count,
-        shuffle_k=args.shuffle_k,
-        mask_fraction_max=args.mask_fraction_max,
-        seed=args.seed,
+    cfg = NoiseConfig(**_record_args(args, _NOISE_DEFAULTS))
+    counts = load_wordlist() if args.vocab_counts is None else read_counts(args.vocab_counts)
+    vocab = ReplacementVocab(
+        counts, min_count=cfg.replace_vocab_min_count, weighted=args.weighted_vocab
     )
-    vocab: ReplacementVocab | None = None
-    if args.vocab_counts is not None:
-        vocab = ReplacementVocab(
-            read_counts(args.vocab_counts),
-            min_count=cfg.replace_vocab_min_count,
-            weighted=args.weighted_vocab,
-        )
-    elif cfg.replace_p > 0:
-        vocab = ReplacementVocab.from_wordlist(
-            min_count=cfg.replace_vocab_min_count, weighted=args.weighted_vocab
-        )
     # Checked here, so that no output is opened for a run that cannot
     # replace.  The flag's value empties the vocabulary, whatever its source.
     if cfg.replace_p > 0 and not vocab:
@@ -279,6 +262,15 @@ def _cmd_analysis_terms(args) -> None:
 # parser assembly
 
 
+def _record_flags(p: _Parser, defaults: tuple) -> None:
+    # One flag per field of a config record, named after the field and
+    # typed and defaulted by its value there; --exclude and the common
+    # --seed set the two fields left out.
+    for name, default in zip(defaults._fields, defaults):
+        if name not in ("excluded", "seed"):
+            p.add_argument(f"--{name.replace('_', '-')}", type=type(default), default=default)
+
+
 def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
@@ -321,11 +313,7 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--out", type=_output, required=True)
     p.add_argument("--profile", choices=("final", "training"), default="final",
                    help="final: char-length and character-class rules; training: token rules")
-    p.add_argument("--min-chars", type=int, default=_CORPUS_DEFAULTS.min_chars)
-    p.add_argument("--max-chars", type=int, default=_CORPUS_DEFAULTS.max_chars)
-    p.add_argument("--min-tokens", type=int, default=_CORPUS_DEFAULTS.min_tokens)
-    p.add_argument("--max-tokens", type=int, default=_CORPUS_DEFAULTS.max_tokens)
-    p.add_argument("--min-alpha-ratio", type=float, default=_CORPUS_DEFAULTS.min_alpha_ratio)
+    _record_flags(p, _CORPUS_DEFAULTS)
     p.add_argument("--exclude", type=_input, default=None,
                    help="sentences that must not appear in training output")
 
@@ -334,7 +322,7 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--input", type=_input, required=True)
     p.add_argument("--out", type=_output, required=True)
     p.add_argument("--order", type=int, default=5)
-    p.add_argument("--smoothing", choices=sorted(SMOOTHINGS), default="interpolated-kneser-ney")
+    p.add_argument("--smoothing", choices=sorted(SMOOTHINGS), default=KNESER_NEY)
     p.add_argument("--k", type=float, default=1.0, help="additive constant for add-k smoothing")
     p.add_argument("--unk-floor", type=float, default=None,
                    help="minimum unigram probability for the unknown token")
@@ -347,12 +335,7 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p = noise("run", _cmd_noise_run, "noise a sentence-per-line file into a pair TSV")
     p.add_argument("--input", type=_input, required=True)
     p.add_argument("--out", type=_output, required=True)
-    p.add_argument("--delete-p", type=float, default=_NOISE_DEFAULTS.delete_p)
-    p.add_argument("--replace-p", type=float, default=_NOISE_DEFAULTS.replace_p)
-    p.add_argument("--shuffle-k", type=int, default=_NOISE_DEFAULTS.shuffle_k)
-    p.add_argument("--mask-fraction-max", type=float, default=_NOISE_DEFAULTS.mask_fraction_max)
-    p.add_argument("--replace-vocab-min-count", type=int,
-                   default=_NOISE_DEFAULTS.replace_vocab_min_count)
+    _record_flags(p, _NOISE_DEFAULTS)
     p.add_argument("--vocab-counts", type=_input, default=None,
                    help="token<TAB>count file for the replacement vocabulary")
     p.add_argument("--weighted-vocab", action="store_true",
@@ -477,6 +460,18 @@ def _shared_output(outputs: Iterable[tuple[str, str]]) -> str | None:
     return None
 
 
+def _long_manifest(flag: str, manifest: str) -> str | None:
+    # A manifest that cannot be named would leave the outputs without one.
+    try:
+        limit = os.pathconf(os.path.dirname(manifest) or ".", "PC_NAME_MAX")
+    except (AttributeError, OSError):  # no os.pathconf, or no such directory
+        limit = 255
+    size = len(os.fsencode(os.path.basename(manifest)))
+    if 0 < limit < size:
+        return f"{flag} is too long for its run manifest, a name of {size} bytes (limit {limit})"
+    return None
+
+
 def _write_manifest(
     args: argparse.Namespace, files: _Files, path: str, duration: float, written: Iterable[Path]
 ) -> None:
@@ -533,16 +528,22 @@ def dispatch(argv: Sequence[str] | None = None) -> int:
         print("error: --jobs must be at least 1", file=sys.stderr)
         return 1
     files = _run_files(args, leaf)
-    manifest = f"{files[_output][0][1]}.manifest.json"
-    shared = _shared_output([*files[_output], ("the run manifest", manifest)])
-    if shared is not None:
-        print(f"error: {shared}", file=sys.stderr)
+    flag, first = files[_output][0]
+    manifest = f"{first}.manifest.json"
+    problem = _shared_output([*files[_output], ("the run manifest", manifest)])
+    problem = problem or _long_manifest(flag, manifest)
+    if problem is not None:
+        print(f"error: {problem}", file=sys.stderr)
         return 1
     if args.dump_config:
         print(json.dumps(_resolved_config(args), indent=2, sort_keys=True))
         return 0
     start = time.perf_counter()
     try:
+        # Outputs sit beside their own run's manifest or beside none: a run
+        # killed after renaming an output must not leave an earlier run's.
+        if os.path.isfile(manifest):
+            os.remove(manifest)
         written = globals()[args._run](args) or ()
         _write_manifest(args, files, manifest, time.perf_counter() - start, written)
     except (RecordError, OSError) as err:

@@ -196,20 +196,6 @@ def passes_training_filter(sentence: Sentence, cfg: CorpusFilterConfig) -> bool:
     return normalize_sentence(sentence.text) not in cfg.excluded
 
 
-def filter_final_sentences(
-    sentences: Iterable[Sentence], cfg: CorpusFilterConfig
-) -> Iterator[Sentence]:
-    """Yield sentences fit for presentation, preserving input order."""
-    return (s for s in sentences if passes_final_filter(s, cfg))
-
-
-def filter_training_sentences(
-    sentences: Iterable[Sentence], cfg: CorpusFilterConfig
-) -> Iterator[Sentence]:
-    """Yield sentences fit for model training, preserving input order."""
-    return (s for s in sentences if passes_training_filter(s, cfg))
-
-
 class RecordError(ValueError):
     """A malformed record in a line-oriented data file."""
 
@@ -313,10 +299,12 @@ def atomic_writer(path: Path | str, *, binary: bool = False) -> Iterator[IO]:
 
     What is written goes to a temporary file in the same directory, renamed
     over the target with :func:`os.replace`; if the block raises, the target
-    is left as it was and the temporary file is removed.
+    is left as it was and the temporary file is removed.  The temporary
+    name does not grow with the target's, so any name the directory allows
+    can be written.
     """
     path = Path(path)
-    temp = path.with_name(f".{path.name}.{os.getpid()}.{next(_TEMP_SERIAL)}.tmp")
+    temp = path.with_name(f".draftkit.{os.getpid()}.{next(_TEMP_SERIAL)}.tmp")
     try:
         handle = open(temp, "xb") if binary else open(temp, "x", encoding="utf-8")
     except OSError as err:

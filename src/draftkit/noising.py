@@ -18,7 +18,6 @@ from typing import NamedTuple
 
 from . import DEFAULT_SEED
 from .corpus import MASK_TOKEN, DraftPair, Sentence, _Checked
-from .resources import load_wordlist
 
 
 def _check_unit(name: str, value: float) -> None:
@@ -83,12 +82,6 @@ class ReplacementVocab:
                 f"every token kept above min_count {min_count} has count 0,"
                 " so none can be drawn in proportion to its count"
             )
-
-    @classmethod
-    def from_wordlist(
-        cls, *, min_count: int = 10_000, weighted: bool = False
-    ) -> "ReplacementVocab":
-        return cls(load_wordlist(), min_count=min_count, weighted=weighted)
 
     def __len__(self) -> int:
         return len(self.tokens)

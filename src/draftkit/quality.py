@@ -211,7 +211,7 @@ class _Speller:
         dictionary = self.dictionary
         corrected = []
         for token in tokens:
-            if token.isalpha() and not token.isupper() and token != MASK_TOKEN:
+            if token.isalpha() and not token.isupper():
                 lowered = token.lower()
                 if lowered not in dictionary:
                     try:

@@ -446,6 +446,69 @@ class TestNoiseRun:
         assert large - small < 1_000_000, (small, large)
 
 
+# --dump-config of the two subcommands whose flags come from their config
+# records (CorpusFilterConfig, NoiseConfig), at the defaults and with two of
+# those flags set.
+DUMPED_CONFIGS = [
+    ("corpus extract --input in.txt --out out.txt", """{
+  "exclude": null,
+  "input": "in.txt",
+  "jobs": 1,
+  "max_chars": 120,
+  "max_tokens": 35,
+  "min_alpha_ratio": 0.5,
+  "min_chars": 70,
+  "min_tokens": 5,
+  "out": "out.txt",
+  "profile": "final",
+  "seed": 1729
+}
+"""),
+    ("corpus extract --input in.txt --out out.txt --min-chars 60 --min-alpha-ratio 0.25", """{
+  "exclude": null,
+  "input": "in.txt",
+  "jobs": 1,
+  "max_chars": 120,
+  "max_tokens": 35,
+  "min_alpha_ratio": 0.25,
+  "min_chars": 60,
+  "min_tokens": 5,
+  "out": "out.txt",
+  "profile": "final",
+  "seed": 1729
+}
+"""),
+    ("noise run --input in.txt --out pairs.tsv", """{
+  "delete_p": 0.1,
+  "input": "in.txt",
+  "jobs": 1,
+  "mask_fraction_max": 0.5,
+  "out": "pairs.tsv",
+  "replace_p": 0.1,
+  "replace_vocab_min_count": 10000,
+  "seed": 1729,
+  "shuffle_k": 3,
+  "vocab_counts": null,
+  "weighted_vocab": false
+}
+"""),
+    ("noise run --input in.txt --out pairs.tsv --delete-p 0.3 --shuffle-k 2", """{
+  "delete_p": 0.3,
+  "input": "in.txt",
+  "jobs": 1,
+  "mask_fraction_max": 0.5,
+  "out": "pairs.tsv",
+  "replace_p": 0.1,
+  "replace_vocab_min_count": 10000,
+  "seed": 1729,
+  "shuffle_k": 2,
+  "vocab_counts": null,
+  "weighted_vocab": false
+}
+"""),
+]
+
+
 class TestConfigPrecedence:
     def test_flags_override_config_file(self, tmp_path, sentences_file):
         cfg = write_lines(tmp_path / "noise.cfg",
@@ -547,6 +610,30 @@ class TestConfigPrecedence:
         resolved = json.loads(capsys.readouterr().out)
         assert resolved["seed"] == 1729
         assert resolved["mask_fraction_max"] == 0.5
+
+    @pytest.mark.parametrize("line, expected", DUMPED_CONFIGS)
+    def test_dump_config_bytes_are_pinned(self, tmp_path, monkeypatch, line, expected, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert dispatch([*line.split(), "--dump-config"]) == 0
+        assert capsys.readouterr().out == expected
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv, setting",
+        [(["corpus", "extract"], "min-chars = 2.5"), (["noise", "run"], "shuffle_k = 2.5")],
+    )
+    def test_fraction_for_an_integer_key_is_data_error(
+        self, tmp_path, sentences_file, argv, setting, capsys
+    ):
+        cfg = write_lines(tmp_path / "run.cfg", [setting])
+        out = tmp_path / "out.txt"
+        code = dispatch([*argv, "--input", str(sentences_file), "--out", str(out),
+                         "--config", str(cfg)])
+        assert code == 2
+        key = setting.split()[0].replace("-", "_")
+        reason = f"bad value for {key}: invalid literal for int() with base 10: '2.5'"
+        assert capsys.readouterr().err == f"error: {cfg}:1: {reason}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "argv, setting",
@@ -1152,6 +1239,9 @@ MANIFEST_CASES = [
     ("corpus extract --exclude in/exclude.txt --profile training --input in/sentences.txt"
      " --out out/kept.txt",
      ["in/sentences.txt", "in/exclude.txt"], ["out/kept.txt"]),
+    ("corpus extract --min-alpha-ratio 0.25 --out out/kept.txt --min-chars 60"
+     " --input in/sentences.txt",
+     ["in/sentences.txt"], ["out/kept.txt"]),
     ("lm train --out out/model.arpa --input in/sentences.txt --order 2",
      ["in/sentences.txt"], ["out/model.arpa", "out/model.arpa.compiled"]),
     ("lm ppl --input in/sentences.txt --report out/ppl.json --model in/model.arpa",
@@ -1161,6 +1251,8 @@ MANIFEST_CASES = [
     ("noise run --vocab-counts in/vocab.tsv --replace-p 0.4 --out out/pairs.tsv"
      " --input in/sentences.txt",
      ["in/sentences.txt", "in/vocab.tsv"], ["out/pairs.tsv"]),
+    ("noise run --delete-p 0.3 --out out/pairs.tsv --shuffle-k 2 --input in/sentences.txt",
+     ["in/sentences.txt"], ["out/pairs.tsv"]),
     ("quality score-workers --out out/verdicts.jsonl --input in/subs.jsonl",
      ["in/subs.jsonl"], ["out/verdicts.jsonl"]),
     ("quality filter-pairs --removed out/removed.tsv --kept out/kept.tsv --input in/pairs.tsv",
@@ -1423,3 +1515,127 @@ class TestAtomicOutputs:
         err = capsys.readouterr().err
         assert str(out) in err and ".tmp" not in err
         assert list(tmp_path.iterdir()) == [sentences_file]
+
+
+class TestLongOutputNames:
+    """An output name the directory allows is written with its manifest, or
+    refused before any input is read when the manifest's name would not fit."""
+
+    @pytest.mark.parametrize("room", [0, 11, 25])
+    def test_output_gets_its_manifest(self, tmp_path, sentences_file, room):
+        # room is how many bytes more the manifest's name could take.
+        limit = os.pathconf(tmp_path, "PC_NAME_MAX")
+        out = tmp_path / ("n" * (limit - len(".manifest.json") - room - 4) + ".txt")
+        argv = ["corpus", "extract", "--input", str(sentences_file), "--out", str(out)]
+        assert dispatch([*argv, "--profile", "training"]) == 0
+        assert out.read_bytes()
+        assert json.loads(Path(f"{out}.manifest.json").read_bytes())["outputs"] == [str(out)]
+        assert sorted(tmp_path.iterdir()) == sorted(
+            [sentences_file, out, Path(f"{out}.manifest.json")]
+        )
+
+    @pytest.mark.parametrize("over", [1, 7, len(".manifest.json")])
+    @pytest.mark.parametrize("input_exists", [True, False], ids=["input", "missing-input"])
+    def test_no_room_for_the_manifest_is_usage_error(
+        self, tmp_path, sentences_file, over, input_exists, capsys
+    ):
+        # A missing input exits 1, not 2: the name is checked before it is read.
+        limit = os.pathconf(tmp_path, "PC_NAME_MAX")
+        out = tmp_path / ("n" * (limit - len(".manifest.json") + over - 4) + ".txt")
+        source = sentences_file if input_exists else tmp_path / "missing.txt"
+        before = sorted(tmp_path.iterdir())
+        assert dispatch(["corpus", "extract", "--input", str(source), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: --out is too long for its run manifest, a name of {limit + over} bytes"
+            f" (limit {limit})\n"
+        )
+        assert sorted(tmp_path.iterdir()) == before
+
+
+# Kills a dispatch call at its kill_at'th os.replace, before that rename.
+_KILL_PROBE = """
+import os
+import sys
+from draftkit import cli
+
+kill_at, calls, replace = int(sys.argv[1]), [], os.replace
+
+def replace_or_die(src, dst):
+    calls.append(dst)
+    if len(calls) == kill_at:
+        os._exit(9)
+    replace(src, dst)
+
+os.replace = replace_or_die
+sys.exit(cli.dispatch(sys.argv[2:]))
+"""
+
+# Each command line reads {input} and writes the outputs listed with it;
+# the manifest is renamed last.
+_KILLED_RUNS = {
+    "quality filter-pairs": (
+        "quality filter-pairs --input {input} --kept kept.tsv --removed removed.tsv",
+        ["kept.tsv", "removed.tsv"],
+    ),
+    "lm train": ("lm train --input {input} --out model.arpa --order 2",
+                 ["model.arpa", "model.arpa.compiled"]),
+    "noise run": ("noise run --input {input} --out pairs.tsv", ["pairs.tsv"]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_KILLED_RUNS))
+def test_killed_run_leaves_no_manifest_beside_outputs_of_another(
+    tmp_path, monkeypatch, command
+):
+    line, outputs = _KILLED_RUNS[command]
+    manifest = f"{outputs[0]}.manifest.json"
+    inputs = {}
+    for seed, name in enumerate(["first.txt", "second.txt"], 8):
+        texts = [s.text for s in academic_sentences(12, seed=seed)]
+        if command == "quality filter-pairs":
+            # Every third draft is another pair's reference, so both outputs get pairs.
+            texts = [f"{t.replace('the', 'a', 1) if i % 3 else texts[i - 1]}\t{t}"
+                     for i, t in enumerate(texts)]
+        inputs[name] = "\n".join(texts) + "\n"
+
+    def directory(name):
+        path = tmp_path / name
+        path.mkdir()
+        for input_name, text in inputs.items():
+            (path / input_name).write_text(text, encoding="utf-8")
+        return path
+
+    def run_in(path, input_name):
+        monkeypatch.chdir(path)
+        assert dispatch(line.format(input=input_name).split()) == 0
+
+    # The outputs of one complete run on each input.
+    made = {}
+    for input_name in inputs:
+        run_in(directory(f"alone-{input_name}"), input_name)
+        made[input_name] = {out: Path(out).read_bytes() for out in outputs}
+    assert all(made["first.txt"][out] != made["second.txt"][out] for out in outputs)
+    mixed, manifests = [], []
+    for kill_at in range(1, len(outputs) + 2):
+        work = directory(f"killed-at-{kill_at}")
+        run_in(work, "first.txt")
+        proc = subprocess.run(
+            [sys.executable, "-c", _KILL_PROBE, str(kill_at),
+             *line.format(input="second.txt").split()],
+            cwd=work, env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True,
+            timeout=120,
+        )
+        assert (proc.returncode, proc.stderr) == (9, b"")
+        found = {out: (work / out).read_bytes() for out in outputs if (work / out).exists()}
+        # Every output is whole, from one run or the other.
+        assert all(data in (made["first.txt"][out], made["second.txt"][out])
+                   for out, data in found.items())
+        if (work / manifest).exists():
+            manifests.append(kill_at)
+            [run] = json.loads((work / manifest).read_bytes())["inputs"]
+            if found != made[run]:
+                mixed.append(kill_at)
+    # No output set sits beside another run's manifest; and since the
+    # manifest is renamed last, a killed run leaves none at all.
+    assert mixed == []
+    assert manifests == []

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from draftkit import corpus
+from draftkit import cli, corpus
 from draftkit.corpus import (
     MASK_TOKEN,
     CorpusFilterConfig,
@@ -20,13 +20,13 @@ from draftkit.corpus import (
     RecordError,
     Sentence,
     atomic_writer,
-    filter_final_sentences,
-    filter_training_sentences,
     iter_checked_lines,
     load_pairs,
     nonblank_lines,
     normalize_sentence,
     pair_line,
+    passes_final_filter,
+    passes_training_filter,
     tokenize,
     write_pairs,
 )
@@ -181,7 +181,7 @@ class TestFinalFilter:
     def test_char_length_boundaries(self):
         cfg = CorpusFilterConfig()
         lengths = [69, 70, 100, 120, 121]
-        kept = list(filter_final_sentences((_sentence_of_length(n) for n in lengths), cfg))
+        kept = [s for s in map(_sentence_of_length, lengths) if passes_final_filter(s, cfg)]
         assert [s.char_len for s in kept] == [70, 100, 120]
 
     @pytest.mark.parametrize(
@@ -192,29 +192,34 @@ class TestFinalFilter:
         text = snippet + " padding" + " word" * 12 + "."
         s = Sentence.from_text(text)
         assert 70 <= s.char_len <= 120
-        assert list(filter_final_sentences([s], CorpusFilterConfig())) == []
+        assert not passes_final_filter(s, CorpusFilterConfig())
 
-    def test_preserves_order_and_is_lazy(self):
-        cfg = CorpusFilterConfig()
-        seen = []
+    def test_preserves_order_and_is_lazy(self, tmp_path, monkeypatch):
+        # corpus extract hands each kept sentence on before it reads the next line.
+        path = tmp_path / "in.txt"
+        path.write_text("".join(_sentence_of_length(n).text + "\n" for n in (70, 10, 80, 90)),
+                        encoding="utf-8")
+        read = []
 
-        def gen():
-            for n in (70, 80, 90):
-                s = _sentence_of_length(n)
-                seen.append(n)
-                yield s
+        def lines(p):
+            for line_no, text in iter_checked_lines(p):
+                read.append(line_no)
+                yield line_no, text
 
-        it = filter_final_sentences(gen(), cfg)
-        first = next(it)
-        assert first.char_len == 70
-        assert seen == [70]  # nothing consumed beyond what was asked for
+        written = []
+        monkeypatch.setattr(cli, "iter_checked_lines", lines)
+        monkeypatch.setattr(cli, "_write_lines", lambda out, texts: written.extend(
+            (len(text), len(read)) for text in texts))
+        argv = ["corpus", "extract", "--input", str(path), "--out", str(tmp_path / "out.txt")]
+        assert cli.dispatch(argv) == 0
+        assert written == [(70, 1), (80, 3), (90, 4)]
 
 
 class TestTrainingFilter:
     def test_token_count_boundaries(self):
         cfg = CorpusFilterConfig()
         make = lambda k: Sentence.from_tokens(["word"] * k)
-        kept = list(filter_training_sentences([make(4), make(5), make(35), make(36)], cfg))
+        kept = [s for s in map(make, (4, 5, 35, 36)) if passes_training_filter(s, cfg)]
         assert [len(s.tokens) for s in kept] == [5, 35]
 
     def test_alpha_ratio(self):
@@ -223,19 +228,19 @@ class TestTrainingFilter:
         low = Sentence.from_text("a1 b2 c3 d4 e5")
         # 10 alphabetic of 19 chars = 0.526: kept.
         high = Sentence.from_text("ab1 cd2 ef3 gh4 ij5")
-        assert list(filter_training_sentences([low, high], cfg)) == [high]
+        assert [passes_training_filter(s, cfg) for s in (low, high)] == [False, True]
 
     def test_alpha_ratio_boundary_is_inclusive(self):
         # 8 alphabetic of 16 chars = exactly 0.5.
         s = Sentence.from_text("ab1 cd2 ef3 gh45")
         assert sum(ch.isalpha() for ch in s.text) / len(s.text) == 0.5
         cfg = CorpusFilterConfig(min_tokens=4)
-        assert list(filter_training_sentences([s], cfg)) == [s]
+        assert passes_training_filter(s, cfg)
 
     def test_excluded_sentences_dropped_after_normalization(self):
         cfg = CorpusFilterConfig(excluded=frozenset({"the model works well today ."}))
         s = Sentence.from_text("The  Model works well today .")
-        assert list(filter_training_sentences([s], cfg)) == []
+        assert not passes_training_filter(s, cfg)
 
 
 class TestPairIO:
@@ -480,6 +485,13 @@ class TestAtomicWrite:
             write_pairs(path, self.PAIRS)
         assert exc.value.filename == str(path)
         assert list(tmp_path.iterdir()) == []
+
+    def test_longest_name_the_directory_allows(self, tmp_path):
+        # The temporary file's name does not grow with the target's.
+        path = tmp_path / ("n" * os.pathconf(tmp_path, "PC_NAME_MAX"))
+        write_pairs(path, self.PAIRS)
+        assert list(tmp_path.iterdir()) == [path]
+        assert load_pairs(path) == self.PAIRS
 
     def test_failed_rename_names_the_target(self, tmp_path):
         # A directory in the target's place fails the rename, not the open.

@@ -21,6 +21,7 @@ from draftkit.noising import (
     record_rng,
     replace_tokens,
 )
+from draftkit.resources import load_wordlist
 
 
 class ScriptedRng:
@@ -130,7 +131,7 @@ class TestReplacementVocab:
         assert len(ReplacementVocab({"a": 0}, min_count=0, weighted=True)) == 0
 
     def test_packaged_wordlist(self):
-        vocab = ReplacementVocab.from_wordlist()
+        vocab = ReplacementVocab(load_wordlist())
         assert len(vocab) > 100
         assert all(c > 10_000 for c in vocab.counts)
         assert "the" in vocab.tokens
@@ -361,7 +362,7 @@ class TestNoiseSentence:
             for _ in range(2000)
         ]
         cfg = NoiseConfig(seed=11)
-        vocab = ReplacementVocab.from_wordlist()
+        vocab = ReplacementVocab(load_wordlist())
         masked = sum(
             noise_sentence(s, cfg, vocab, index=i).has_mask
             for i, s in enumerate(sentences)

@@ -1,4 +1,5 @@
-"""The library is what a subcommand reaches.
+"""The library is what a subcommand reaches, and a config record's knobs are
+what its subcommand's flags set.
 
 Every public function and method that a ``src/draftkit`` module defines
 must be called by some command line, or be named in ``ALLOWED`` with the
@@ -22,6 +23,8 @@ import pytest
 
 import draftkit
 from draftkit import cli
+from draftkit.corpus import CorpusFilterConfig
+from draftkit.noising import NoiseConfig
 from synth import academic_sentences
 
 #: Public names that no subcommand calls, each with the caller it stays for.
@@ -159,3 +162,41 @@ def test_every_public_function_is_reached_or_allowed(tmp_path, monkeypatch):
     assert sorted(unreached - ALLOWED.keys()) == [], "called by no subcommand"
     # An entry that is reached or gone no longer needs its place.
     assert sorted(ALLOWED.keys() - unreached) == [], "allowed but reached or gone"
+
+
+#: Fields of a subcommand's config record that no flag named after them
+#: declares, by the flag that sets each instead.
+SET_BY = {
+    ("corpus extract", "excluded"): "--exclude",  # the sentences of a file, normalized
+    ("noise run", "seed"): "--seed",  # the flag every subcommand takes
+}
+
+
+@pytest.mark.parametrize(
+    "leaf, record", [("corpus extract", CorpusFilterConfig), ("noise run", NoiseConfig)]
+)
+def test_every_config_field_is_set_by_a_flag(tmp_path, monkeypatch, leaf, record):
+    """Each field of the record is set by the flag named after it, typed and
+    defaulted as the record's default, or by the flag ``SET_BY`` names;
+    changing every such flag changes the record the subcommand builds."""
+    flags = cli._shared_tree()[1][leaf]._option_string_actions
+    argv, expected = [], {}
+    for name, default in record()._asdict().items():
+        flag = SET_BY.get((leaf, name), f"--{name.replace('_', '-')}")
+        action = flags.get(flag)
+        assert action is not None, f"no flag of {leaf} sets {record.__name__}.{name}"
+        if action.dest == name:
+            assert (action.type, action.default) == (type(default), default)
+            value = default + 1 if isinstance(default, int) else default / 2
+            argv += [flag, str(value)]
+            expected[name] = value
+    assert {field for where, field in SET_BY if where == leaf} <= set(record._fields)
+    built = []
+    monkeypatch.setattr(
+        cli, record.__name__, lambda **fields: built.append(record(**fields)) or built[-1]
+    )
+    texts = [s.text for s in academic_sentences(10, seed=4)]
+    (tmp_path / "s.txt").write_text("\n".join(texts) + "\n", encoding="utf-8")
+    line = [*leaf.split(), "--input", str(tmp_path / "s.txt"), "--out", str(tmp_path / "o")]
+    assert cli.dispatch([*line, *argv]) == 0
+    assert [{name: getattr(cfg, name) for name in expected} for cfg in built] == [expected]
