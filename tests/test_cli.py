@@ -446,9 +446,8 @@ class TestNoiseRun:
         assert large - small < 1_000_000, (small, large)
 
 
-# --dump-config of the two subcommands whose flags come from their config
-# records (CorpusFilterConfig, NoiseConfig), at the defaults and with two of
-# those flags set.
+# --dump-config of the five subcommands whose knobs have config records, at
+# the defaults and with two of those knobs set.
 DUMPED_CONFIGS = [
     ("corpus extract --input in.txt --out out.txt", """{
   "exclude": null,
@@ -504,6 +503,67 @@ DUMPED_CONFIGS = [
   "shuffle_k": 2,
   "vocab_counts": null,
   "weighted_vocab": false
+}
+"""),
+    ("lm train --input in.txt --out m.arpa", """{
+  "input": "in.txt",
+  "jobs": 1,
+  "k": 1.0,
+  "order": 5,
+  "out": "m.arpa",
+  "seed": 1729,
+  "smoothing": "interpolated-kneser-ney",
+  "unk_floor": null
+}
+"""),
+    ("lm train --input in.txt --out m.arpa --smoothing add-k --unk-floor 0.01", """{
+  "input": "in.txt",
+  "jobs": 1,
+  "k": 1.0,
+  "order": 5,
+  "out": "m.arpa",
+  "seed": 1729,
+  "smoothing": "add-k",
+  "unk_floor": 0.01
+}
+"""),
+    ("quality filter-pairs --input p.tsv --kept k.tsv --removed r.tsv", """{
+  "alpha": 0.4,
+  "input": "p.tsv",
+  "jobs": 1,
+  "kept": "k.tsv",
+  "removed": "r.tsv",
+  "seed": 1729,
+  "stopwords": null
+}
+"""),
+    ("quality filter-pairs --input p.tsv --kept k.tsv --removed r.tsv --alpha 0.5"
+     " --stopwords s.txt", """{
+  "alpha": 0.5,
+  "input": "p.tsv",
+  "jobs": 1,
+  "kept": "k.tsv",
+  "removed": "r.tsv",
+  "seed": 1729,
+  "stopwords": "s.txt"
+}
+"""),
+    ("analysis terms --input p.tsv --out t.tsv", """{
+  "epsilon": 1.0,
+  "input": "p.tsv",
+  "jobs": 1,
+  "out": "t.tsv",
+  "seed": 1729,
+  "top_k": 20
+}
+"""),
+    ("analysis terms --input p.tsv --out t.tsv --top-k 3 --epsilon 0.5", """{
+  "epsilon": 0.5,
+  "input": "p.tsv",
+  "jobs": 1,
+  "out": "t.tsv",
+  "seed": 1729,
+  "top_k": 3
 }
 """),
 ]
