@@ -14,7 +14,7 @@ import math
 from collections import Counter
 from typing import Iterable, NamedTuple, Sequence
 
-from .corpus import DraftPair, Sentence
+from .corpus import DraftPair, Sentence, _Checked
 from .lm import NGramModel
 from .metrics import _mean, fre, levenshtein_pairs, passive_voice, word_repetition
 
@@ -137,21 +137,37 @@ def _per_10k(count: int, total: int) -> float:
     return 10_000.0 * count / total if total else 0.0
 
 
+class _TermsConfig(NamedTuple):
+    top_k: int = 20
+    epsilon: float = 1.0
+
+
+class TermsConfig(_Checked, _TermsConfig):
+    """Knobs of :func:`characteristic_terms`: how many terms each side
+    keeps, and the smoothing constant added to both frequencies."""
+
+    __slots__ = ()
+
+    def _checked(self) -> "TermsConfig":
+        if self.top_k < 1:
+            raise ValueError(f"top_k must be at least 1, got {self.top_k}")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
+        return self
+
+
 def characteristic_terms(
-    pairs: Sequence[DraftPair], top_k: int = 20, epsilon: float = 1.0
+    pairs: Sequence[DraftPair], cfg: TermsConfig = TermsConfig()
 ) -> list[TermContrast]:
     """Unigrams and bigrams most characteristic of each side.
 
     Tokens are lowercased; bigrams never cross sentence boundaries.  The
-    result holds up to ``top_k`` draft-heavy terms (descending ratio)
-    followed by up to ``top_k`` reference-heavy terms (ascending ratio),
+    result holds up to ``cfg.top_k`` draft-heavy terms (descending ratio)
+    followed by up to ``cfg.top_k`` reference-heavy terms (ascending ratio),
     ties broken lexicographically.  Balanced terms belong to neither.
     """
     pairs = _pair_list(pairs)
-    if top_k < 1:
-        raise ValueError(f"top_k must be at least 1, got {top_k}")
-    if not (math.isfinite(epsilon) and epsilon > 0.0):
-        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
+    top_k, epsilon = cfg
     draft_counts, draft_total = _term_frequencies(p.draft for p in pairs)
     ref_counts, ref_total = _term_frequencies(p.reference for p in pairs)
     contrasts = []

@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, NoReturn, Sequence
 
 from . import DEFAULT_SEED, __version__
-from .analysis import characteristic_terms, dataset_stats, linguistic_profile
+from .analysis import TermsConfig, characteristic_terms, dataset_stats, linguistic_profile
 from .corpus import (
     CorpusFilterConfig,
     DraftPair,
@@ -35,16 +35,13 @@ from .corpus import (
     passes_training_filter,
     write_pairs,
 )
-from .lm import KNESER_NEY, SMOOTHINGS, load_arpa, save_arpa, sidecar_path, train
+from .lm import SMOOTHINGS, TrainConfig, load_arpa, save_arpa, sidecar_path, train
 from .metrics import evaluate
 from .noising import NoiseConfig, ReplacementVocab, noise_corpus
 from .quality import FilterConfig, filter_pairs, load_submissions, score_workers, spell_check_all
 from .resources import load_wordlist, read_counts, read_words
 
 SCHEMA_VERSION = 1
-
-_NOISE_DEFAULTS = NoiseConfig()
-_CORPUS_DEFAULTS = CorpusFilterConfig()
 
 
 class _Parser(argparse.ArgumentParser):
@@ -86,10 +83,11 @@ def _write_lines(path: Path | str, lines: Iterable[str]) -> None:
             handle.write(line + "\n")
 
 
-def _record_args(args: argparse.Namespace, defaults: tuple) -> dict[str, object]:
-    # The parsed value of each field of the record that a flag sets.
-    given = vars(args)
-    return {name: given[name] for name in defaults._fields if name in given}
+def _record(record: type, args: argparse.Namespace, **fields: object) -> tuple:
+    # A leaf's config record: each field as given here, or else parsed from
+    # the flag named after it.
+    given = {**vars(args), **fields}
+    return record(**{name: given[name] for name in record._fields})
 
 
 # --------------------------------------------------------------------------
@@ -98,26 +96,21 @@ def _record_args(args: argparse.Namespace, defaults: tuple) -> dict[str, object]
 
 
 def _cmd_corpus_extract(args) -> None:
-    excluded: frozenset[str] = frozenset()
+    excluded: list[str] = []
     if args.exclude is not None:
         if args.profile != "training":
             raise ValueError("--exclude applies only to --profile training")
-        excluded = frozenset(t for _, t in nonblank_lines(args.exclude))
-    cfg = CorpusFilterConfig(**_record_args(args, _CORPUS_DEFAULTS), excluded=excluded)
+        excluded = [t for _, t in nonblank_lines(args.exclude)]
+    cfg = _record(CorpusFilterConfig, args, excluded=excluded)
     keep = passes_final_filter if args.profile == "final" else passes_training_filter
     sentences = (Sentence.from_text(text) for _, text in iter_checked_lines(args.input))
     _write_lines(args.out, (s.text for s in sentences if keep(s, cfg)))
 
 
 def _cmd_lm_train(args) -> list[Path]:
+    cfg = _record(TrainConfig, args)
     lines = nonblank_lines(args.input, "no non-blank lines to train on")
-    model = train(
-        [Sentence.from_text(text) for _, text in lines],
-        order=args.order,
-        smoothing=args.smoothing,
-        k=args.k,
-        unk_floor=args.unk_floor,
-    )
+    model = train([Sentence.from_text(text) for _, text in lines], cfg)
     save_arpa(model, args.out)
     return [sidecar_path(args.out)]
 
@@ -162,7 +155,7 @@ def _references(path: Path) -> Iterator[Sentence]:
 
 
 def _cmd_noise_run(args) -> None:
-    cfg = NoiseConfig(**_record_args(args, _NOISE_DEFAULTS))
+    cfg = _record(NoiseConfig, args)
     counts = load_wordlist() if args.vocab_counts is None else read_counts(args.vocab_counts)
     vocab = ReplacementVocab(
         counts, min_count=cfg.replace_vocab_min_count, weighted=args.weighted_vocab
@@ -189,12 +182,9 @@ def _cmd_quality_score_workers(args) -> None:
 
 
 def _cmd_quality_filter_pairs(args) -> None:
-    pairs = load_pairs(args.input)
-    if args.stopwords is not None:
-        cfg = FilterConfig(alpha=args.alpha, stopwords=read_words(args.stopwords))
-    else:
-        cfg = FilterConfig(alpha=args.alpha)
-    kept, removed = filter_pairs(pairs, cfg)
+    stopwords = None if args.stopwords is None else read_words(args.stopwords)
+    cfg = _record(FilterConfig, args, stopwords=stopwords)
+    kept, removed = filter_pairs(load_pairs(args.input), cfg)
     # Both outputs are opened before either is written, so a path that
     # cannot be written leaves the other output as it was.
     with atomic_writer(args.kept) as kept_out, atomic_writer(args.removed) as removed_out:
@@ -249,8 +239,8 @@ def _cmd_stats_dataset(args) -> None:
 
 
 def _cmd_analysis_terms(args) -> None:
-    pairs = _some_pairs(args.input)
-    terms = characteristic_terms(pairs, top_k=args.top_k, epsilon=args.epsilon)
+    cfg = _record(TermsConfig, args)
+    terms = characteristic_terms(_some_pairs(args.input), cfg)
     lines = ["term\tdraft_per10k\tref_per10k\tlog_ratio"]
     lines.extend(
         f"{t.term}\t{t.draft_freq!r}\t{t.reference_freq!r}\t{t.log_ratio!r}" for t in terms
@@ -262,13 +252,15 @@ def _cmd_analysis_terms(args) -> None:
 # parser assembly
 
 
-def _record_flags(p: _Parser, defaults: tuple) -> None:
-    # One flag per field of a config record, named after the field and
-    # typed and defaulted by its value there; --exclude and the common
-    # --seed set the two fields left out.
-    for name, default in zip(defaults._fields, defaults):
-        if name not in ("excluded", "seed"):
-            p.add_argument(f"--{name.replace('_', '-')}", type=type(default), default=default)
+def _record_flags(p: _Parser, record: type, **per_field: dict | None) -> None:
+    # One flag per field of a config record, named after the field and typed
+    # and defaulted by its default there.  per_field adds to a field's flag
+    # keywords, or is None for a field that a flag declared elsewhere sets.
+    for name, default in record._field_defaults.items():
+        extra = per_field.get(name, {})
+        if extra is not None:
+            kwargs = {"type": type(default), "default": default, **extra}
+            p.add_argument(f"--{name.replace('_', '-')}", **kwargs)
 
 
 def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
@@ -313,7 +305,7 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--out", type=_output, required=True)
     p.add_argument("--profile", choices=("final", "training"), default="final",
                    help="final: char-length and character-class rules; training: token rules")
-    _record_flags(p, _CORPUS_DEFAULTS)
+    _record_flags(p, CorpusFilterConfig, excluded=None)
     p.add_argument("--exclude", type=_input, default=None,
                    help="sentences that must not appear in training output")
 
@@ -321,11 +313,10 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p = lm("train", _cmd_lm_train, "train a backoff model and save it as ARPA")
     p.add_argument("--input", type=_input, required=True)
     p.add_argument("--out", type=_output, required=True)
-    p.add_argument("--order", type=int, default=5)
-    p.add_argument("--smoothing", choices=sorted(SMOOTHINGS), default=KNESER_NEY)
-    p.add_argument("--k", type=float, default=1.0, help="additive constant for add-k smoothing")
-    p.add_argument("--unk-floor", type=float, default=None,
-                   help="minimum unigram probability for the unknown token")
+    _record_flags(p, TrainConfig, smoothing={"choices": sorted(SMOOTHINGS)},
+                  k={"help": "additive constant for add-k smoothing"},
+                  unk_floor={"type": float,
+                             "help": "minimum unigram probability for the unknown token"})
     p = lm("ppl", _cmd_lm_ppl, "score a sentence-per-line file under a saved model")
     p.add_argument("--model", type=_input, required=True)
     p.add_argument("--input", type=_input, required=True)
@@ -335,7 +326,7 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p = noise("run", _cmd_noise_run, "noise a sentence-per-line file into a pair TSV")
     p.add_argument("--input", type=_input, required=True)
     p.add_argument("--out", type=_output, required=True)
-    _record_flags(p, _NOISE_DEFAULTS)
+    _record_flags(p, NoiseConfig, seed=None)
     p.add_argument("--vocab-counts", type=_input, default=None,
                    help="token<TAB>count file for the replacement vocabulary")
     p.add_argument("--weighted-vocab", action="store_true",
@@ -351,9 +342,8 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--input", type=_input, required=True)
     p.add_argument("--kept", type=_output, required=True)
     p.add_argument("--removed", type=_output, required=True)
-    p.add_argument("--alpha", type=float, default=0.4)
-    p.add_argument("--stopwords", type=_input, default=None,
-                   help="replacement stopword list, one lowercase token per line")
+    _record_flags(p, FilterConfig, stopwords={
+        "type": _input, "help": "replacement stopword list, one lowercase token per line"})
 
     evaluation = group("eval", "system output scoring")
     p = evaluation("run", _cmd_eval_run, "score hypotheses against references")
@@ -376,8 +366,7 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p = analysis("terms", _cmd_analysis_terms, "characteristic terms per side as TSV")
     p.add_argument("--input", type=_input, required=True)
     p.add_argument("--out", type=_output, required=True)
-    p.add_argument("--top-k", type=int, default=20)
-    p.add_argument("--epsilon", type=float, default=1.0)
+    _record_flags(p, TermsConfig)
 
     return parser, registry
 

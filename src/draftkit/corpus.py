@@ -15,6 +15,7 @@ by the tokenizer.
 from __future__ import annotations
 
 import itertools
+import operator
 import os
 import re
 import unicodedata
@@ -137,46 +138,48 @@ class DraftPair(_DraftPair):
 
 
 class _Checked:
-    """Base of a record whose ``__new__`` checks its fields, listed before its
-    NamedTuple base: ``_replace`` then builds its copy through ``__new__`` too."""
+    """Base of a record listed before the NamedTuple base that declares its
+    fields and defaults.  Every construction, ``_replace`` and unpickling
+    included, builds through that base and calls ``_checked``, which raises
+    :class:`ValueError` or returns the fields as stored; the record is built
+    again only if one of them is not the value given."""
 
     __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        stored = self._checked()
+        if all(map(operator.is_, stored, self)):
+            return self
+        return super().__new__(cls, *stored)
+
     _make = classmethod(lambda cls, values: cls(*values))
 
 
 class _CorpusFilterConfig(NamedTuple):
-    min_chars: int
-    max_chars: int
-    min_tokens: int
-    max_tokens: int
-    min_alpha_ratio: float
-    excluded: frozenset[str]
+    min_chars: int = 70
+    max_chars: int = 120
+    min_tokens: int = 5
+    max_tokens: int = 35
+    min_alpha_ratio: float = 0.5
+    excluded: frozenset[str] = frozenset()
 
 
 class CorpusFilterConfig(_Checked, _CorpusFilterConfig):
-    """Bounds for both filtering passes.  All bounds are inclusive."""
+    """Bounds for both filtering passes.  All bounds are inclusive.
+    ``excluded`` may be any iterable of sentences; it is stored normalized."""
 
     __slots__ = ()
 
-    def __new__(
-        cls,
-        min_chars: int = 70,
-        max_chars: int = 120,
-        min_tokens: int = 5,
-        max_tokens: int = 35,
-        min_alpha_ratio: float = 0.5,
-        excluded: Iterable[str] = frozenset(),
-    ) -> "CorpusFilterConfig":
+    def _checked(self) -> tuple:
+        min_chars, max_chars, min_tokens, max_tokens, min_alpha_ratio, excluded = self
         if not 0 < min_chars <= max_chars:
             raise ValueError(f"need 0 < min_chars <= max_chars, got {min_chars}..{max_chars}")
         if not 0 < min_tokens <= max_tokens:
             raise ValueError(f"need 0 < min_tokens <= max_tokens, got {min_tokens}..{max_tokens}")
         if not 0.0 <= min_alpha_ratio <= 1.0:
             raise ValueError(f"min_alpha_ratio must be in [0, 1], got {min_alpha_ratio}")
-        excluded = frozenset(normalize_sentence(s) for s in excluded)
-        return super().__new__(
-            cls, min_chars, max_chars, min_tokens, max_tokens, min_alpha_ratio, excluded
-        )
+        return *self[:-1], frozenset(normalize_sentence(s) for s in excluded)
 
 
 def passes_final_filter(sentence: Sentence, cfg: CorpusFilterConfig) -> bool:

@@ -23,8 +23,9 @@ import sys
 from collections import Counter, defaultdict
 from collections.abc import Iterable, Sequence
 from pathlib import Path
+from typing import NamedTuple
 
-from .corpus import RecordError, Sentence, atomic_writer, iter_checked_lines
+from .corpus import RecordError, Sentence, _Checked, atomic_writer, iter_checked_lines
 
 BOS = "<s>"
 EOS = "</s>"
@@ -107,46 +108,56 @@ class NGramModel:
         return 10.0 ** (-self.sentence_logprob(tokens) / events)
 
 
-def train(
-    corpus: Iterable[Sentence],
-    order: int = 5,
-    smoothing: str = KNESER_NEY,
-    *,
-    k: float = 1.0,
-    unk_floor: float | None = None,
-) -> NGramModel:
-    """Count padded n-grams and build a smoothed backoff model.
+class _TrainConfig(NamedTuple):
+    order: int = 5
+    smoothing: str = KNESER_NEY
+    k: float = 1.0
+    unk_floor: float | None = None
 
-    ``k`` applies to add-k smoothing only.  ``unk_floor`` optionally lifts
-    the unigram mass of the unknown symbol to the given probability,
-    rescaling the rest of the unigram distribution to keep it proper.
-    """
-    if order < 1:
-        raise ValueError("order must be at least 1")
-    if smoothing not in SMOOTHINGS:
-        raise ValueError(f"unknown smoothing {smoothing!r}; expected one of {SMOOTHINGS}")
-    if smoothing == ADD_K and not (math.isfinite(k) and k > 0):
-        raise ValueError(f"k must be positive and finite, got {k}")
-    if unk_floor is not None and not 0.0 <= unk_floor < 1.0:
-        raise ValueError("unk_floor must lie in [0, 1)")
+
+class TrainConfig(_Checked, _TrainConfig):
+    """Knobs of :func:`train`, each checked whatever the smoothing.  ``k``
+    is the additive constant of add-k smoothing.  ``unk_floor`` optionally
+    lifts the unigram mass of the unknown symbol to the given probability,
+    rescaling the rest of the unigram distribution to keep it proper."""
+
+    __slots__ = ()
+
+    def _checked(self) -> "TrainConfig":
+        order, smoothing, k, unk_floor = self
+        if order < 1:
+            raise ValueError("order must be at least 1")
+        if smoothing not in SMOOTHINGS:
+            raise ValueError(f"unknown smoothing {smoothing!r}; expected one of {SMOOTHINGS}")
+        if not (math.isfinite(k) and k > 0):
+            raise ValueError(f"k must be positive and finite, got {k}")
+        if unk_floor is not None and not 0.0 <= unk_floor < 1.0:
+            raise ValueError("unk_floor must lie in [0, 1)")
+        return self
+
+
+def train(corpus: Iterable[Sentence], cfg: TrainConfig = TrainConfig()) -> NGramModel:
+    """Count padded n-grams and build a smoothed backoff model."""
     sentences = [tuple(s.tokens) for s in corpus]
     if not sentences:
         raise ValueError("cannot train on an empty corpus")
 
+    order = cfg.order
     raw: list[Counter[tuple[str, ...]]] = [Counter() for _ in range(order + 1)]
     words: Counter[str] = Counter()
     for tokens in sentences:
         words.update(tokens)
         seq = (BOS, *tokens, EOS)
-        shifted = [seq[i:] for i in range(order)]
-        for n in range(1, order + 1):
+        # No n-gram is longer than the padded sentence.
+        shifted = [seq[i:] for i in range(min(order, len(seq)))]
+        for n in range(1, len(shifted) + 1):
             raw[n].update(zip(*shifted[:n]))
 
     vpred = sorted((set(words) | {EOS, UNK}) - {BOS})
-    if smoothing == ADD_K:
-        logp, bows = _build_add_k(raw, words, vpred, order, k, unk_floor)
+    if cfg.smoothing == ADD_K:
+        logp, bows = _build_add_k(raw, words, vpred, order, cfg.k, cfg.unk_floor)
     else:
-        logp, bows = _build_kneser_ney(raw, words, vpred, order, unk_floor)
+        logp, bows = _build_kneser_ney(raw, words, vpred, order, cfg.unk_floor)
     return NGramModel(order, logp, bows)
 
 

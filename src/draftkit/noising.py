@@ -26,29 +26,18 @@ def _check_unit(name: str, value: float) -> None:
 
 
 class _NoiseConfig(NamedTuple):
-    delete_p: float
-    replace_p: float
-    replace_vocab_min_count: int
-    shuffle_k: int
-    mask_fraction_max: float
-    seed: int
+    delete_p: float = 0.1
+    replace_p: float = 0.1
+    replace_vocab_min_count: int = 10_000
+    shuffle_k: int = 3
+    mask_fraction_max: float = 0.5
+    seed: int = DEFAULT_SEED
 
 
 class NoiseConfig(_Checked, _NoiseConfig):
     __slots__ = ()
 
-    def __new__(
-        cls,
-        delete_p: float = 0.1,
-        replace_p: float = 0.1,
-        replace_vocab_min_count: int = 10_000,
-        shuffle_k: int = 3,
-        mask_fraction_max: float = 0.5,
-        seed: int = DEFAULT_SEED,
-    ) -> "NoiseConfig":
-        self = super().__new__(
-            cls, delete_p, replace_p, replace_vocab_min_count, shuffle_k, mask_fraction_max, seed
-        )
+    def _checked(self) -> "NoiseConfig":
         for name in ("delete_p", "replace_p", "mask_fraction_max"):
             _check_unit(name, getattr(self, name))
         if self.shuffle_k < 0:
@@ -66,11 +55,7 @@ class ReplacementVocab:
     """
 
     def __init__(
-        self,
-        counts: Mapping[str, int],
-        *,
-        min_count: int = 10_000,
-        weighted: bool = False,
+        self, counts: Mapping[str, int], *, min_count: int, weighted: bool = False
     ) -> None:
         kept = {token: count for token, count in counts.items() if count > min_count}
         self.weighted = weighted

@@ -268,23 +268,23 @@ def _mostly_listed(text: str) -> bool:
 
 
 class _FilterConfig(NamedTuple):
-    alpha: float
-    stopwords: frozenset[str]
+    alpha: float = 0.4
+    stopwords: frozenset[str] | None = None
 
 
 class FilterConfig(_Checked, _FilterConfig):
-    """Knobs for the overlap filter.  ``stopwords`` defaults to the
-    bundled list."""
+    """Knobs for the overlap filter.  ``stopwords`` may be any iterable of
+    tokens, and None stands for the bundled list."""
 
     __slots__ = ()
 
-    def __new__(cls, alpha: float = 0.4, stopwords: Iterable[str] | None = None) -> "FilterConfig":
-        stopwords = load_stopwords() if stopwords is None else frozenset(stopwords)
-        if not 0.0 <= alpha <= 1.0:
-            raise ValueError(f"alpha must be in [0, 1], got {alpha}")
+    def _checked(self) -> tuple:
+        stopwords = load_stopwords() if self.stopwords is None else frozenset(self.stopwords)
+        if not 0.0 <= self.alpha <= 1.0:
+            raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
         if MASK_TOKEN in stopwords:
             raise ValueError("the mask token cannot also be a stopword")
-        return super().__new__(cls, alpha, stopwords)
+        return self.alpha, stopwords
 
 
 def _content_tokens(tokens: Iterable[str], cfg: FilterConfig) -> set[str]:
@@ -342,25 +342,20 @@ class _WorkerSubmission(NamedTuple):
 
 class WorkerSubmission(_Checked, _WorkerSubmission):
     """One crowdworker's task: three answers with the machine translations
-    that were displayed next to the inputs."""
+    that were displayed next to the inputs, each any sequence and stored as
+    a tuple."""
 
     __slots__ = ()
 
-    def __new__(
-        cls,
-        worker_id: str,
-        answers: Sequence[str],
-        seconds_worked: int,
-        mt_references: Sequence[str],
-    ) -> "WorkerSubmission":
-        answers, mt_references = tuple(answers), tuple(mt_references)
+    def _checked(self) -> tuple:
+        answers, mt_references = tuple(self.answers), tuple(self.mt_references)
         if len(answers) != 3:
             raise ValueError(f"expected 3 answers, got {len(answers)}")
         if len(mt_references) != 3:
             raise ValueError(f"expected 3 machine references, got {len(mt_references)}")
-        if seconds_worked < 0:
-            raise ValueError(f"seconds_worked must be nonnegative, got {seconds_worked}")
-        return super().__new__(cls, worker_id, answers, seconds_worked, mt_references)
+        if self.seconds_worked < 0:
+            raise ValueError(f"seconds_worked must be nonnegative, got {self.seconds_worked}")
+        return self.worker_id, answers, self.seconds_worked, mt_references
 
 
 class WorkerVerdict(NamedTuple):

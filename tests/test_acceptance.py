@@ -26,7 +26,7 @@ from draftkit.corpus import (
     iter_checked_lines,
     load_pairs,
 )
-from draftkit.lm import ADD_K, load_arpa, save_arpa, train
+from draftkit.lm import ADD_K, TrainConfig, load_arpa, save_arpa, train
 from draftkit import quality
 from draftkit.metrics import (
     _edit_runs,
@@ -105,7 +105,7 @@ def test_02_released_pairs_directional_profiles():
         model = load_arpa(arpa)
     elif corpus_path:
         lines = [text for _, text in iter_checked_lines(corpus_path) if text.strip()]
-        model = train([Sentence.from_text(text) for text in lines], order=5)
+        model = train([Sentence.from_text(text) for text in lines], TrainConfig(order=5))
     else:
         pytest.skip(
             f"set {ACADEMIC_LM_VAR} (ARPA file) or {ACADEMIC_CORPUS_VAR} "
@@ -165,7 +165,7 @@ def test_04_noising_stage_rates():
     cfg = NoiseConfig()
     # Substitutes can never equal the nonce originals, so every draw is
     # visible to the counter below.
-    vocab = ReplacementVocab({f"sub{i}": 20_000 for i in range(64)})
+    vocab = ReplacementVocab({f"sub{i}": 20_000 for i in range(64)}, min_count=10_000)
     deleted = replaced = 0
     fractions = []
     for index, tokens in enumerate(corpus):
@@ -402,12 +402,12 @@ def test_09_lm_closed_form_roundtrip_and_held_in(tmp_path):
     # vocabulary adds the end and unknown symbols, so the add-k estimate
     # is (1 + k) / (2 + 4k) for both words.
     for k in (0.5, 1.0, 2.0):
-        model = train([Sentence.from_text("a b")], order=1, smoothing=ADD_K, k=k)
+        model = train([Sentence.from_text("a b")], TrainConfig(order=1, smoothing=ADD_K, k=k))
         for word in ("a", "b"):
             assert model.logprob(word) == math.log10((1 + k) / (2 + k * 4))
 
     corpus = academic_sentences(300, seed=91)
-    model = train(corpus, order=4)
+    model = train(corpus, TrainConfig(order=4))
     path = tmp_path / "model.arpa"
     save_arpa(model, path)
     loaded = load_arpa(path)
@@ -421,7 +421,7 @@ def test_09_lm_closed_form_roundtrip_and_held_in(tmp_path):
     assert worst <= 1e-9
 
     held_in = academic_sentences(1_000, seed=92)
-    model = train(held_in, order=5)
+    model = train(held_in, TrainConfig(order=5))
     rng = random.Random(909)
     wins = 0
     for s in held_in:

@@ -10,6 +10,7 @@ from draftkit import lm, metrics
 from draftkit.analysis import (
     DatasetStats,
     TermContrast,
+    TermsConfig,
     characteristic_terms,
     dataset_stats,
     linguistic_profile,
@@ -61,7 +62,7 @@ class TestDatasetStats:
 
 @pytest.fixture(scope="module")
 def tiny_lm():
-    return lm.train(academic_sentences(60, seed=5), order=3)
+    return lm.train(academic_sentences(60, seed=5), lm.TrainConfig(order=3))
 
 
 class TestLinguisticProfile:
@@ -123,7 +124,7 @@ class TestCharacteristicTerms:
         # 5000 per 10k versus 0.  The two draft bigrams tie at 2500 and
         # break lexicographically.  "go" and "stay" are balanced (ratio 0)
         # so they appear on neither side.
-        terms = characteristic_terms(contrast_pairs(), top_k=10, epsilon=1.0)
+        terms = characteristic_terms(contrast_pairs(), TermsConfig(top_k=10, epsilon=1.0))
         assert [t.term for t in terms] == [
             "will",
             "will go",
@@ -140,17 +141,17 @@ class TestCharacteristicTerms:
         assert can.log_ratio == pytest.approx(-math.log(5001.0))
 
     def test_top_k_limits_each_side(self):
-        terms = characteristic_terms(contrast_pairs(), top_k=1, epsilon=1.0)
+        terms = characteristic_terms(contrast_pairs(), TermsConfig(top_k=1, epsilon=1.0))
         assert [t.term for t in terms] == ["will", "can"]
 
     def test_balanced_term_has_zero_ratio_and_is_excluded(self):
-        terms = characteristic_terms(contrast_pairs(), top_k=10, epsilon=1.0)
+        terms = characteristic_terms(contrast_pairs(), TermsConfig(top_k=10, epsilon=1.0))
         assert "go" not in {t.term for t in terms}
 
     def test_swapping_sides_negates_ratios(self):
-        forward = characteristic_terms(contrast_pairs(), top_k=10, epsilon=1.0)
+        forward = characteristic_terms(contrast_pairs(), TermsConfig(top_k=10, epsilon=1.0))
         swapped_pairs = [pair(r, d) for d, r in zip(DRAFTS, REFERENCES)]
-        backward = characteristic_terms(swapped_pairs, top_k=10, epsilon=1.0)
+        backward = characteristic_terms(swapped_pairs, TermsConfig(top_k=10, epsilon=1.0))
         fwd = {t.term: t for t in forward}
         bwd = {t.term: t for t in backward}
         assert set(fwd) == set(bwd)
@@ -161,20 +162,20 @@ class TestCharacteristicTerms:
 
     def test_case_folding(self):
         # "Will" and "will" count as the same term.
-        [top] = characteristic_terms(contrast_pairs(), top_k=1, epsilon=1.0)[:1]
+        [top] = characteristic_terms(contrast_pairs(), TermsConfig(top_k=1, epsilon=1.0))[:1]
         assert top.term == "will"
         assert top.draft_freq == 5000.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            characteristic_terms([], top_k=5)
+            characteristic_terms([], TermsConfig(top_k=5))
         with pytest.raises(ValueError):
-            characteristic_terms(contrast_pairs(), top_k=0)
+            characteristic_terms(contrast_pairs(), TermsConfig(top_k=0))
         with pytest.raises(ValueError):
-            characteristic_terms(contrast_pairs(), top_k=5, epsilon=0.0)
+            characteristic_terms(contrast_pairs(), TermsConfig(top_k=5, epsilon=0.0))
 
     def test_contrast_fields_are_finite(self):
-        for t in characteristic_terms(contrast_pairs(), top_k=10, epsilon=0.5):
+        for t in characteristic_terms(contrast_pairs(), TermsConfig(top_k=10, epsilon=0.5)):
             assert isinstance(t, TermContrast)
             assert t.draft_freq >= 0.0 and t.reference_freq >= 0.0
             assert math.isfinite(t.log_ratio)

@@ -21,6 +21,7 @@ import draftkit
 from draftkit import cli, lm, metrics, quality
 from draftkit.cli import dispatch
 from draftkit.corpus import Sentence, load_pairs
+from draftkit.noising import NoiseConfig
 from draftkit.quality import load_submissions, score_workers, spell_check
 from synth import academic_sentences
 from test_lm import MALFORMED_ARPA
@@ -1235,9 +1236,11 @@ class TestStatsAndAnalysis:
     [
         ["lm", "train", "--input", "in.txt", "--out", "out/model.arpa",
          "--smoothing", "add-k", "--k"],
+        # Kneser-Ney smoothing reads no k, but the record checks every field.
+        ["lm", "train", "--input", "in.txt", "--out", "out/model.arpa", "--k"],
         ["analysis", "terms", "--input", "pairs.tsv", "--out", "out/terms.tsv", "--epsilon"],
     ],
-    ids=["lm-train-k", "analysis-terms-epsilon"],
+    ids=["lm-train-k", "lm-train-k-kneser-ney", "analysis-terms-epsilon"],
 )
 def test_non_finite_number_is_usage_error(tmp_path, argv, value, capsys):
     write_lines(tmp_path / "in.txt", [s.text for s in academic_sentences(5, seed=1)])
@@ -1246,6 +1249,28 @@ def test_non_finite_number_is_usage_error(tmp_path, argv, value, capsys):
     argv = [str(tmp_path / a) if "." in a else a for a in argv]
     assert dispatch([*argv, value]) == 1
     assert "must be positive and finite" in capsys.readouterr().err
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        (["lm", "train", "--input", "empty.txt", "--out", "out/model.arpa", "--order", "0"],
+         "order must be at least 1"),
+        (["quality", "filter-pairs", "--input", "bad.tsv", "--kept", "out/kept.tsv",
+          "--removed", "out/removed.tsv", "--alpha", "2"], "alpha must be in [0, 1]"),
+        (["analysis", "terms", "--input", "empty.txt", "--out", "out/terms.tsv", "--top-k", "0"],
+         "top_k must be at least 1"),
+    ],
+    ids=["lm-train", "quality-filter-pairs", "analysis-terms"],
+)
+def test_bad_knob_is_found_before_the_input_is_read(tmp_path, argv, reason, capsys):
+    # The config record is built first, so a bad input is never reached.
+    write_lines(tmp_path / "empty.txt", [""])
+    write_lines(tmp_path / "bad.tsv", ["no tab on this line"])
+    (tmp_path / "out").mkdir()
+    assert dispatch([str(tmp_path / a) if "." in a else a for a in argv]) == 1
+    assert reason in capsys.readouterr().err
     assert list((tmp_path / "out").iterdir()) == []
 
 
@@ -1350,7 +1375,7 @@ class TestManifests:
         write_lines(data / "src.txt", [t.replace("the", "teh", 1) for t in texts[:4]])
         write_lines(data / "hyp.txt", [t.replace("the", "a", 1) for t in texts[:4]])
         write_lines(data / "ref.txt", texts[:4])
-        model = lm.train([Sentence.from_text(t) for t in texts], order=2)
+        model = lm.train([Sentence.from_text(t) for t in texts], lm.TrainConfig(order=2))
         lm.save_arpa(model, data / "model.arpa")
         return tmp_path
 
@@ -1480,7 +1505,7 @@ class TestRepeatedDispatch:
         dumped = self.same_as_fresh_process([*argv, *config, "--dump-config"], out, capsys)
         assert json.loads(dumped[1])["delete_p"] == 0.9
         dumped = self.same_as_fresh_process([*argv, "--dump-config"], out, capsys)
-        assert json.loads(dumped[1])["delete_p"] == cli._NOISE_DEFAULTS.delete_p
+        assert json.loads(dumped[1])["delete_p"] == NoiseConfig().delete_p
         assert self.same_as_fresh_process(argv, out, capsys)[0] == 0
 
 

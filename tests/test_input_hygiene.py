@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from draftkit.cli import dispatch
-from draftkit.lm import save_arpa, train
+from draftkit.lm import TrainConfig, save_arpa, train
 from synth import academic_sentences
 
 TEXTS = [s.text for s in academic_sentences(12, seed=4)]
@@ -124,7 +124,7 @@ def test_rejected_line_is_named(name, data, valid, newline, bom):
 def _arpa_lines() -> list[str]:
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "model.arpa"
-        save_arpa(train(academic_sentences(20, seed=4), order=2), path)
+        save_arpa(train(academic_sentences(20, seed=4), TrainConfig(order=2)), path)
         return path.read_text(encoding="utf-8").splitlines()
 
 

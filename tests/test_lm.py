@@ -10,6 +10,7 @@ import random
 import re
 import shutil
 import struct
+import subprocess
 import sys
 import tempfile
 from functools import lru_cache
@@ -25,6 +26,7 @@ from draftkit.corpus import RecordError, Sentence
 from draftkit.lm import (
     ArpaFormatError,
     NGramModel,
+    TrainConfig,
     load_arpa,
     save_arpa,
     sidecar_path,
@@ -59,14 +61,14 @@ class TestAddK:
 
     @pytest.mark.parametrize("k", [1.0, 0.5])
     def test_unigram_closed_form(self, k):
-        model = train([sent("a", "b")], order=1, smoothing="add-k", k=k)
+        model = train([sent("a", "b")], TrainConfig(order=1, smoothing="add-k", k=k))
         assert prob(model, "a") == pytest.approx((1 + k) / (2 + 4 * k), rel=1e-12)
         assert prob(model, "b") == pytest.approx((1 + k) / (2 + 4 * k), rel=1e-12)
         assert prob(model, "</s>") == pytest.approx(k / (2 + 4 * k), rel=1e-12)
         assert prob(model, "<unk>") == pytest.approx(k / (2 + 4 * k), rel=1e-12)
 
     def test_unigram_sentence_logprob_and_ppl(self):
-        model = train([sent("a", "b")], order=1, smoothing="add-k", k=1.0)
+        model = train([sent("a", "b")], TrainConfig(order=1, smoothing="add-k", k=1.0))
         # P(a) P(b) P(</s>) = 1/3 * 1/3 * 1/6 = 1/54, three scored events.
         assert model.sentence_logprob(sent("a", "b").tokens) == pytest.approx(
             math.log10(1 / 54), abs=1e-12
@@ -74,14 +76,14 @@ class TestAddK:
         assert model.perplexity(sent("a", "b").tokens) == pytest.approx(54 ** (1 / 3), rel=1e-12)
 
     def test_unigram_oov_takes_unknown_share(self):
-        model = train([sent("a", "b")], order=1, smoothing="add-k", k=1.0)
+        model = train([sent("a", "b")], TrainConfig(order=1, smoothing="add-k", k=1.0))
         # "z" is unseen: scored as <unk>, so 1/3 * 1/6 * 1/6 = 1/108.
         assert model.sentence_logprob(sent("a", "z").tokens) == pytest.approx(
             math.log10(1 / 108), abs=1e-12
         )
 
     def test_bigram_observed_and_backoff(self):
-        model = train([sent("a", "b")], order=2, smoothing="add-k", k=1.0)
+        model = train([sent("a", "b")], TrainConfig(order=2, smoothing="add-k", k=1.0))
         # Each context saw one continuation once: P = (1+1)/(1+4) = 2/5.
         assert prob(model, "a", ("<s>",)) == pytest.approx(2 / 5, rel=1e-12)
         assert prob(model, "b", ("a",)) == pytest.approx(2 / 5, rel=1e-12)
@@ -104,8 +106,7 @@ class TestKneserNey:
         # P1(a) = (2-0.5)/6 + (0.5*3/6)/4 = 0.25 + 0.0625 = 0.3125.
         model = train(
             [sent("a", "b"), sent("a", "b"), sent("b", "a")],
-            order=2,
-            smoothing="interpolated-kneser-ney",
+            TrainConfig(order=2, smoothing="interpolated-kneser-ney"),
         )
         assert prob(model, "a") == pytest.approx(0.3125, rel=1e-12)
         assert prob(model, "b") == pytest.approx(0.3125, rel=1e-12)
@@ -132,7 +133,8 @@ class TestKneserNey:
         # count of 0.  Bigram adjusted counts: (<s>,a)=2, the other four are
         # continuation counts of 1, so n1=4 n2=1 and D2 = 4/6 = 2/3.
         model = train(
-            [sent("a", "b"), sent("a", "c")], order=3, smoothing="interpolated-kneser-ney"
+            [sent("a", "b"), sent("a", "c")],
+            TrainConfig(order=3, smoothing="interpolated-kneser-ney"),
         )
         # Unigram continuation counts a=1 b=1 c=1 </s>=2 (total 5, D1 = 3/5),
         # vocab size 5: P1(a) = (1-0.6)/5 + (0.6*4/5)/5 = 0.08 + 0.096.
@@ -146,7 +148,8 @@ class TestKneserNey:
 
     def test_trigram_chain(self):
         model = train(
-            [sent("a", "b"), sent("a", "c")], order=3, smoothing="interpolated-kneser-ney"
+            [sent("a", "b"), sent("a", "c")],
+            TrainConfig(order=3, smoothing="interpolated-kneser-ney"),
         )
         p1_a = 0.176
         p1_b = 0.176
@@ -180,7 +183,7 @@ def _toy_corpus() -> tuple[Sentence, ...]:
 
 @lru_cache(maxsize=None)
 def _model(smoothing: str, order: int) -> NGramModel:
-    return train(_toy_corpus(), order=order, smoothing=smoothing)
+    return train(_toy_corpus(), TrainConfig(order=order, smoothing=smoothing))
 
 
 @lru_cache(maxsize=None)
@@ -307,7 +310,8 @@ class TestTrainedTables:
     def test_every_stored_suffix_is_stored(self, corpus, order, smoothing, unk_floor):
         # Training reads each lower-order estimate straight from its table,
         # which holds only if no stored n-gram lacks its suffix.
-        model = train([sent(*tokens) for tokens in corpus], order, smoothing, unk_floor=unk_floor)
+        cfg = TrainConfig(order, smoothing, unk_floor=unk_floor)
+        model = train([sent(*tokens) for tokens in corpus], cfg)
         for gram in model._logprob:
             if len(gram) >= 2:
                 assert gram[1:] in model._logprob, gram
@@ -341,15 +345,56 @@ _ARPA_DIGESTS = {
 @pytest.mark.parametrize("smoothing, order, unk_floor", sorted(_ARPA_DIGESTS, key=str))
 def test_saved_model_bytes_are_pinned(tmp_path, smoothing, order, unk_floor):
     path = tmp_path / "model.arpa"
-    save_arpa(train(academic_sentences(300, seed=3), order, smoothing, unk_floor=unk_floor), path)
+    cfg = TrainConfig(order, smoothing, unk_floor=unk_floor)
+    save_arpa(train(academic_sentences(300, seed=3), cfg), path)
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     assert digest == _ARPA_DIGESTS[smoothing, order, unk_floor]
+
+
+# sha256 of the ARPA bytes of two sentences, padded to 8 and 5 tokens, at
+# orders above both: every order no n-gram reaches adds only its empty
+# section and its "ngram n=0" line.
+_LONG_ORDER_DIGESTS = {
+    ("interpolated-kneser-ney", 9):
+        "77571d985ca055b2e0a3ee99e671076d9f778104c5fbdfedacf1bce2ad55b11c",
+    ("add-k", 9): "c53378a695cb06fd9f6b8a5e20a92b625e59ee825d9408179f6de3e2bcb4cf15",
+    ("interpolated-kneser-ney", 40):
+        "b34464518dfbb4b710fbb481b384b38e9378d3308b5307f1350310f09be0eb32",
+    ("add-k", 40): "da55e1773660f3e3dc0f3afdf3a25eda6dd6e9d506fa3d279a6c8642b95d69a3",
+    ("interpolated-kneser-ney", 3200):
+        "369f865975fefc39fff661b25c24c9459686dffe3a4939220710089f3b75117b",
+    ("add-k", 3200): "19fc9bb22c1f298c683039479e35d9669cd1a03e68dbb7ef859bca2cbd983beb",
+}
+
+
+@pytest.mark.parametrize("smoothing, order", sorted(_LONG_ORDER_DIGESTS))
+def test_orders_above_the_sentence_length_are_pinned(tmp_path, smoothing, order):
+    path = tmp_path / "model.arpa"
+    corpus = [Sentence.from_text("We propose a simple model ."), Sentence.from_text("It works .")]
+    save_arpa(train(corpus, TrainConfig(order, smoothing)), path)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == _LONG_ORDER_DIGESTS[smoothing, order]
+
+
+def test_order_far_above_the_sentence_length_trains_fast(tmp_path):
+    # Counting stops at each padded sentence's own length, so the order
+    # costs one empty table per order and no n-gram work.  A fresh process
+    # under a timeout fails fast where a cost in order squared would run
+    # for minutes.
+    (tmp_path / "one.txt").write_text("We propose a simple model .\n", encoding="utf-8")
+    argv = [sys.executable, "-m", "draftkit.cli", "lm", "train", "--order", "100000",
+            "--input", str(tmp_path / "one.txt"), "--out", str(tmp_path / "m.arpa")]
+    src = Path(lm.__file__).resolve().parent.parent
+    proc = subprocess.run(argv, env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    assert load_arpa(tmp_path / "m.arpa").order == 100_000
 
 
 class TestUnknownFloor:
     def test_floor_raises_unknown_mass(self):
         model = train(
-            [sent("a", "b")], order=1, smoothing="add-k", k=1.0, unk_floor=0.4
+            [sent("a", "b")], TrainConfig(order=1, smoothing="add-k", k=1.0, unk_floor=0.4)
         )
         assert prob(model, "<unk>") == pytest.approx(0.4, rel=1e-12)
         # Remaining words rescale by (1-0.4)/(1-1/6): P(a) = 1/3 * 0.72.
@@ -358,13 +403,14 @@ class TestUnknownFloor:
 
     def test_floor_below_natural_mass_is_inert(self):
         model = train(
-            [sent("a", "b")], order=1, smoothing="add-k", k=1.0, unk_floor=0.05
+            [sent("a", "b")], TrainConfig(order=1, smoothing="add-k", k=1.0, unk_floor=0.05)
         )
         assert prob(model, "<unk>") == pytest.approx(1 / 6, rel=1e-12)
 
     def test_floor_respected_under_backoff(self):
         model = train(
-            _toy_corpus(), order=2, smoothing="interpolated-kneser-ney", unk_floor=0.01
+            _toy_corpus(),
+            TrainConfig(order=2, smoothing="interpolated-kneser-ney", unk_floor=0.01),
         )
         assert prob(model, "<unk>") >= 0.01 - 1e-12
         for history in [()] + stored_ngrams(model, 1):
@@ -374,23 +420,23 @@ class TestUnknownFloor:
 class TestTrainErrors:
     def test_empty_corpus(self):
         with pytest.raises(ValueError):
-            train([], order=2)
+            train([], TrainConfig(order=2))
 
     def test_order_below_one(self):
         with pytest.raises(ValueError):
-            train([sent("a")], order=0)
+            train([sent("a")], TrainConfig(order=0))
 
     def test_unknown_smoothing(self):
         with pytest.raises(ValueError):
-            train([sent("a")], order=1, smoothing="laplace-ish")
+            train([sent("a")], TrainConfig(order=1, smoothing="laplace-ish"))
 
     def test_nonpositive_k(self):
         with pytest.raises(ValueError):
-            train([sent("a")], order=1, smoothing="add-k", k=0.0)
+            train([sent("a")], TrainConfig(order=1, smoothing="add-k", k=0.0))
 
     def test_bad_unk_floor(self):
         with pytest.raises(ValueError):
-            train([sent("a")], order=1, unk_floor=1.5)
+            train([sent("a")], TrainConfig(order=1, unk_floor=1.5))
 
 
 class TestModelArguments:
@@ -449,7 +495,7 @@ class TestArpaFixtures:
 
 class TestArpaRoundTrip:
     def test_scores_survive_save_load(self, tmp_path):
-        model = train(academic_sentences(120, seed=7), order=4)
+        model = train(academic_sentences(120, seed=7), TrainConfig(order=4))
         path = tmp_path / "model.arpa"
         save_arpa(model, path)
         reloaded = load_arpa(path)
@@ -467,7 +513,7 @@ class TestArpaRoundTrip:
         assert worst < 1e-9
 
     def test_resave_is_byte_identical(self, tmp_path):
-        model = train(academic_sentences(80, seed=11), order=3)
+        model = train(academic_sentences(80, seed=11), TrainConfig(order=3))
         first = tmp_path / "one.arpa"
         second = tmp_path / "two.arpa"
         save_arpa(model, first)
@@ -479,7 +525,7 @@ class TestArpaRoundTrip:
         paths = []
         for name, variant in [("a", corpus), ("b", list(corpus)), ("c", corpus[::-1])]:
             path = tmp_path / f"{name}.arpa"
-            save_arpa(train(variant, order=3), path)
+            save_arpa(train(variant, TrainConfig(order=3)), path)
             paths.append(path)
         blobs = [p.read_bytes() for p in paths]
         # Same sentence multiset, permuted stream: identical counts, and the
@@ -487,7 +533,7 @@ class TestArpaRoundTrip:
         assert blobs[0] == blobs[1] == blobs[2]
 
     def test_start_marker_written_as_placeholder(self, tmp_path):
-        model = train(academic_sentences(20, seed=4), order=2)
+        model = train(academic_sentences(20, seed=4), TrainConfig(order=2))
         path = tmp_path / "model.arpa"
         save_arpa(model, path)
         lines = path.read_text(encoding="utf-8").splitlines()
@@ -730,7 +776,8 @@ _NO_BACKOFF_MASS = [
 )
 @example(corpus=_NO_BACKOFF_MASS, order=2, smoothing="add-k", unk_floor=None)
 def test_saved_bytes_match_reference_writer(tmp_path_factory, corpus, order, smoothing, unk_floor):
-    model = train([sent(*tokens) for tokens in corpus], order, smoothing, unk_floor=unk_floor)
+    cfg = TrainConfig(order, smoothing, unk_floor=unk_floor)
+    model = train([sent(*tokens) for tokens in corpus], cfg)
     path = tmp_path_factory.getbasetemp() / "reference-writer.arpa"
     save_arpa(model, path)
     assert path.read_bytes() == arpa_text_reference(model).encode("utf-8")
@@ -761,7 +808,7 @@ class TestBackoffMemo:
     def test_add_k_infinite_backoffs(self, tmp_path):
         corpus = [sent(*tokens) for tokens in _NO_BACKOFF_MASS]
         path = tmp_path / "addk.arpa"
-        save_arpa(train(corpus, order=2, smoothing="add-k"), path)
+        save_arpa(train(corpus, TrainConfig(order=2, smoothing="add-k")), path)
         assert path.read_text(encoding="utf-8").count("\t-inf\n") == 2
         model = self._load_both(tmp_path, path.read_text(encoding="utf-8"))
         assert model._backoff[("a",)] == model._backoff[("<unk>",)] == -math.inf
@@ -786,7 +833,8 @@ def _saved_models() -> tuple[bytes, ...]:
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "model.arpa"
         for order, smoothing in ((1, "add-k"), (2, "interpolated-kneser-ney"), (3, "add-k")):
-            save_arpa(train(academic_sentences(3, seed=order), order, smoothing), path)
+            model = train(academic_sentences(3, seed=order), TrainConfig(order, smoothing))
+            save_arpa(model, path)
             blobs.append(path.read_bytes())
     return tuple(blobs)
 
@@ -988,7 +1036,8 @@ class TestCompiledSidecar:
     def test_round_trip_is_bit_for_bit(
         self, tmp_path_factory, corpus, order, smoothing, unk_floor, edits
     ):
-        model = train([sent(*tokens) for tokens in corpus], order, smoothing, unk_floor=unk_floor)
+        cfg = TrainConfig(order, smoothing, unk_floor=unk_floor)
+        model = train([sent(*tokens) for tokens in corpus], cfg)
         for backoff, index, value in edits:
             table = model._backoff if backoff and model._backoff else model._logprob
             table[sorted(table)[index % len(table)]] = value
@@ -1042,9 +1091,9 @@ class TestCompiledSidecar:
         "model,fault",
         [
             # A word with white space in it is split apart in the text.
-            (train([Sentence.from_tokens(["a b", "c"])], order=2), "white space: 'a b'"),
+            (train([Sentence.from_tokens(["a b", "c"])], TrainConfig(2)), "white space: 'a b'"),
             # An empty word leaves an empty field.
-            (train([Sentence.from_tokens(["", "c"])], order=2), "white space: ''"),
+            (train([Sentence.from_tokens(["", "c"])], TrainConfig(order=2)), "white space: ''"),
             # A backoff weight of an n-gram with no entry is not written.
             (
                 NGramModel(1, {("a",): -0.5, ("</s>",): -0.5, ("<unk>",): -1.0}, {("z",): -0.1}),
@@ -1083,7 +1132,7 @@ class TestCompiledSidecar:
 class TestModelQuality:
     def test_held_in_beats_shuffled(self):
         corpus = academic_sentences(1000, seed=0)
-        model = train(corpus, order=5)
+        model = train(corpus, TrainConfig(order=5))
         rng = random.Random(1)
         wins = 0
         for s in rng.sample(corpus, 100):
@@ -1098,6 +1147,6 @@ class TestModelQuality:
         base = academic_sentences(200, seed=5)
         target = base[0]
         boosted = base + [target] * 99
-        ppl_base = train(base, order=3).perplexity(target.tokens)
-        ppl_boosted = train(boosted, order=3).perplexity(target.tokens)
+        ppl_base = train(base, TrainConfig(order=3)).perplexity(target.tokens)
+        ppl_boosted = train(boosted, TrainConfig(order=3)).perplexity(target.tokens)
         assert ppl_boosted < ppl_base

@@ -131,7 +131,7 @@ class TestReplacementVocab:
         assert len(ReplacementVocab({"a": 0}, min_count=0, weighted=True)) == 0
 
     def test_packaged_wordlist(self):
-        vocab = ReplacementVocab(load_wordlist())
+        vocab = ReplacementVocab(load_wordlist(), min_count=10_000)
         assert len(vocab) > 100
         assert all(c > 10_000 for c in vocab.counts)
         assert "the" in vocab.tokens
@@ -362,7 +362,7 @@ class TestNoiseSentence:
             for _ in range(2000)
         ]
         cfg = NoiseConfig(seed=11)
-        vocab = ReplacementVocab(load_wordlist())
+        vocab = ReplacementVocab(load_wordlist(), min_count=10_000)
         masked = sum(
             noise_sentence(s, cfg, vocab, index=i).has_mask
             for i, s in enumerate(sentences)

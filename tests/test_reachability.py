@@ -11,6 +11,7 @@ function whose code never ran fails the check.
 
 from __future__ import annotations
 
+import argparse
 import importlib
 import inspect
 import json
@@ -23,8 +24,11 @@ import pytest
 
 import draftkit
 from draftkit import cli
+from draftkit.analysis import TermsConfig
 from draftkit.corpus import CorpusFilterConfig
+from draftkit.lm import TrainConfig
 from draftkit.noising import NoiseConfig
+from draftkit.quality import FilterConfig
 from synth import academic_sentences
 
 #: Public names that no subcommand calls, each with the caller it stays for.
@@ -164,39 +168,97 @@ def test_every_public_function_is_reached_or_allowed(tmp_path, monkeypatch):
     assert sorted(ALLOWED.keys() - unreached) == [], "allowed but reached or gone"
 
 
+#: The config record of each subcommand, by the subcommand, and the flags
+#: of a run of it other than its knobs.
+RECORDS = {
+    "corpus extract": (CorpusFilterConfig, ["--out", "o", "--profile", "training"]),
+    "lm train": (TrainConfig, ["--out", "o"]),
+    "noise run": (NoiseConfig, ["--out", "o"]),
+    "quality filter-pairs": (FilterConfig, ["--kept", "k", "--removed", "r"]),
+    "analysis terms": (TermsConfig, ["--out", "o"]),
+}
+
 #: Fields of a subcommand's config record that no flag named after them
-#: declares, by the flag that sets each instead.
+#: declares, or whose flag names a file, by the flag that sets each instead.
 SET_BY = {
     ("corpus extract", "excluded"): "--exclude",  # the sentences of a file, normalized
     ("noise run", "seed"): "--seed",  # the flag every subcommand takes
+    ("quality filter-pairs", "stopwords"): "--stopwords",  # the words of a file
+}
+
+#: Flags that set a value but no field of a config record, each with the
+#: reason it stays out of the record.
+NOT_IN_A_RECORD = {
+    ("corpus extract", "--profile"): "picks which filter runs, not a bound either one reads",
+    ("noise run", "--weighted-vocab"): "a knob of the replacement vocabulary, not of the noising",
+    ("eval run", "--spellcheck-hyp"): "picks the hypotheses scored; eval run has no record",
 }
 
 
-@pytest.mark.parametrize(
-    "leaf, record", [("corpus extract", CorpusFilterConfig), ("noise run", NoiseConfig)]
-)
-def test_every_config_field_is_set_by_a_flag(tmp_path, monkeypatch, leaf, record):
+def changed(action: argparse.Action, default: object) -> object:
+    """A valid value of a knob other than its default."""
+    if action.choices is not None:
+        return next(choice for choice in action.choices if choice != default)
+    if default is None:
+        return action.type("0.5")
+    return default + 1 if isinstance(default, int) else default / 2
+
+
+@pytest.mark.parametrize("leaf", sorted(RECORDS))
+def test_every_config_field_is_set_by_a_flag(tmp_path, monkeypatch, leaf):
     """Each field of the record is set by the flag named after it, typed and
     defaulted as the record's default, or by the flag ``SET_BY`` names;
     changing every such flag changes the record the subcommand builds."""
+    record, outputs = RECORDS[leaf]
     flags = cli._shared_tree()[1][leaf]._option_string_actions
-    argv, expected = [], {}
-    for name, default in record()._asdict().items():
+    texts = [s.text for s in academic_sentences(10, seed=4)]
+    (tmp_path / "s.txt").write_text("\n".join(texts) + "\n", encoding="utf-8")
+    (tmp_path / "p.tsv").write_text("".join(f"{t}\t{t}\n" for t in texts), encoding="utf-8")
+    (tmp_path / "w.txt").write_text("foo\n", encoding="utf-8")
+    source = "p.tsv" if leaf.startswith(("quality", "analysis")) else "s.txt"
+    argv, expected, from_files = ["--input", source, *outputs], {}, []
+    for name, default in record._field_defaults.items():
         flag = SET_BY.get((leaf, name), f"--{name.replace('_', '-')}")
         action = flags.get(flag)
         assert action is not None, f"no flag of {leaf} sets {record.__name__}.{name}"
-        if action.dest == name:
-            assert (action.type, action.default) == (type(default), default)
-            value = default + 1 if isinstance(default, int) else default / 2
+        if action.type is cli._input:
+            argv += [flag, "w.txt"]
+            from_files.append(name)
+        elif action.dest == name:
+            assert action.default == default
+            value = changed(action, default)
             argv += [flag, str(value)]
             expected[name] = value
     assert {field for where, field in SET_BY if where == leaf} <= set(record._fields)
-    built = []
-    monkeypatch.setattr(
-        cli, record.__name__, lambda **fields: built.append(record(**fields)) or built[-1]
-    )
-    texts = [s.text for s in academic_sentences(10, seed=4)]
-    (tmp_path / "s.txt").write_text("\n".join(texts) + "\n", encoding="utf-8")
-    line = [*leaf.split(), "--input", str(tmp_path / "s.txt"), "--out", str(tmp_path / "o")]
-    assert cli.dispatch([*line, *argv]) == 0
-    assert [{name: getattr(cfg, name) for name in expected} for cfg in built] == [expected]
+    built, build = [], cli._record
+    monkeypatch.setattr(cli, "_record", lambda *a, **kw: built.append(build(*a, **kw)) or built[-1])
+    monkeypatch.chdir(tmp_path)
+    assert cli.dispatch([*leaf.split(), *argv]) == 0
+    [cfg] = built
+    got = {name: getattr(cfg, name) for name in expected}
+    assert (got, list(map(type, got.values()))) == (expected, list(map(type, expected.values())))
+    # A field set from a file no longer holds its default.
+    defaults = record()
+    assert [n for n in from_files if getattr(cfg, n) == getattr(defaults, n)] == []
+
+
+def test_every_knob_flag_sets_a_config_field():
+    """A subcommand's flags are its files, the flags every subcommand
+    takes, the fields of its config record, and those
+    ``NOT_IN_A_RECORD`` names."""
+    parser, registry = cli._shared_tree()
+    common = {"-h", "--seed", "--jobs", "--config", "--dump-config"}
+    stray, listed = [], set()
+    for leaf, sub in registry.items():
+        fields = RECORDS[leaf][0]._fields if leaf in RECORDS else ()
+        for action in sub._actions:
+            flag = action.option_strings[0]
+            if flag in common or action.type in (cli._input, cli._output):
+                continue
+            if (leaf, flag) in NOT_IN_A_RECORD:
+                listed.add((leaf, flag))
+            elif action.dest not in fields:
+                stray.append(f"{leaf} {flag}")
+    assert stray == [], "a knob flag that no config record declares"
+    # An entry whose flag is gone no longer needs its place.
+    assert sorted(NOT_IN_A_RECORD.keys() - listed) == [], "listed but gone"

@@ -11,8 +11,11 @@ import pickle
 
 import pytest
 
-from draftkit.analysis import DatasetStats, LinguisticProfile, SideProfile, TermContrast
+from draftkit.analysis import (
+    DatasetStats, LinguisticProfile, SideProfile, TermContrast, TermsConfig,
+)
 from draftkit.corpus import CorpusFilterConfig, DraftPair, Sentence
+from draftkit.lm import TrainConfig
 from draftkit.metrics import EvalReport, PairEval
 from draftkit.noising import NoiseConfig
 from draftkit.quality import FilterConfig, SpellCheckResult, WorkerSubmission, WorkerVerdict
@@ -30,7 +33,8 @@ PAIR_EVAL_REPR = ("PairEval(bleu=0.5, rouge_l=0.25, levenshtein_char=3, grammati
                   "edit_proposed=2, edit_gold=3)")
 
 # (type, constructor arguments in field order, its repr, its field names).
-# Each repr is what the dataclass version printed for the same arguments.
+# Each repr is what the dataclass version printed for the same arguments;
+# TrainConfig and TermsConfig, the last two, were never dataclasses.
 RECORDS = [
     (Sentence, dict(text="a <*> b", tokens=("a", "<*>", "b"), char_len=7),
      "Sentence(text='a <*> b', tokens=('a', '<*>', 'b'), char_len=7)",
@@ -85,6 +89,11 @@ RECORDS = [
      "mask_fraction_max=0.5, seed=1729)",
      ["delete_p", "replace_p", "replace_vocab_min_count", "shuffle_k", "mask_fraction_max",
       "seed"]),
+    (TrainConfig, dict(order=3, smoothing="add-k", k=0.5, unk_floor=None),
+     "TrainConfig(order=3, smoothing='add-k', k=0.5, unk_floor=None)",
+     ["order", "smoothing", "k", "unk_floor"]),
+    (TermsConfig, dict(top_k=5, epsilon=0.5), "TermsConfig(top_k=5, epsilon=0.5)",
+     ["top_k", "epsilon"]),
 ]
 
 
@@ -107,9 +116,20 @@ def test_defaults_match_the_dataclass_defaults():
     assert CorpusFilterConfig() == CorpusFilterConfig(70, 120, 5, 35, 0.5, frozenset())
     assert NoiseConfig() == NoiseConfig(0.1, 0.1, 10_000, 3, 0.5, 1729)
     assert FilterConfig().alpha == 0.4 and "the" in FilterConfig().stopwords
+    assert TrainConfig() == TrainConfig(5, "interpolated-kneser-ney", 1.0, None)
+    assert TermsConfig() == TermsConfig(20, 1.0)
 
 
-# Each message is the one the dataclass's __post_init__ raised.
+def test_values_stored_as_given_are_not_copied():
+    answers, references = ("a", "b", "c"), ("d", "e", "f")
+    sub = WorkerSubmission("w", answers, 3, references)
+    assert sub.answers is answers and sub.mt_references is references
+    stopwords = frozenset({"the"})
+    assert FilterConfig(stopwords=stopwords).stopwords is stopwords
+
+
+# Each message is the one the dataclass's __post_init__ raised, or for
+# TrainConfig and TermsConfig the one train and characteristic_terms raised.
 INVALID = [
     (lambda: DraftPair(CLEAN, MASKED), "reference sentence contains the mask token"),
     (lambda: CorpusFilterConfig(min_chars=10, max_chars=5), "need 0 < min_chars <= max_chars, got 10..5"),
@@ -126,6 +146,13 @@ INVALID = [
      "expected 3 machine references, got 4"),
     (lambda: WorkerSubmission("w", ["a", "b", "c"], -1, ["d", "e", "f"]),
      "seconds_worked must be nonnegative, got -1"),
+    (lambda: TrainConfig(order=0), "order must be at least 1"),
+    (lambda: TrainConfig(smoothing="laplace"),
+     "unknown smoothing 'laplace'; expected one of ('interpolated-kneser-ney', 'add-k')"),
+    (lambda: TrainConfig(k=float("nan")), "k must be positive and finite, got nan"),
+    (lambda: TrainConfig(unk_floor=1.0), "unk_floor must lie in [0, 1)"),
+    (lambda: TermsConfig(top_k=0), "top_k must be at least 1, got 0"),
+    (lambda: TermsConfig(epsilon=float("inf")), "epsilon must be positive and finite, got inf"),
 ]
 
 
@@ -142,6 +169,10 @@ def test_replace_goes_through_the_checks():
     assert CorpusFilterConfig()._replace(excluded=["A  B"]).excluded == frozenset({"a b"})
     with pytest.raises(ValueError, match="alpha must be in"):
         FilterConfig()._replace(alpha=2.0)
+    with pytest.raises(ValueError, match="k must be positive"):
+        TrainConfig()._replace(k=0.0)
+    with pytest.raises(ValueError, match="top_k must be at least"):
+        TermsConfig()._replace(top_k=0)
     sub = WorkerSubmission("w", ["a", "b", "c"], 3, ["d", "e", "f"])
     assert sub._replace(answers=["x", "y", "z"]).answers == ("x", "y", "z")
     pair = DraftPair(MASKED, CLEAN)._replace(draft=CLEAN)
