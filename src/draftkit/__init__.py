@@ -6,8 +6,10 @@ The pipeline, end to end: filter raw corpora into clean sentence pools
 seeded noising (:mod:`draftkit.noising`), score crowdworker submissions and
 filter draft/reference pairs (:mod:`draftkit.quality`), evaluate revision
 systems (:mod:`draftkit.metrics`), and profile finished datasets
-(:mod:`draftkit.analysis`).  Everything is reachable from the ``draftkit``
-command line (:mod:`draftkit.cli`).
+(:mod:`draftkit.analysis`).  The knobs of training, noising, pair
+filtering and term analysis are records in :mod:`draftkit.config`.  Everything is reachable from the
+``draftkit`` command line (:mod:`draftkit.cli`), which loads only the
+modules a command runs.
 """
 
 __version__ = "0.1.0"

@@ -12,11 +12,14 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from typing import Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
-from .corpus import DraftPair, Sentence, _Checked
-from .lm import NGramModel
+from .config import TermsConfig
+from .corpus import DraftPair, Sentence
 from .metrics import _mean, fre, levenshtein_pairs, passive_voice, word_repetition
+
+if TYPE_CHECKING:  # an annotation only: terms and stats without --lm never load lm
+    from .lm import NGramModel
 
 
 class DatasetStats(NamedTuple):
@@ -135,25 +138,6 @@ def _term_frequencies(sentences: Iterable[Sentence]) -> tuple[Counter, int]:
 
 def _per_10k(count: int, total: int) -> float:
     return 10_000.0 * count / total if total else 0.0
-
-
-class _TermsConfig(NamedTuple):
-    top_k: int = 20
-    epsilon: float = 1.0
-
-
-class TermsConfig(_Checked, _TermsConfig):
-    """Knobs of :func:`characteristic_terms`: how many terms each side
-    keeps, and the smoothing constant added to both frequencies."""
-
-    __slots__ = ()
-
-    def _checked(self) -> "TermsConfig":
-        if self.top_k < 1:
-            raise ValueError(f"top_k must be at least 1, got {self.top_k}")
-        if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
-            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
-        return self
 
 
 def characteristic_terms(

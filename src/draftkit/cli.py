@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, NoReturn, Sequence
 
 from . import DEFAULT_SEED, __version__
-from .analysis import TermsConfig, characteristic_terms, dataset_stats, linguistic_profile
+from .config import SMOOTHINGS, FilterConfig, NoiseConfig, TermsConfig, TrainConfig
 from .corpus import (
     CorpusFilterConfig,
     DraftPair,
@@ -35,10 +35,6 @@ from .corpus import (
     passes_training_filter,
     write_pairs,
 )
-from .lm import SMOOTHINGS, TrainConfig, load_arpa, save_arpa, sidecar_path, train
-from .metrics import evaluate
-from .noising import NoiseConfig, ReplacementVocab, noise_corpus
-from .quality import FilterConfig, filter_pairs, load_submissions, score_workers, spell_check_all
 from .resources import load_wordlist, read_counts, read_words
 
 SCHEMA_VERSION = 1
@@ -92,7 +88,9 @@ def _record(record: type, args: argparse.Namespace, **fields: object) -> tuple:
 
 # --------------------------------------------------------------------------
 # subcommand handlers; dispatch knows their files from the parser, and a
-# handler returns any file it writes beside those its flags name
+# handler returns any file it writes beside those its flags name.  Each
+# imports the library code it runs when it first runs it, so that a command
+# loads only the modules it uses.
 
 
 def _cmd_corpus_extract(args) -> None:
@@ -108,6 +106,8 @@ def _cmd_corpus_extract(args) -> None:
 
 
 def _cmd_lm_train(args) -> list[Path]:
+    from .lm import save_arpa, sidecar_path, train
+
     cfg = _record(TrainConfig, args)
     lines = nonblank_lines(args.input, "no non-blank lines to train on")
     model = train([Sentence.from_text(text) for _, text in lines], cfg)
@@ -116,6 +116,8 @@ def _cmd_lm_train(args) -> list[Path]:
 
 
 def _cmd_lm_ppl(args) -> None:
+    from .lm import load_arpa
+
     model = load_arpa(args.model)
     rows = []
     logprob_total = 0.0
@@ -155,6 +157,8 @@ def _references(path: Path) -> Iterator[Sentence]:
 
 
 def _cmd_noise_run(args) -> None:
+    from .noising import ReplacementVocab, noise_corpus
+
     cfg = _record(NoiseConfig, args)
     counts = load_wordlist() if args.vocab_counts is None else read_counts(args.vocab_counts)
     vocab = ReplacementVocab(
@@ -171,6 +175,8 @@ def _cmd_noise_run(args) -> None:
 
 
 def _cmd_quality_score_workers(args) -> None:
+    from .quality import load_submissions, score_workers
+
     subs = load_submissions(args.input)
     _write_lines(
         args.out,
@@ -182,6 +188,8 @@ def _cmd_quality_score_workers(args) -> None:
 
 
 def _cmd_quality_filter_pairs(args) -> None:
+    from .quality import filter_pairs
+
     stopwords = None if args.stopwords is None else read_words(args.stopwords)
     cfg = _record(FilterConfig, args, stopwords=stopwords)
     kept, removed = filter_pairs(load_pairs(args.input), cfg)
@@ -193,6 +201,8 @@ def _cmd_quality_filter_pairs(args) -> None:
 
 
 def _cmd_eval_run(args) -> None:
+    from .metrics import evaluate
+
     paths = (args.src, args.hyp, args.ref)
     texts = [[text for _, text in iter_checked_lines(path)] for path in paths]
     shortest = min(map(len, texts))
@@ -203,8 +213,14 @@ def _cmd_eval_run(args) -> None:
         raise RecordError(args.src, 1, "no lines to evaluate")
     sources, hypotheses, references = ([Sentence.from_text(t) for t in lines] for lines in texts)
     if args.spellcheck_hyp:
+        from .quality import spell_check_all
+
         hypotheses = spell_check_all(hypotheses)
-    model = None if args.lm is None else load_arpa(args.lm)
+    model = None
+    if args.lm is not None:
+        from .lm import load_arpa
+
+        model = load_arpa(args.lm)
     report = evaluate(sources, hypotheses, references, lm=model)
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -223,10 +239,14 @@ def _some_pairs(path: Path) -> list[DraftPair]:
 
 
 def _cmd_stats_dataset(args) -> None:
+    from .analysis import dataset_stats, linguistic_profile
+
     pairs = _some_pairs(args.input)
     stats = dataset_stats(pairs)
     payload = {"schema_version": SCHEMA_VERSION, **stats._asdict()}
     if args.lm is not None:
+        from .lm import load_arpa
+
         model = load_arpa(args.lm)
         try:
             profile = linguistic_profile(pairs, model)
@@ -239,6 +259,8 @@ def _cmd_stats_dataset(args) -> None:
 
 
 def _cmd_analysis_terms(args) -> None:
+    from .analysis import characteristic_terms
+
     cfg = _record(TermsConfig, args)
     terms = characteristic_terms(_some_pairs(args.input), cfg)
     lines = ["term\tdraft_per10k\tref_per10k\tlog_ratio"]
@@ -394,12 +416,16 @@ def _read_config(path: Path, sub: _Parser) -> dict[str, object]:
         key = key.strip().replace("-", "_")
         if key not in actions:
             raise RecordError(path, line_no, f"unknown configuration key {key!r}")
+        action = actions[key]
+        if action.required:
+            # argparse counts only the command line toward a required flag.
+            flag = action.option_strings[0]
+            raise RecordError(path, line_no, f"{key} is required on the command line ({flag})")
         if key in first_line:
             raise RecordError(
                 path, line_no, f"repeated key {key!r}, first on line {first_line[key]}"
             )
         first_line[key] = line_no
-        action = actions[key]
         parse = _parse_bool if isinstance(action.const, bool) else action.type or str
         try:
             value = parse(text.strip())
@@ -412,6 +438,26 @@ def _read_config(path: Path, sub: _Parser) -> dict[str, object]:
             raise RecordError(path, line_no, reason)
         overrides[key] = value
     return overrides
+
+
+def _config_file(leaf_argv: Sequence[str]) -> Path | None:
+    # The --config of a leaf's command line, found before the leaf parses
+    # it: argparse checks the required flags as it parses, and a file that
+    # names one of them must fail at its line.  Help, and a --config with
+    # no value, are left to the leaf's parse.  Every spelling of --config
+    # that argparse takes (a prefix of it, or --config=FILE) starts with
+    # "--c", so most command lines need no probe parser, which takes
+    # longer to build than a tiny command takes to run.
+    if not any(arg.startswith("--c") for arg in leaf_argv):
+        return None
+    probe = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    probe.add_argument("-h", "--help", action="store_true")
+    probe.add_argument("--config", type=Path)
+    try:
+        found = probe.parse_known_args(leaf_argv)[0]
+    except argparse.ArgumentError:
+        return None
+    return None if found.help else found.config
 
 
 def _resolved_config(args: argparse.Namespace) -> dict[str, object]:
@@ -500,13 +546,16 @@ def dispatch(argv: Sequence[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = parser.parse_args(argv)
-        leaf = registry[args._leaf]
-        if args.config is not None:
-            overrides = _read_config(args.config, leaf)
-            # The leaf re-parses its own flags (argv[0:2] name the group and
+        leaf = registry.get(" ".join(argv[:2]))
+        config = None if leaf is None else _config_file(argv[2:])
+        if config is None:
+            args = parser.parse_args(argv)
+            leaf = registry[args._leaf]
+        else:
+            # The leaf parses its own flags (argv[0:2] name the group and
             # command) into the file's values; argparse fills in only the
             # defaults still missing, so explicitly passed flags win.
+            overrides = _read_config(config, leaf)
             args = leaf.parse_args(argv[2:], argparse.Namespace(**overrides))
     except SystemExit as exc:
         return int(exc.code or 0)
@@ -545,7 +594,16 @@ def dispatch(argv: Sequence[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(dispatch(sys.argv[1:]))
+    try:
+        code = dispatch(sys.argv[1:])
+        sys.stdout.flush()  # a closed pipe fails here, not at exit
+    except BrokenPipeError:
+        # The reader of stdout is gone, as under "| head": exit quietly with
+        # the code Python gives EPIPE, and send what is still buffered to
+        # devnull, so that the flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -23,17 +23,15 @@ import sys
 from collections import Counter, defaultdict
 from collections.abc import Iterable, Sequence
 from pathlib import Path
-from typing import NamedTuple
 
-from .corpus import RecordError, Sentence, _Checked, atomic_writer, iter_checked_lines
+# The smoothings and the record of train() are declared in config and
+# still importable from here.
+from .config import ADD_K, KNESER_NEY, SMOOTHINGS, TrainConfig  # noqa: F401
+from .corpus import RecordError, Sentence, atomic_writer, iter_checked_lines
 
 BOS = "<s>"
 EOS = "</s>"
 UNK = "<unk>"
-
-KNESER_NEY = "interpolated-kneser-ney"
-ADD_K = "add-k"
-SMOOTHINGS = (KNESER_NEY, ADD_K)
 
 # Conventional placeholder for the start marker, which is never predicted.
 _BOS_PLACEHOLDER = -99.0
@@ -106,34 +104,6 @@ class NGramModel:
         tokens = tuple(tokens)
         events = len(tokens) + 1
         return 10.0 ** (-self.sentence_logprob(tokens) / events)
-
-
-class _TrainConfig(NamedTuple):
-    order: int = 5
-    smoothing: str = KNESER_NEY
-    k: float = 1.0
-    unk_floor: float | None = None
-
-
-class TrainConfig(_Checked, _TrainConfig):
-    """Knobs of :func:`train`, each checked whatever the smoothing.  ``k``
-    is the additive constant of add-k smoothing.  ``unk_floor`` optionally
-    lifts the unigram mass of the unknown symbol to the given probability,
-    rescaling the rest of the unigram distribution to keep it proper."""
-
-    __slots__ = ()
-
-    def _checked(self) -> "TrainConfig":
-        order, smoothing, k, unk_floor = self
-        if order < 1:
-            raise ValueError("order must be at least 1")
-        if smoothing not in SMOOTHINGS:
-            raise ValueError(f"unknown smoothing {smoothing!r}; expected one of {SMOOTHINGS}")
-        if not (math.isfinite(k) and k > 0):
-            raise ValueError(f"k must be positive and finite, got {k}")
-        if unk_floor is not None and not 0.0 <= unk_floor < 1.0:
-            raise ValueError("unk_floor must lie in [0, 1)")
-        return self
 
 
 def train(corpus: Iterable[Sentence], cfg: TrainConfig = TrainConfig()) -> NGramModel:

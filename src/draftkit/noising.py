@@ -14,35 +14,9 @@ import hashlib
 import random
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from itertools import accumulate
-from typing import NamedTuple
 
-from . import DEFAULT_SEED
-from .corpus import MASK_TOKEN, DraftPair, Sentence, _Checked
-
-
-def _check_unit(name: str, value: float) -> None:
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} must lie in [0, 1], got {value}")
-
-
-class _NoiseConfig(NamedTuple):
-    delete_p: float = 0.1
-    replace_p: float = 0.1
-    replace_vocab_min_count: int = 10_000
-    shuffle_k: int = 3
-    mask_fraction_max: float = 0.5
-    seed: int = DEFAULT_SEED
-
-
-class NoiseConfig(_Checked, _NoiseConfig):
-    __slots__ = ()
-
-    def _checked(self) -> "NoiseConfig":
-        for name in ("delete_p", "replace_p", "mask_fraction_max"):
-            _check_unit(name, getattr(self, name))
-        if self.shuffle_k < 0:
-            raise ValueError(f"shuffle_k must be non-negative, got {self.shuffle_k}")
-        return self
+from .config import NoiseConfig, _check_unit
+from .corpus import MASK_TOKEN, DraftPair, Sentence
 
 
 class ReplacementVocab:

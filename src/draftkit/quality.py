@@ -35,11 +35,12 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
+from .config import FilterConfig
 from .corpus import (
     MASK_TOKEN, DraftPair, RecordError, Sentence, _Checked, nonblank_lines, tokenize,
 )
 from .metrics import levenshtein_pairs
-from .resources import load_stopwords, load_wordlist
+from .resources import load_wordlist
 
 #: Marker used in a verdict instead of a numeric delta.
 REJECT = "reject"
@@ -265,26 +266,6 @@ def _mostly_listed(text: str) -> bool:
     dictionary = load_wordlist()
     hits = sum(t.lower() in dictionary for t in alphabetic)
     return hits / len(alphabetic) >= _ENGLISH_SHARE
-
-
-class _FilterConfig(NamedTuple):
-    alpha: float = 0.4
-    stopwords: frozenset[str] | None = None
-
-
-class FilterConfig(_Checked, _FilterConfig):
-    """Knobs for the overlap filter.  ``stopwords`` may be any iterable of
-    tokens, and None stands for the bundled list."""
-
-    __slots__ = ()
-
-    def _checked(self) -> tuple:
-        stopwords = load_stopwords() if self.stopwords is None else frozenset(self.stopwords)
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
-        if MASK_TOKEN in stopwords:
-            raise ValueError("the mask token cannot also be a stopword")
-        return self.alpha, stopwords
 
 
 def _content_tokens(tokens: Iterable[str], cfg: FilterConfig) -> set[str]:

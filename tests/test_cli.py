@@ -66,6 +66,23 @@ class TestDispatchBasics:
         assert exc.value.code == 1
         assert "usage" in capsys.readouterr().err
 
+    def test_closed_stdout_exits_quietly(self, tmp_path, sentences_file):
+        argv = ["lm", "train", "--input", str(sentences_file), "--out", str(tmp_path / "m.arpa"),
+                "--dump-config"]
+        # The read end is closed before the process starts, as after "| head"
+        # has read its lines, so every write to stdout fails.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "draftkit.cli", *argv],
+                env={**os.environ, "PYTHONPATH": str(SRC)}, stdout=write_end,
+                stderr=subprocess.PIPE, text=True, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (1, "")
+
     def test_bad_jobs_rejected(self, tmp_path, sentences_file, capsys):
         code = dispatch(
             ["noise", "run", "--input", str(sentences_file),
@@ -731,6 +748,30 @@ class TestConfigPrecedence:
         assert code == 2
         assert ":1:" in capsys.readouterr().err
 
+    def test_config_key_for_a_required_flag_is_data_error(self, tmp_path, capsys):
+        # argparse counts only the command line toward a required flag, so
+        # such a key could never stand in for it.
+        registry = cli._shared_tree()[1]
+        seen = set()
+        for leaf, sub in registry.items():
+            required = [action for action in sub._actions if action.required]
+            for action in required:
+                flag = action.option_strings[0]
+                seen.add(flag)
+                cfg = write_lines(tmp_path / "run.cfg", ["# paths", f"{action.dest} = x.txt"])
+                before = sorted(os.listdir(tmp_path))
+                for others in ([], [f for a in required if a is not action
+                                    for f in (a.option_strings[0], str(tmp_path / a.dest))]):
+                    assert dispatch([*leaf.split(), *others, "--config", str(cfg)]) == 2
+                    reason = f"{action.dest} is required on the command line ({flag})"
+                    assert capsys.readouterr().err == f"error: {cfg}:2: {reason}\n"
+                    assert sorted(os.listdir(tmp_path)) == before
+                # Help reads no config file.
+                assert dispatch([*leaf.split(), "--config", str(cfg), "--help"]) == 0
+                assert capsys.readouterr().out.startswith(f"usage: draftkit {leaf} ")
+        assert seen == {"--input", "--out", "--model", "--report", "--src", "--hyp", "--ref",
+                        "--kept", "--removed"}
+
     def test_repeated_config_key_is_data_error(self, tmp_path, sentences_file, capsys):
         # The same rule as a repeated --vocab-counts token: no later line
         # silently overrides an earlier one.
@@ -1089,7 +1130,8 @@ class TestEvalRun:
         argv = ["eval", "run", "--src", str(src), "--hyp", str(hyp), "--ref", str(ref),
                 "--spellcheck-hyp", "--report"]
         assert dispatch(argv + [str(tmp_path / "new.json")]) == 0
-        monkeypatch.setattr(cli, "spell_check_all", lambda sentences: [
+        # The handler looks spell_check_all up in quality when it runs.
+        monkeypatch.setattr(quality, "spell_check_all", lambda sentences: [
             Sentence.from_text(spell_check(s).corrected_text) for s in sentences
         ])
         assert dispatch(argv + [str(tmp_path / "old.json")]) == 0
@@ -1350,6 +1392,12 @@ MANIFEST_CASES = [
     ("eval run --lm in/model.arpa --report out/eval.json --src in/src.txt --hyp in/hyp.txt"
      " --ref in/ref.txt --spellcheck-hyp",
      ["in/src.txt", "in/hyp.txt", "in/ref.txt", "in/model.arpa"], ["out/eval.json"]),
+    ("eval run --src in/src.txt --hyp in/hyp.txt --ref in/ref.txt --lm in/model.arpa"
+     " --report out/eval.json",
+     ["in/src.txt", "in/hyp.txt", "in/ref.txt", "in/model.arpa"], ["out/eval.json"]),
+    ("eval run --spellcheck-hyp --src in/src.txt --hyp in/hyp.txt --ref in/ref.txt"
+     " --report out/eval.json",
+     ["in/src.txt", "in/hyp.txt", "in/ref.txt"], ["out/eval.json"]),
     ("stats dataset --report out/stats.json --input in/pairs.tsv",
      ["in/pairs.tsv"], ["out/stats.json"]),
     ("stats dataset --lm in/model.arpa --report out/stats.json --input in/pairs.tsv",
@@ -1357,6 +1405,44 @@ MANIFEST_CASES = [
     ("analysis terms --out out/terms.tsv --input in/pairs.tsv --top-k 5",
      ["in/pairs.tsv"], ["out/terms.tsv"]),
 ]
+
+
+#: What ``import draftkit.cli`` loads of the package (and of ``hashlib``: none).
+FRONT_END = ["draftkit", "draftkit.cli", "draftkit.config", "draftkit.corpus", "draftkit.resources"]
+
+#: What a run loads beyond ``FRONT_END``, by its subcommand and the flags
+#: that make it load more.
+RUN_LOADS = {
+    "corpus extract": [],
+    "lm train": ["draftkit.lm", "hashlib"],
+    "lm ppl": ["draftkit.lm", "hashlib"],
+    "noise run": ["draftkit.noising", "hashlib"],
+    "quality score-workers": ["draftkit.metrics", "draftkit.quality"],
+    "quality filter-pairs": ["draftkit.metrics", "draftkit.quality"],
+    "eval run": ["draftkit.metrics"],
+    "eval run --lm": ["draftkit.lm", "draftkit.metrics", "hashlib"],
+    "eval run --spellcheck-hyp": ["draftkit.metrics", "draftkit.quality"],
+    "eval run --lm --spellcheck-hyp": [
+        "draftkit.lm", "draftkit.metrics", "draftkit.quality", "hashlib"],
+    "stats dataset": ["draftkit.analysis", "draftkit.metrics"],
+    "stats dataset --lm": ["draftkit.analysis", "draftkit.lm", "draftkit.metrics", "hashlib"],
+    "analysis terms": ["draftkit.analysis", "draftkit.metrics"],
+}
+
+# Runs each command line of argv[1] (JSON) in turn and prints, after each,
+# its exit code and what of the package and hashlib is loaded by then.
+_LOADED_PROBE = """
+import contextlib, io, json, sys
+before = set(sys.modules)
+import draftkit.cli
+report = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = draftkit.cli.dispatch(argv)
+    loaded = set(sys.modules) - before
+    report.append([code, sorted(m for m in loaded if m.startswith("draftkit") or m == "hashlib")])
+print(json.dumps(report))
+"""
 
 
 class TestManifests:
@@ -1418,6 +1504,23 @@ class TestManifests:
         assert dispatch(self.resolve(root, line.split())) == 2
         assert capsys.readouterr().err == f"error: {path}:2: not valid UTF-8 (invalid start byte)\n"
         assert sorted(root.rglob("*")) == before
+
+    @pytest.mark.parametrize("line", [line for line, _, _ in MANIFEST_CASES])
+    def test_run_loads_only_the_modules_it_uses(self, root, line):
+        """In a fresh interpreter, help, a dump of the configuration and a
+        usage error load only the front end, and the run itself what
+        ``RUN_LOADS`` lists for it."""
+        argv = self.resolve(root, line.split())
+        calls = [[*argv[:2], "--help"], [*argv, "--dump-config"], [*argv, "--no-such-flag"], argv]
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", _LOADED_PROBE, json.dumps(calls)],
+            env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        key = " ".join([*argv[:2], *(f for f in ("--lm", "--spellcheck-hyp") if f in argv)])
+        front, run = [*FRONT_END], sorted([*FRONT_END, *RUN_LOADS[key]])
+        assert json.loads(proc.stdout) == [[0, front], [0, front], [1, front], [0, run]]
 
     @pytest.mark.parametrize("line, inputs, outputs", MANIFEST_CASES)
     def test_config_file_matches_flags(self, root, line, inputs, outputs, capsys):
