@@ -440,21 +440,22 @@ def _read_config(path: Path, sub: _Parser) -> dict[str, object]:
     return overrides
 
 
+_probe: argparse.ArgumentParser | None = None
+
+
 def _config_file(leaf_argv: Sequence[str]) -> Path | None:
     # The --config of a leaf's command line, found before the leaf parses
     # it: argparse checks the required flags as it parses, and a file that
     # names one of them must fail at its line.  Help, and a --config with
-    # no value, are left to the leaf's parse.  Every spelling of --config
-    # that argparse takes (a prefix of it, or --config=FILE) starts with
-    # "--c", so most command lines need no probe parser, which takes
-    # longer to build than a tiny command takes to run.
-    if not any(arg.startswith("--c") for arg in leaf_argv):
-        return None
-    probe = argparse.ArgumentParser(add_help=False, exit_on_error=False)
-    probe.add_argument("-h", "--help", action="store_true")
-    probe.add_argument("--config", type=Path)
+    # no value, are left to the leaf's parse.  The probe parser is built on
+    # the first call and reused, as the tree is.
+    global _probe
+    if _probe is None:
+        _probe = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+        _probe.add_argument("-h", "--help", action="store_true")
+        _probe.add_argument("--config", type=Path)
     try:
-        found = probe.parse_known_args(leaf_argv)[0]
+        found = _probe.parse_known_args(leaf_argv)[0]
     except argparse.ArgumentError:
         return None
     return None if found.help else found.config
