@@ -16,7 +16,6 @@ from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .config import TermsConfig
 from .corpus import DraftPair, Sentence
-from .metrics import _mean, fre, levenshtein_pairs, passive_voice, word_repetition
 
 if TYPE_CHECKING:  # an annotation only: terms and stats without --lm never load lm
     from .lm import NGramModel
@@ -40,6 +39,8 @@ def _pair_list(pairs: Iterable[DraftPair]) -> list[DraftPair]:
 
 def dataset_stats(pairs: Sequence[DraftPair]) -> DatasetStats:
     """Count pairs, mask usage, changed pairs, and mean edit distance."""
+    from .metrics import levenshtein_pairs  # here, so that analysis terms never loads metrics
+
     pairs = _pair_list(pairs)
     n = len(pairs)
     masked = sum(p.has_mask for p in pairs)
@@ -74,6 +75,8 @@ class LinguisticProfile(NamedTuple):
 
 
 def _side_profile(side: str, sentences: Iterable[Sentence], lm: NGramModel) -> SideProfile:
+    from .metrics import _mean, fre, passive_voice, word_repetition
+
     fre_values: list[float] = []
     ppl_values: list[float] = []
     passive_hits = 0

@@ -464,7 +464,7 @@ def _config_file(leaf_argv: Sequence[str]) -> Path | None:
 def _resolved_config(args: argparse.Namespace) -> dict[str, object]:
     resolved = {}
     for key, value in vars(args).items():
-        if key in _CONFIG_SKIP or key in ("group", "command"):
+        if key in _CONFIG_SKIP:
             continue
         resolved[key] = str(value) if isinstance(value, Path) else value
     return dict(sorted(resolved.items()))
@@ -547,17 +547,16 @@ def dispatch(argv: Sequence[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
-        leaf = registry.get(" ".join(argv[:2]))
-        config = None if leaf is None else _config_file(argv[2:])
-        if config is None:
-            args = parser.parse_args(argv)
-            leaf = registry[args._leaf]
-        else:
-            # The leaf parses its own flags (argv[0:2] name the group and
-            # command) into the file's values; argparse fills in only the
-            # defaults still missing, so explicitly passed flags win.
-            overrides = _read_config(config, leaf)
-            args = leaf.parse_args(argv[2:], argparse.Namespace(**overrides))
+        leaf = registry.get(" ".join(argv[:2])) if len(argv) > 1 else None
+        if leaf is None:
+            # Naming no leaf, this exits with help, the version or a usage error.
+            parser.parse_args(argv)
+        # The leaf parses its own flags (argv[0:2] name the group and command)
+        # into the config file's values, if any; argparse fills in only the
+        # defaults still missing, so explicitly passed flags win.
+        config = _config_file(argv[2:])
+        overrides = {} if config is None else _read_config(config, leaf)
+        args = leaf.parse_args(argv[2:], argparse.Namespace(**overrides))
     except SystemExit as exc:
         return int(exc.code or 0)
     except (RecordError, OSError) as err:

@@ -47,7 +47,8 @@ def tokenize(text: str) -> list[str]:
     """Split on whitespace, then detach leading/trailing punctuation.
 
     Inner punctuation (hyphens, apostrophes, abbreviation periods) stays
-    attached; ``<*>`` always comes through as a single token.  The output is
+    attached; ``<*>`` always comes through as a single token, as ``<``
+    and ``>`` are not punctuation (category Sm).  The output is
     in normal form: joining with single spaces and re-tokenizing yields the
     same list.
 
@@ -62,10 +63,10 @@ def tokenize(text: str) -> list[str]:
             continue
         leading: list[str] = []
         trailing: list[str] = []
-        while chunk and chunk != MASK_TOKEN and _is_punct(chunk[0]):
+        while chunk and _is_punct(chunk[0]):
             leading.append(chunk[0])
             chunk = chunk[1:]
-        while chunk and chunk != MASK_TOKEN and _is_punct(chunk[-1]):
+        while chunk and _is_punct(chunk[-1]):
             trailing.append(chunk[-1])
             chunk = chunk[:-1]
         tokens.extend(leading)

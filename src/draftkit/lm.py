@@ -63,6 +63,9 @@ class NGramModel:
     ) -> None:
         if order < 1:
             raise ValueError("order must be at least 1")
+        for word in (EOS, UNK):  # scoring ends each sentence and maps OOV tokens to these
+            if (word,) not in logprob_table:
+                raise ValueError(f"model has no unigram entry for {word!r}")
         self.order = order
         # The model owns the tables it is given: its callers build them for it.
         self._logprob = logprob_table
@@ -93,8 +96,6 @@ class NGramModel:
             word = known[i : i + 1]
             acc = 0.0
             while (stored := logp.get(context + word)) is None:
-                if not context:
-                    raise ValueError(f"model has no unigram entry for {word[0]!r}")
                 acc += bows.get(context, 0.0)
                 context = context[1:]
             total += acc + stored
@@ -276,17 +277,13 @@ def save_arpa(model: NGramModel, path: str | Path) -> None:
     A model whose ARPA text would not read back as its tables raises
     :class:`ValueError` naming the fault, and neither file is written.
     """
-    # The text loses a word with white space in it or a backoff weight with
-    # no entry, and fails to load without the end and unknown unigrams.
+    # The text loses a word with white space in it or a backoff weight with no entry.
     logp, bows = model._logprob, model._backoff
     bad = sorted(w for w in set(itertools.chain.from_iterable(logp)) if not _WORD.fullmatch(w))
     if bad:
         raise ValueError(f"cannot write a word that is empty or holds white space: {bad[0]!r}")
     if not bows.keys() <= logp.keys():
         raise ValueError(f"backoff weight without an entry: {min(bows.keys() - logp.keys())!r}")
-    for word in (EOS, UNK):
-        if (word,) not in logp:
-            raise ValueError(f"model has no unigram entry for {word!r}")
     sections: dict[int, list[tuple[str, ...]]] = {n: [] for n in range(1, model.order + 1)}
     for gram in model._logprob:
         sections[len(gram)].append(gram)
@@ -320,8 +317,9 @@ def _load_compiled(path: str | Path) -> NGramModel | None:
     """The model in the sidecar of the ARPA file at ``path``, or None unless
     every header field matches: the ARPA file's sha256 and size, this
     interpreter's marshal format and the payload's sha256.  Only then is the
-    payload passed to :mod:`marshal`, whose result must also have the shape
-    ``(order >= 1, logprob table, backoff table)``."""
+    payload passed to :mod:`marshal`, whose result must also be an
+    ``(order, logprob table, backoff table)`` tuple that :class:`NGramModel`
+    accepts."""
     try:
         data = sidecar_path(path).read_bytes()
     except OSError:
@@ -338,10 +336,10 @@ def _load_compiled(path: str | Path) -> NGramModel | None:
         return None
     try:
         loaded = marshal.loads(payload)
+        if type(loaded) is tuple and tuple(map(type, loaded)) == (int, dict, dict):
+            return NGramModel(*loaded)  # a ValueError if it refuses the tables
     except (EOFError, ValueError, TypeError):
-        return None
-    if type(loaded) is tuple and tuple(map(type, loaded)) == (int, dict, dict) and loaded[0] >= 1:
-        return NGramModel(*loaded)
+        pass
     return None
 
 
@@ -457,9 +455,10 @@ def _parse_arpa(path: str | Path) -> NGramModel:
         raise ArpaFormatError(path, line_no, f"missing {missing[0]}-grams section")
     if max(declared) < 1:
         raise ArpaFormatError(path, line_no, "no n-gram order of 1 or more declared")
-    for word in (EOS, UNK):  # scoring needs both to end a sentence and to map OOV tokens
-        if (word,) not in logp:
-            raise ArpaFormatError(path, line_no, f"model has no unigram entry for {word!r}")
+    try:
+        model = NGramModel(max(declared), logp, bows)
+    except ValueError as err:  # a table the model refuses is a fault found at \end\
+        raise ArpaFormatError(path, line_no, str(err)) from err
     for _ in lines:  # lines after \end\ are ignored, but must still decode
         pass
-    return NGramModel(max(declared), logp, bows)
+    return model

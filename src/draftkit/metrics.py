@@ -321,65 +321,59 @@ def rouge_l(h: Sentence, r: Sentence) -> float:
     return (1 + _ROUGE_BETA**2) * precision * recall / (recall + _ROUGE_BETA**2 * precision)
 
 
-def _align(src: Sequence[str], tgt: Sequence[str]) -> tuple[str, ...]:
-    """Unit-cost token alignment; ties prefer substitution, then deletion.
+def _edit_runs(src: Sequence[str], tgt: Sequence[str]) -> list[tuple[int, int, tuple[str, ...]]]:
+    """Maximal runs of unmatched steps of the unit-cost token alignment, as
+    (start, end, replacement): source tokens [start, end) become the slice
+    ``replacement`` of ``tgt``.  Ties prefer substitution, then deletion.
 
     ``_advance`` steps the DP columns with ``src`` as the pattern and
     keeps each one's bits, and the backtrace reads them (Hyyrö 2004, "A
-    Note on Bit-Parallel Alignment Computation").  Under unit costs
-    D[i][j] - D[i-1][j-1] is 0 or 1, so going back diagonally from
-    D[i][j] is optimal when the tokens match, or when that difference is
-    1, which is where bit i - 1 of column j's ``d0`` is clear.  Otherwise
-    the step is a deletion where the column's ``pv`` has bit i - 1
-    (D[i][j] = D[i-1][j] + 1), and an insertion elsewhere.
+    Note on Bit-Parallel Alignment Computation"), collecting the runs as
+    it goes.  Under unit costs D[i][j] - D[i-1][j-1] is 0 or 1, so going
+    back diagonally from D[i][j] is optimal when the tokens match, or when
+    that difference is 1, which is where bit i - 1 of column j's ``d0`` is
+    clear.  Otherwise the step is a deletion where the column's ``pv`` has
+    bit i - 1 (D[i][j] = D[i-1][j] + 1), and an insertion elsewhere.
 
     The common suffix is matched without the DP: for unit costs, equal
     last tokens give D[n][m] = D[n-1][m-1], which the backtrace takes.  The
     common prefix is not trimmed, as that can move an edit: src ``a a``
-    against tgt ``a`` aligns as (del, match), not (match, del).
+    against tgt ``a`` aligns as (delete, match), not (match, delete).
     """
     n, m = len(src), len(tgt)
     while n and m and src[n - 1] == tgt[m - 1]:
         n -= 1
         m -= 1
-    ops = ["match"] * (len(src) - n)  # built backwards, reversed at the end
     masks, full = _match_masks(src[:n])
     columns: list[tuple[int, int]] = []
     _advance(map(masks.get, tgt[:m], repeat(0)), full, 1, full, 0, columns)
+    runs = []  # built backwards, reversed at the end
+    end: tuple[int, int] | None = None  # where the run being read back ends
     i, j = n, m
     while i and j:
+        if src[i - 1] == tgt[j - 1]:
+            if end is not None:
+                runs.append((i, end[0], tgt[j : end[1]]))
+                end = None
+            i -= 1
+            j -= 1
+            continue
+        if end is None:
+            end = (i, j)
         d0, pv = columns[j - 1]
         bit = 1 << (i - 1)
-        if src[i - 1] == tgt[j - 1] or not d0 & bit:
-            ops.append("match" if src[i - 1] == tgt[j - 1] else "sub")
+        if not d0 & bit:
             i -= 1
             j -= 1
         elif pv & bit:
-            ops.append("del")
             i -= 1
         else:
-            ops.append("ins")
             j -= 1
-    ops += ["del"] * i
-    ops += ["ins"] * j
-    ops.reverse()
-    return tuple(ops)
-
-
-def _edit_runs(src: Sequence[str], tgt: Sequence[str]) -> list[tuple[int, int, tuple[str, ...]]]:
-    """Maximal runs of non-matching alignment ops as (start, end,
-    replacement): source tokens [start, end) become ``replacement``."""
-    runs = []
-    i = j = 0
-    run: tuple[int, int] | None = None
-    for op in _align(src, tgt) + ("match",):  # trailing sentinel flushes the last run
-        if op == "match" and run is not None:
-            runs.append((run[0], i, tgt[run[1] : j]))
-            run = None
-        elif op != "match" and run is None:
-            run = (i, j)
-        i += op != "ins"
-        j += op != "del"
+    if end is None and (i or j):  # the rest of one side, deleted or inserted
+        end = (i, j)
+    if end is not None:
+        runs.append((0, end[0], tgt[: end[1]]))
+    runs.reverse()
     return runs
 
 

@@ -39,7 +39,6 @@ from .config import FilterConfig
 from .corpus import (
     MASK_TOKEN, DraftPair, RecordError, Sentence, _Checked, nonblank_lines, tokenize,
 )
-from .metrics import levenshtein_pairs
 from .resources import load_wordlist
 
 #: Marker used in a verdict instead of a numeric delta.
@@ -369,6 +368,8 @@ def score_workers(subs: Sequence[WorkerSubmission]) -> list[WorkerVerdict]:
     to its machine translation are taken in one
     :func:`~draftkit.metrics.levenshtein_pairs` pass.
     """
+    from .metrics import levenshtein_pairs  # here, so that filter-pairs never loads metrics
+
     distances = levenshtein_pairs(
         pair for sub in subs for pair in zip(sub.answers, sub.mt_references)
     )

@@ -83,6 +83,45 @@ class TestDispatchBasics:
             os.close(write_end)
         assert (proc.returncode, proc.stderr) == (1, "")
 
+    @pytest.mark.parametrize("with_config", [False, True], ids=["plain", "config"])
+    def test_unknown_flag_prints_the_leafs_usage(self, tmp_path, capsys, with_config):
+        # A run that names a leaf parses through that leaf, with or without
+        # --config, so both print the leaf's usage line and error.
+        out = tmp_path / "y"
+        argv = ["lm", "train", "--input", "x", "--out", str(out), "--bogus"]
+        if with_config:
+            argv += ["--config", str(write_lines(tmp_path / "c.cfg", ["order = 2"]))]
+        assert dispatch(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: draftkit lm train [-h] ")
+        assert captured.err.endswith("\ndraftkit lm train: error: unrecognized arguments: --bogus\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, code, out, err",
+        [
+            (["--version"], 0, f"draftkit {draftkit.__version__}", ""),
+            (["--help"], 0, "usage: draftkit [-h] [--version] group ...", ""),
+            (["lm"], 1, "", "usage: draftkit lm [-h] command ...\n"
+             "draftkit lm: error: the following arguments are required: command\n"),
+            # How argparse quotes the choices that follow differs between versions.
+            (["nosuch", "x"], 1, "", "usage: draftkit [-h] [--version] group ...\n"
+             "draftkit: error: argument group: invalid choice: 'nosuch' "),
+            ([], 1, "", "usage: draftkit [-h] [--version] group ...\n"
+             "draftkit: error: the following arguments are required: group\n"),
+        ],
+        ids=["version", "help", "group only", "unknown group", "empty"],
+    )
+    def test_argv_naming_no_leaf_goes_to_the_root(self, capsys, argv, code, out, err):
+        # The root parser's own outputs: the first line of stdout stands for
+        # the help text, and stderr is its usage line and one error line.
+        assert dispatch(argv) == code
+        captured = capsys.readouterr()
+        assert captured.out.split("\n", 1)[0] == out
+        assert captured.err.startswith(err)
+        assert captured.err.count("\n") == (2 if err else 0)
+
     def test_bad_jobs_rejected(self, tmp_path, sentences_file, capsys):
         code = dispatch(
             ["noise", "run", "--input", str(sentences_file),
@@ -1418,7 +1457,7 @@ RUN_LOADS = {
     "lm ppl": ["draftkit.lm", "hashlib"],
     "noise run": ["draftkit.noising", "hashlib"],
     "quality score-workers": ["draftkit.metrics", "draftkit.quality"],
-    "quality filter-pairs": ["draftkit.metrics", "draftkit.quality"],
+    "quality filter-pairs": ["draftkit.quality"],
     "eval run": ["draftkit.metrics"],
     "eval run --lm": ["draftkit.lm", "draftkit.metrics", "hashlib"],
     "eval run --spellcheck-hyp": ["draftkit.metrics", "draftkit.quality"],
@@ -1426,7 +1465,7 @@ RUN_LOADS = {
         "draftkit.lm", "draftkit.metrics", "draftkit.quality", "hashlib"],
     "stats dataset": ["draftkit.analysis", "draftkit.metrics"],
     "stats dataset --lm": ["draftkit.analysis", "draftkit.lm", "draftkit.metrics", "hashlib"],
-    "analysis terms": ["draftkit.analysis", "draftkit.metrics"],
+    "analysis terms": ["draftkit.analysis"],
 }
 
 # Runs each command line of argv[1] (JSON) in turn and prints, after each,

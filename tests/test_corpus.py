@@ -58,6 +58,21 @@ class TestTokenize:
     def test_mask_token_with_attached_punctuation(self):
         assert tokenize("(<*>).") == ["(", "<*>", ")", "."]
 
+    @pytest.mark.parametrize(
+        "text, tokens",
+        [
+            ("(<*>)", ["(", "<*>", ")"]),
+            ("<*>.", ["<*>", "."]),
+            ('"<*>"', ['"', "<*>", '"']),
+            ("*<*>*", ["*", "<*>", "*"]),
+        ],
+    )
+    def test_mask_token_ends_are_not_punctuation(self, text, tokens):
+        # "<" and ">" are math symbols (Sm), so peeling stops at either end
+        # of the mask token, even when "*" (Po) stands beside it.
+        assert unicodedata.category("<") == unicodedata.category(">") == "Sm"
+        assert tokenize(text) == tokens == tokenize_reference(text)
+
     def test_leading_and_trailing_punctuation_detached_in_order(self):
         assert tokenize("(works)") == ["(", "works", ")"]
         assert tokenize('"quoted", yes') == ['"', "quoted", '"', ",", "yes"]

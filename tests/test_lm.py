@@ -13,6 +13,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+import types
 from functools import lru_cache
 from pathlib import Path
 
@@ -293,10 +294,14 @@ class TestSentenceLogprobAgainstReference:
         assert model.sentence_logprob(tokens) == total
 
     def test_missing_unknown_unigram_is_an_error(self):
-        model = NGramModel(2, {("a",): -0.5, ("</s>",): -0.5}, {})
-        for score in (model.sentence_logprob, lambda t: sentence_logprob_reference(model, t)):
-            with pytest.raises(ValueError, match="no unigram entry for '<unk>'"):
-                score(["b"])
+        # The model refuses the table, so no sentence is ever scored under
+        # it; the reference, which reads bare tables, fails at the OOV token.
+        table = {("a",): -0.5, ("</s>",): -0.5}
+        with pytest.raises(ValueError, match="model has no unigram entry for '<unk>'"):
+            NGramModel(2, table, {})
+        bare = types.SimpleNamespace(order=2, _logprob=table, _backoff={})
+        with pytest.raises(ValueError, match="no unigram entry for '<unk>'"):
+            sentence_logprob_reference(bare, ["b"])
 
 
 class TestTrainedTables:
@@ -440,14 +445,21 @@ class TestTrainErrors:
 
 
 class TestModelArguments:
-    TABLE = {("a",): -0.5, ("</s>",): -0.5, ("a", "</s>"): -0.1}
+    TABLE = {("a",): -0.5, ("</s>",): -0.5, ("<unk>",): -1.0, ("a", "</s>"): -0.1}
 
     def test_order_below_one_rejected(self):
         with pytest.raises(ValueError, match="order must be at least 1"):
             NGramModel(0, {}, {})
 
+    @pytest.mark.parametrize("word", ["</s>", "<unk>"])
+    def test_table_without_a_marker_unigram_rejected(self, word):
+        # Scoring ends every sentence with </s> and maps OOV tokens to <unk>.
+        table = {gram: value for gram, value in self.TABLE.items() if gram != (word,)}
+        with pytest.raises(ValueError, match=f"^model has no unigram entry for '{word}'$"):
+            NGramModel(2, table, {})
+
     def test_repr_names_order_and_size(self):
-        assert repr(NGramModel(2, dict(self.TABLE), {})) == "NGramModel(order=2, ngrams=3)"
+        assert repr(NGramModel(2, dict(self.TABLE), {})) == "NGramModel(order=2, ngrams=4)"
 
 
 class TestArpaFixtures:
@@ -1006,6 +1018,7 @@ _STALE_SIDECARS = {
     "truncated marshal data": _repayload(marshal.dumps((2, {("a",): -1.0}, {}))[:-4]),
     "unknown marshal type": _repayload(b"\x00"),
     "unhashable key": _repayload(b"{" + marshal.dumps([]) + marshal.dumps(0) + b"0"),
+    "tables without <unk>": _repayload(marshal.dumps((2, {("a",): -1.0, ("</s>",): -1.0}, {}))),
 }
 
 
@@ -1055,6 +1068,21 @@ class TestCompiledSidecar:
         assert lm._load_compiled(path) is None
         assert _bits(load_arpa(path)) == _bits(load_parsed(load_arpa, path))
 
+    @pytest.mark.parametrize(
+        "name, word, kept", [("no_eos_unigram", "</s>", "<unk>"), ("no_unk_unigram", "<unk>", "</s>")]
+    )
+    def test_sidecar_without_a_marker_falls_back_to_the_parse(self, tmp_path, name, word, kept):
+        # A sidecar holding the text's own tables, which lack a marker, gives
+        # no model, so the load fails as the parse does, at the \end\ line.
+        path = tmp_path / "bad.arpa"
+        path.write_text(MALFORMED_ARPA[name], encoding="utf-8")
+        table = {("a",): -0.5, (kept,): -0.5}
+        sidecar_path(path).write_bytes(_sidecar(path, marshal.dumps((1, table, {}))))
+        assert lm._load_compiled(path) is None
+        with pytest.raises(ArpaFormatError) as loaded:
+            load_arpa(path)
+        assert str(loaded.value) == f"{path}:8: model has no unigram entry for {word!r}"
+
     def test_truncated_sidecar_falls_back_to_the_parse(self, tmp_path):
         path, _ = self._save_pair(tmp_path)
         whole = sidecar_path(path).read_bytes()
@@ -1088,29 +1116,35 @@ class TestCompiledSidecar:
         assert capsys.readouterr().err == f"error: {parsed.value}\n"
 
     @pytest.mark.parametrize(
-        "model,fault",
+        "build,fault",
         [
             # A word with white space in it is split apart in the text.
-            (train([Sentence.from_tokens(["a b", "c"])], TrainConfig(2)), "white space: 'a b'"),
+            (lambda: train([Sentence.from_tokens(["a b", "c"])], TrainConfig(2)),
+             "white space: 'a b'"),
             # An empty word leaves an empty field.
-            (train([Sentence.from_tokens(["", "c"])], TrainConfig(order=2)), "white space: ''"),
+            (lambda: train([Sentence.from_tokens(["", "c"])], TrainConfig(order=2)),
+             "white space: ''"),
             # A backoff weight of an n-gram with no entry is not written.
             (
-                NGramModel(1, {("a",): -0.5, ("</s>",): -0.5, ("<unk>",): -1.0}, {("z",): -0.1}),
+                lambda: NGramModel(
+                    1, {("a",): -0.5, ("</s>",): -0.5, ("<unk>",): -1.0}, {("z",): -0.1}
+                ),
                 r"backoff weight without an entry: \('z',\)",
             ),
-            # The text of a model with no end unigram does not load.
-            (NGramModel(1, {("a",): -0.5, ("<unk>",): -1.0}, {}), "no unigram entry for '</s>'"),
+            # The text of a model with no end unigram would not load, and no
+            # such model is built.
+            (lambda: NGramModel(1, {("a",): -0.5, ("<unk>",): -1.0}, {}),
+             "model has no unigram entry for '</s>'"),
         ],
         ids=["spaced word", "empty word", "unwritten backoff", "no end unigram"],
     )
-    def test_refuses_a_model_whose_text_reads_back_otherwise(self, tmp_path, model, fault):
+    def test_refuses_a_model_whose_text_reads_back_otherwise(self, tmp_path, build, fault):
         # Neither file is written: those of an earlier save stay as they were.
         path = tmp_path / "model.arpa"
         save_arpa(_model("add-k", 1), path)
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
         with pytest.raises(ValueError, match=fault):
-            save_arpa(model, path)
+            save_arpa(build(), path)
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     def test_renames_the_arpa_file_first(self, tmp_path, monkeypatch):

@@ -418,32 +418,34 @@ class TestEditRuns:
 
 
 class TestAlign:
+    """The alignment under ``_edit_runs``, read off its runs."""
+
     @pytest.mark.parametrize("alphabet", ["ab", "abc"])
     @settings(max_examples=400)
     @given(data=st.data())
     def test_matches_full_table_reference(self, alphabet, data):
         # Small alphabets make ties common, so the tie-breaking is tested.
-        side = st.lists(st.sampled_from(alphabet), max_size=8)
+        side = st.lists(st.sampled_from(alphabet), max_size=8).map(tuple)
         src, tgt = data.draw(side), data.draw(side)
-        assert metrics._align(src, tgt) == align_reference(src, tgt)
+        assert _edit_runs(src, tgt) == edit_runs_reference(src, tgt)
 
     def test_common_prefix_is_aligned_by_the_dp(self):
         # Trimming the prefix would give (match, del) and move the edit.
-        assert metrics._align(["a", "a"], ["a"]) == ("del", "match")
+        assert _edit_runs(("a", "a"), ("a",)) == [(0, 1, ())]
         assert align_reference(["a", "a"], ["a"]) == ("del", "match")
 
     @pytest.mark.parametrize(
-        "src, tgt, ops",
+        "src, tgt, runs",
         [
-            ([], [], ()),
-            ([], ["a", "b"], ("ins", "ins")),
-            (["a", "b"], [], ("del", "del")),
-            (["a", "a"], ["a"], ("del", "match")),
-            (["a"], ["a", "a"], ("ins", "match")),
+            ((), (), []),
+            ((), ("a", "b"), [(0, 0, ("a", "b"))]),
+            (("a", "b"), (), [(0, 2, ())]),
+            (("a", "a"), ("a",), [(0, 1, ())]),
+            (("a",), ("a", "a"), [(0, 0, ("a",))]),
         ],
     )
-    def test_empty_sides_and_repeats(self, src, tgt, ops):
-        assert metrics._align(src, tgt) == ops == align_reference(src, tgt)
+    def test_empty_sides_and_repeats(self, src, tgt, runs):
+        assert _edit_runs(src, tgt) == runs == edit_runs_reference(src, tgt)
 
     @pytest.mark.parametrize("n, m", [(70, 70), (70, 1), (1, 70), (70, 75), (130, 64)])
     def test_columns_wider_than_a_machine_word(self, n, m):
@@ -451,11 +453,11 @@ class TestAlign:
         # token of the repeated side to the DP when the last tokens differ.
         rng = random.Random(n * 1000 + m)
         for src, tgt in (
-            (["a"] * n, ["a"] * m),
-            (["a"] * n + ["b"], ["a"] * m + ["c"]),
-            ([rng.choice("ab") for _ in range(n)], [rng.choice("ab") for _ in range(m)]),
+            (("a",) * n, ("a",) * m),
+            (("a",) * n + ("b",), ("a",) * m + ("c",)),
+            (tuple(rng.choice("ab") for _ in range(n)), tuple(rng.choice("ab") for _ in range(m))),
         ):
-            assert metrics._align(src, tgt) == align_reference(src, tgt)
+            assert _edit_runs(src, tgt) == edit_runs_reference(src, tgt)
 
 
 class TestEvaluateEditPrf:
